@@ -132,8 +132,9 @@ def face_ring(cplx: SimplicialComplex, field: Field = QQ) -> PresentedRing:
     """The presented face ring with reducedness, purity, and minimal
     primes attached (facet route, verified on attach)."""
     ring = face_ring_ambient(cplx, field)
-    pres = PresentedRing(ring, sr_ideal(cplx, ring))
-    pres.attach_min_primes(facet_min_primes(cplx, ring))
+    mps = facet_min_primes(cplx, ring)
+    pres = PresentedRing(ring, mps.for_ideal)
+    pres.attach_min_primes(mps)
     if is_pure(cplx):
         is_equidimensional(pres)
     return pres

@@ -11,8 +11,6 @@ cohomology all live here, along with the product-graph construction.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import PreconditionError, StructuralError
@@ -28,25 +26,6 @@ from .ideals import (
 from .minprimes import ensure_min_primes, is_equidimensional, minimal_primes
 
 PARTITION_VERTEX_CAP = 20
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("RINGGRAPH_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise PreconditionError(f"RINGGRAPH_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
-def _map_pairs(fn, pairs):
-    """Evaluate fn over index pairs, optionally on a thread pool; the
-    result order is always the input order."""
-    n = _thread_count()
-    if n <= 1 or len(pairs) < 4:
-        return [fn(p) for p in pairs]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, pairs))
 
 
 class UnionFind:
@@ -227,34 +206,33 @@ def _require_equidimensional(ring: PresentedRing, strategy: str):
         )
 
 
-def _pairwise_heights(ring: PresentedRing, primes: list) -> dict:
-    pairs = [(i, j) for i in range(len(primes)) for j in range(i + 1, len(primes))]
-
-    def height_of(pair):
-        i, j = pair
-        return height_in_quotient(ring, ideal_sum(primes[i], primes[j]))
-
-    values = _map_pairs(height_of, pairs)
-    return dict(zip(pairs, values))
-
-
 def prime_label(p: Ideal) -> tuple:
     return tuple(p.min_gen_strings()) or ("0",)
 
 
 def build_gamma(ring: PresentedRing, strategy: str = "auto") -> PrimeGraph:
-    """The minimal-prime graph: edge exactly at height-one pair sums."""
+    """The minimal-prime graph: edge exactly at height-one pair sums.
+
+    The only place pairwise heights are computed.  The graph is built
+    once per presented ring and kept on it: attached minimal primes are
+    verified against the defining ideal, so they cannot go stale.
+    """
     mps = ensure_min_primes(ring, strategy)
     _require_equidimensional(ring, strategy)
-    primes = _sorted_primes(mps)
-    heights = _pairwise_heights(ring, primes)
-    edges = frozenset(pair for pair, h in heights.items() if h == 1)
-    return PrimeGraph(
-        labels=tuple(prime_label(p) for p in primes),
-        edges=edges,
-        payloads=tuple(primes),
-        evidence=tuple(sorted(heights.items())),
-    )
+    if ring.gamma is None:
+        primes = _sorted_primes(mps)
+        heights = {
+            (i, j): height_in_quotient(ring, ideal_sum(primes[i], primes[j]))
+            for i in range(len(primes))
+            for j in range(i + 1, len(primes))
+        }
+        ring.gamma = PrimeGraph(
+            labels=tuple(prime_label(p) for p in primes),
+            edges=frozenset(pair for pair, h in heights.items() if h == 1),
+            payloads=tuple(primes),
+            evidence=tuple(sorted(heights.items())),
+        )
+    return ring.gamma
 
 
 def is_connected(graph: PrimeGraph) -> ConnectivityReport:
@@ -293,19 +271,19 @@ def disconnection_exists(ring: PresentedRing, strategy: str = "auto") -> Connect
 
     Returns a disconnected report carrying the first such partition and
     the intersection ideals of its two sides, or a connected report
-    when every bipartition is crossed by a height-one pair.
+    when every bipartition is crossed by a height-one pair.  Reads the
+    heights from :func:`build_gamma` but never its edges, so this route
+    stays independent of :func:`is_connected`.
     """
     mps = ensure_min_primes(ring, strategy)
     _require_equidimensional(ring, strategy)
-    primes = _sorted_primes(mps)
-    k = len(primes)
+    k = len(mps.primes)
     if k > PARTITION_VERTEX_CAP:
         raise PreconditionError(
             f"bipartition search is capped at {PARTITION_VERTEX_CAP} minimal primes, got {k}"
         )
-    labels = tuple(prime_label(p) for p in primes)
-    heights = _pairwise_heights(ring, primes)
-    evidence = tuple(sorted(heights.items()))
+    graph = build_gamma(ring, strategy)
+    primes, labels, heights = graph.payloads, graph.labels, graph.evidence_dict()
     if k <= 1:
         report = ConnectivityReport("connected", True, (tuple(range(k)),), labels)
         if mps.is_asserted():
@@ -388,13 +366,11 @@ def punctured_spectrum_connected(
     mps = minimal_primes(total, strategy)
     primes = _sorted_primes(mps)
     labels = tuple(prime_label(p) for p in primes)
-    pairs = [(i, j) for i in range(len(primes)) for j in range(i + 1, len(primes))]
-
-    def pair_status(pair):
-        i, j = pair
-        return m_primary_status(ideal_sum(primes[i], primes[j]), ring)
-
-    statuses = dict(zip(pairs, _map_pairs(pair_status, pairs)))
+    statuses = {
+        (i, j): m_primary_status(ideal_sum(primes[i], primes[j]), ring)
+        for i in range(len(primes))
+        for j in range(i + 1, len(primes))
+    }
     edges = frozenset(p for p, s in statuses.items() if s == "not-m-primary")
     graph = PrimeGraph(labels, edges, tuple(primes), tuple(sorted(statuses.items())))
     report = is_connected(graph)
@@ -432,17 +408,6 @@ def gamma_product(g1: PrimeGraph, g2: PrimeGraph) -> PrimeGraph:
     are label pairs, and moves change one coordinate along an edge."""
     labels = tuple((a, b) for a in g1.labels for b in g2.labels)
     n2 = g2.n
-    edges = set()
-    for i1 in range(g1.n):
-        for j1 in range(g2.n):
-            v = i1 * n2 + j1
-            for i2 in range(g1.n):
-                for j2 in range(g2.n):
-                    w = i2 * n2 + j2
-                    if w <= v:
-                        continue
-                    if (i1 == i2 and g2.has_edge(j1, j2)) or (
-                        j1 == j2 and g1.has_edge(i1, i2)
-                    ):
-                        edges.add((v, w))
+    edges = {(i * n2 + a, i * n2 + b) for i in range(g1.n) for a, b in g2.edges}
+    edges |= {(a * n2 + j, b * n2 + j) for a, b in g1.edges for j in range(n2)}
     return PrimeGraph(labels, frozenset(edges))

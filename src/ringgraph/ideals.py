@@ -11,7 +11,9 @@ contracts; the test suite pins those against the general routes.
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import PreconditionError, StructuralError
@@ -226,9 +228,6 @@ def radical_membership(f: Polynomial, a: Ideal) -> bool:
 # dimension
 
 
-_dim_cache: dict = {}
-
-
 def dimension(a: Ideal) -> int:
     """Krull dimension of ring/a; -1 for the unit ideal.
 
@@ -250,23 +249,15 @@ def dimension(a: Ideal) -> int:
         for i in mono_support(g.leading_monomial(GREVLEX)):
             mask |= 1 << i
         supports.append(mask)
-    supports = tuple(sorted(set(supports)))
-    key = (n, supports)
-    hit = _dim_cache.get(key)
-    if hit is not None:
-        return hit
-    best = _max_independent(n, supports)
-    _dim_cache[key] = best
-    return best
+    return _max_independent(n, tuple(sorted(set(supports))))
 
 
+@functools.lru_cache(maxsize=4096)
 def _max_independent(n: int, supports: tuple) -> int:
     if not supports:
         return n
     if any(s == 0 for s in supports):  # a constant leading term
         return -1
-    from itertools import combinations
-
     for size in range(n, -1, -1):
         for combo in combinations(range(n), size):
             mask = 0
@@ -292,10 +283,12 @@ class PresentedRing:
     Carries optional certification state: reducedness, equidimensional
     flag, and an attached minimal-prime set.  Flags record whether they
     were certified by computation or asserted by the caller, and the
-    provenance taints every downstream report.
+    provenance taints every downstream report.  ``gamma`` holds the
+    minimal-prime graph once :func:`ringgraph.gamma.build_gamma` has
+    built it.
     """
 
-    __slots__ = ("ambient", "defining", "_dim", "_reduced", "_equidim", "_min_primes")
+    __slots__ = ("ambient", "defining", "_dim", "_reduced", "_equidim", "_min_primes", "gamma")
 
     def __init__(self, ambient: PolyRing, defining: Ideal):
         if defining.ring != ambient:
@@ -308,6 +301,7 @@ class PresentedRing:
         self._reduced = None
         self._equidim = None
         self._min_primes = None
+        self.gamma = None
         self._auto_certify_reduced()
 
     def _auto_certify_reduced(self):
@@ -357,12 +351,11 @@ class PresentedRing:
     def certify_equidimensional(self, value: bool):
         self._equidim = Flag(value, "certified")
 
-    def attach_min_primes(self, prime_set, verify: bool = True):
+    def attach_min_primes(self, prime_set):
         """Attach a minimal-prime set; verified against the defining ideal."""
         if prime_set.for_ideal.ring != self.ambient:
             raise StructuralError("minimal primes computed in a different ring")
-        if verify:
-            prime_set.verify()
+        prime_set.verify()
         if not prime_set.for_ideal.equals(self.defining):
             raise StructuralError("minimal primes attached to the wrong ideal")
         self._min_primes = prime_set
@@ -485,17 +478,9 @@ class RingMap:
 
 
 def ring_map_kernel(phi: RingMap) -> Ideal:
-    """Kernel of phi as an ideal of the source ring (graph elimination)."""
-    comb, tgt_map, src_map = phi._combined()
-    tgt = phi.target_ambient
-    src = phi.source
-    gens = []
-    for i, img in enumerate(phi.images):
-        gens.append(comb.var(src_map[i]) - embed(img, comb, tgt_map))
-    for g in phi.target_defining:
-        gens.append(embed(g, comb, tgt_map))
-    elim = eliminate(Ideal(comb, tuple(gens)), tgt.nvars)
-    return Ideal(src, tuple(strip_first(p, tgt.nvars, src) for p in elim.gens))
+    """Kernel of phi as an ideal of the source ring: the contraction of
+    the zero ideal."""
+    return contract(Ideal(phi.target_ambient, ()), phi)
 
 
 def contract(q: Ideal, phi: RingMap) -> Ideal:

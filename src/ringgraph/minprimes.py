@@ -363,10 +363,6 @@ def certify_reduced_from_decomposition(ring: PresentedRing, strategy: str = "aut
     return value
 
 
-def certify_equidimensional(ring: PresentedRing, strategy: str = "auto") -> bool:
-    return is_equidimensional(ring, strategy)
-
-
 def top_dimensional_primes(ring: PresentedRing, strategy: str = "auto") -> tuple:
     mps = ensure_min_primes(ring, strategy)
     d = ring.dim()

@@ -230,9 +230,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(mono_deg(m) == 0 for m in self.terms)
 
-    def is_term(self) -> bool:
-        return len(self.terms) == 1
-
     def is_monomial(self) -> bool:
         """A single term (any nonzero coefficient counts)."""
         return len(self.terms) == 1

@@ -8,7 +8,9 @@ import pytest
 
 from ringgraph import cli
 
-SESSIONS = Path(__file__).resolve().parent.parent / "sessions"
+ROOT = Path(__file__).resolve().parent.parent
+SESSIONS = ROOT / "sessions"
+GOLDEN = ROOT / "perfbench" / "expected" / "cli_stdout.json"
 NODAL = str(SESSIONS / "nodal_curve.rg")
 PLANES = str(SESSIONS / "two_disjoint_planes.rg")
 FOUR_CYCLE = str(SESSIONS / "four_cycle_of_planes.rg")
@@ -86,6 +88,22 @@ class TestDeterminism:
         assert isinstance(timed["timing_ms"], (int, float))
         timed["timing_ms"] = None
         assert plain == timed
+
+
+class TestGoldenReports:
+    def test_recorded_reports_byte_identical(self, capsys, monkeypatch):
+        """Every recorded call, keyed by its space-joined argv, prints
+        exactly the recorded stdout.  Only the s2member fraction (the
+        last argument) contains spaces."""
+        golden = json.loads(GOLDEN.read_text())
+        monkeypatch.chdir(ROOT)
+        mismatched = []
+        for key, expected in golden.items():
+            argv = key.split(" ", 4) if key.startswith("s2member ") else key.split(" ")
+            code, out, err = run(capsys, *argv)
+            if code != 0 or out != expected:
+                mismatched.append((key, code, err))
+        assert golden and mismatched == []
 
 
 class TestFormats:

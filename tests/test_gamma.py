@@ -3,6 +3,7 @@ spectra, the top-cohomology criterion, and graph products."""
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,20 +11,26 @@ from ringgraph import (
     QQ,
     Ideal,
     PolyRing,
+    PreconditionError,
     PresentedRing,
     PrimeGraph,
     RingGraphError,
     build_gamma,
+    complex_from_lists,
     disconnection_exists,
+    face_ring,
     gamma_product,
     graph_from_text,
     hl_nonvanishing,
     is_connected,
     is_m_primary,
     minimal_primes,
+    parse_session,
     polynomial_quotient,
     punctured_spectrum_connected,
+    s2_local_decision,
 )
+from ringgraph import gamma as gamma_module
 
 from conftest import random_nonzero_polynomial
 from oracles import bfs_components, bfs_connected, canonical_graph
@@ -88,6 +95,38 @@ class TestBuildGamma:
         pres = PresentedRing(ring, Ideal(ring, (x * y, x * z)))
         with pytest.raises(RingGraphError):
             build_gamma(pres)
+
+
+def count_height_calls(monkeypatch) -> list:
+    """Route the graph module's height computations through a counter."""
+    calls = []
+    original = gamma_module.height_in_quotient
+
+    def counted(ring, a):
+        calls.append(a)
+        return original(ring, a)
+
+    monkeypatch.setattr(gamma_module, "height_in_quotient", counted)
+    return calls
+
+
+class TestSharedHeightEvidence:
+    def test_heights_computed_once_per_ring(self, monkeypatch, four_cycle_session_text):
+        ring = parse_session(four_cycle_session_text).presented("R")
+        calls = count_height_calls(monkeypatch)
+        graph = build_gamma(ring)
+        assert disconnection_exists(ring).connected
+        assert s2_local_decision(ring).connected
+        assert len(calls) == 6  # one per pair of the four minimal primes
+        assert build_gamma(ring) is graph
+
+    def test_partition_cap_refuses_before_any_height(self, monkeypatch):
+        facets = [list(f) for f in combinations(range(1, 8), 3)][:21]
+        ring = face_ring(complex_from_lists(7, facets))
+        calls = count_height_calls(monkeypatch)
+        with pytest.raises(PreconditionError, match="capped"):
+            disconnection_exists(ring)
+        assert calls == []
 
 
 class TestConnectivityRoutes:

@@ -14,7 +14,6 @@ from ringgraph import (
     PrimeCertificate,
     RingGraphError,
     RingMap,
-    certify_equidimensional,
     image_domain_presentation,
     is_equidimensional,
     j_ideal,
@@ -168,7 +167,7 @@ class TestEquidimensionality:
 
     def test_certify_equidimensional_sets_flag(self):
         pres = PresentedRing(R3, I(X * Y))
-        assert certify_equidimensional(pres)
+        assert is_equidimensional(pres)
         assert pres.equidimensional == (True, "certified")
 
 
