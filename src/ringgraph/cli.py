@@ -25,7 +25,7 @@ from .gamma import (
     is_connected,
     punctured_spectrum_connected,
 )
-from .ideals import Ideal, PresentedRing, contract, dimension, ring_map_kernel
+from .ideals import contract, dimension, provenance, ring_map_kernel
 from .minprimes import minimal_primes
 from .polynomials import GREVLEX, LEX, MonomialOrder, elimination_order
 from .reports import ReportDocument
@@ -150,22 +150,6 @@ def _load_session(args) -> SessionFile:
     return parse_session(text)
 
 
-def _ideal_inputs(name: str, a: Ideal) -> dict:
-    return {
-        "ideal": name,
-        "ring": repr(a.ring),
-        "generators": [str(g) for g in a.gens],
-    }
-
-
-def _ring_inputs(name: str, pres: PresentedRing) -> dict:
-    return {
-        "ring": name,
-        "ambient": repr(pres.ambient),
-        "defining": list(pres.defining.min_gen_strings()),
-    }
-
-
 def _parse_order(text: str, ring) -> MonomialOrder:
     if text == "lex":
         return LEX
@@ -180,222 +164,227 @@ def _parse_order(text: str, ring) -> MonomialOrder:
     raise PreconditionError(f"unknown order {text!r}; use lex, grevlex or elim:<k>")
 
 
-def _connectivity_verdicts(report) -> tuple:
-    verdicts = {"status": report.status, "connected": report.connected}
-    witnesses = dict(report.witness or {})
-    witnesses["components"] = [list(c) for c in report.components]
-    witnesses["vertices"] = [list(l) for l in report.labels]
-    return verdicts, witnesses
-
-
 def _dispatch(args) -> tuple:
-    command = args.command
-    report = ReportDocument(command=command)
-    graph = None
-
-    if command == "gb":
-        session = _load_session(args)
-        a = session.ideal(args.ideal)
-        order = _parse_order(args.order, a.ring)
-        basis = buchberger(list(a.gens), order=order, ring=a.ring)
-        report.inputs = _ideal_inputs(args.ideal, a)
-        report.inputs["order"] = order.label()
-        report.verdicts = {
-            "basis": [str(g) for g in basis.generators],
-            "is_unit": basis.is_unit(),
-        }
-        report.provenance = {"basis": "computed", "is_unit": "computed"}
-
-    elif command == "dim":
-        session = _load_session(args)
-        a = session.ideal(args.ideal)
-        report.inputs = _ideal_inputs(args.ideal, a)
-        report.verdicts = {"dimension": dimension(a)}
-        report.provenance = {"dimension": "computed"}
-
-    elif command == "minprimes":
-        session = _load_session(args)
-        a = session.ideal(args.ideal)
-        asserted = session.asserted_primes_for(a)
-        if args.strategy == "asserted":
-            if asserted is None:
-                raise PreconditionError(
-                    "no asserted minimal primes in the session for this ideal"
-                )
-            mps = asserted
-        elif args.strategy == "auto" and asserted is not None:
-            mps = asserted
-        else:
-            mps = minimal_primes(a, args.strategy)
-        mps.verify()
-        report.inputs = _ideal_inputs(args.ideal, a)
-        report.inputs["strategy"] = args.strategy
-        report.verdicts = {
-            "count": len(mps.primes),
-            "primes": [list(p.min_gen_strings()) for p in mps.ideals()],
-        }
-        report.provenance = {"primes": mps.provenance, "count": mps.provenance}
-
-    elif command == "kernel":
-        session = _load_session(args)
-        phi = session.ring_map(args.map)
-        k = ring_map_kernel(phi)
-        report.inputs = {
-            "map": args.map,
-            "source": repr(phi.source),
-            "target": repr(phi.target_ambient),
-            "images": [str(g) for g in phi.images],
-        }
-        report.verdicts = {"kernel": list(k.min_gen_strings())}
-        report.provenance = {"kernel": "computed"}
-
-    elif command == "contract":
-        session = _load_session(args)
-        phi = session.ring_map(args.map)
-        q = session.ideal(args.ideal)
-        c = contract(q, phi)
-        report.inputs = {
-            "map": args.map,
-            "ideal": args.ideal,
-            "generators": [str(g) for g in q.gens],
-        }
-        report.verdicts = {"contraction": list(c.min_gen_strings())}
-        report.provenance = {"contraction": "computed"}
-
-    elif command == "gamma":
-        session = _load_session(args)
-        pres = session.presented(args.ring)
-        graph = build_gamma(pres)
-        report.inputs = _ring_inputs(args.ring, pres)
-        report.verdicts = {
-            "graph": graph.to_json_dict(),
-            "vertex_count": graph.n,
-            "edge_count": len(graph.edges),
-        }
-        prov = "asserted" if pres.min_primes.is_asserted() else "computed"
-        report.provenance = {"graph": prov, "vertex_count": prov, "edge_count": prov}
-
-    elif command == "connected":
-        session = _load_session(args)
-        pres = session.presented(args.ring)
-        rep = is_connected(build_gamma(pres))
-        report.inputs = _ring_inputs(args.ring, pres)
-        verdicts, witnesses = _connectivity_verdicts(rep)
-        prov = "asserted" if pres.min_primes.is_asserted() else rep.provenance
-        report.verdicts = verdicts
-        report.witnesses = witnesses
-        report.provenance = {k: prov for k in verdicts}
-
-    elif command == "disconnection":
-        session = _load_session(args)
-        pres = session.presented(args.ring)
-        rep = disconnection_exists(pres)
-        report.inputs = _ring_inputs(args.ring, pres)
-        verdicts, witnesses = _connectivity_verdicts(rep)
-        verdicts["disconnection_exists"] = rep.status == "disconnected"
-        prov = "asserted" if pres.min_primes.is_asserted() else rep.provenance
-        report.verdicts = verdicts
-        report.witnesses = witnesses
-        report.provenance = {k: prov for k in verdicts}
-
-    elif command == "punctured":
-        session = _load_session(args)
-        pres = session.presented(args.ring)
-        a = session.ideal(args.ideal)
-        rep = punctured_spectrum_connected(pres, a)
-        report.inputs = _ring_inputs(args.ring, pres)
-        report.inputs["ideal"] = args.ideal
-        report.inputs["generators"] = [str(g) for g in a.gens]
-        verdicts, witnesses = _connectivity_verdicts(rep)
-        report.verdicts = verdicts
-        report.witnesses = witnesses
-        report.provenance = {k: rep.provenance for k in verdicts}
-
-    elif command == "hl":
-        session = _load_session(args)
-        pres = session.presented(args.ring)
-        a = session.ideal(args.ideal)
-        value = hl_nonvanishing(pres, a)
-        report.inputs = _ring_inputs(args.ring, pres)
-        report.inputs["ideal"] = args.ideal
-        report.inputs["generators"] = [str(g) for g in a.gens]
-        prov = "asserted" if pres.min_primes.is_asserted() else "computed"
-        report.verdicts = {"nonvanishing": value}
-        report.provenance = {"nonvanishing": prov}
-
-    elif command == "s2member":
-        session = _load_session(args)
-        frac = parse_fraction(session, args.ring, args.fraction)
-        res = conductor(frac)
-        report.inputs = _ring_inputs(args.ring, frac.ring)
-        report.inputs["fraction"] = str(frac)
-        report.verdicts = {
-            "member": res.member,
-            "conductor": list(res.ideal.min_gen_strings()),
-            "height": res.height_text(),
-        }
-        report.provenance = {k: res.provenance for k in report.verdicts}
-
-    elif command == "s2local":
-        session = _load_session(args)
-        pres = session.presented(args.ring)
-        rep = s2_local_decision(pres)
-        report.inputs = _ring_inputs(args.ring, pres)
-        verdicts = {"status": rep.status, "connected": rep.connected}
-        provenance = {"status": rep.provenance, "connected": rep.provenance}
-        for name, value, prov in rep.conditions:
-            verdicts[name] = value
-            provenance[name] = prov if rep.provenance == "computed" else "asserted"
-        report.verdicts = verdicts
-        report.witnesses = dict(rep.witness or {})
-        report.provenance = provenance
-
-    elif command == "faltings":
-        if args.trials < 1:
-            raise PreconditionError("--trials must be positive")
-        harness = faltings_harness(
-            trials=args.trials,
-            seed=args.seed,
-            max_vertices=args.max_vertices,
-            max_facet_size=args.max_facet_size,
-        )
-        report.inputs = {
-            "trials": args.trials,
-            "seed": args.seed,
-            "max_vertices": args.max_vertices,
-            "max_facet_size": args.max_facet_size,
-        }
-        report.verdicts = {
-            "ok": harness.ok,
-            "passed": harness.passed,
-            "failed": harness.failed,
-        }
-        report.witnesses = {
-            "failures": harness.failures,
-            "records": [r.to_json_dict() for r in harness.records],
-        }
-        report.provenance = {k: "computed" for k in report.verdicts}
-
-    elif command == "product-gamma":
-        g1 = _load_graph(args.graph1)
-        g2 = _load_graph(args.graph2)
-        graph = gamma_product(g1, g2)
-        report.inputs = {
-            "graph1": str(args.graph1),
-            "graph2": str(args.graph2),
-        }
-        report.verdicts = {
-            "graph": graph.to_json_dict(),
-            "vertex_count": graph.n,
-            "edge_count": len(graph.edges),
-            "connected": is_connected(graph).connected,
-        }
-        report.provenance = {k: "computed" for k in report.verdicts}
-
-    else:  # pragma: no cover - argparse enforces the choices
-        raise PreconditionError(f"unknown command {command!r}")
-
+    """Run the command's handler: the report, plus the graph behind it
+    for graph commands (``None`` otherwise)."""
+    report = ReportDocument(command=args.command)
+    graph = COMMANDS[args.command](args, report)
     return report, graph
+
+
+def _set_verdicts(report: ReportDocument, verdicts: dict, label: str):
+    report.verdicts = verdicts
+    report.provenance = {k: label for k in verdicts}
+
+
+def _ring_inputs(args, report: ReportDocument) -> tuple:
+    """The session and the presented ring named by ``args.ring``, with
+    the ring recorded as the report's inputs."""
+    session = _load_session(args)
+    pres = session.presented(args.ring)
+    report.inputs = {
+        "ring": args.ring,
+        "ambient": repr(pres.ambient),
+        "defining": list(pres.defining.min_gen_strings()),
+    }
+    return session, pres
+
+
+def _ring_ideal_inputs(args, report: ReportDocument) -> tuple:
+    """The presented ring and the ideal ``args.ideal``, both recorded."""
+    session, pres = _ring_inputs(args, report)
+    a = session.ideal(args.ideal)
+    report.inputs["ideal"] = args.ideal
+    report.inputs["generators"] = [str(g) for g in a.gens]
+    return pres, a
+
+
+def _ideal_inputs(args, report: ReportDocument) -> tuple:
+    """The session and the ideal ``args.ideal``, recorded as inputs."""
+    session = _load_session(args)
+    a = session.ideal(args.ideal)
+    report.inputs = {
+        "ideal": args.ideal,
+        "ring": repr(a.ring),
+        "generators": [str(g) for g in a.gens],
+    }
+    return session, a
+
+
+def _graph_verdicts(graph: PrimeGraph) -> dict:
+    return {
+        "graph": graph.to_json_dict(),
+        "vertex_count": graph.n,
+        "edge_count": len(graph.edges),
+    }
+
+
+def _connectivity(report: ReportDocument, rep, **extra):
+    witnesses = dict(rep.witness or {})
+    witnesses["components"] = [list(c) for c in rep.components]
+    witnesses["vertices"] = [list(l) for l in rep.labels]
+    report.witnesses = witnesses
+    _set_verdicts(
+        report, {"status": rep.status, "connected": rep.connected, **extra}, rep.provenance
+    )
+
+
+def _gb(args, report):
+    _, a = _ideal_inputs(args, report)
+    order = _parse_order(args.order, a.ring)
+    basis = buchberger(list(a.gens), order=order, ring=a.ring)
+    report.inputs["order"] = order.label()
+    _set_verdicts(
+        report,
+        {"basis": [str(g) for g in basis.generators], "is_unit": basis.is_unit()},
+        "computed",
+    )
+
+
+def _dim(args, report):
+    _, a = _ideal_inputs(args, report)
+    _set_verdicts(report, {"dimension": dimension(a)}, "computed")
+
+
+def _minprimes(args, report):
+    session, a = _ideal_inputs(args, report)
+    report.inputs["strategy"] = args.strategy
+    asserted = session.asserted_primes_for(a)
+    if args.strategy == "asserted" and asserted is None:
+        raise PreconditionError("no asserted minimal primes in the session for this ideal")
+    if args.strategy in ("asserted", "auto") and asserted is not None:
+        mps = asserted
+    else:
+        mps = minimal_primes(a, args.strategy)
+    mps.verify()
+    verdicts = {
+        "count": len(mps.primes),
+        "primes": [list(p.min_gen_strings()) for p in mps.ideals()],
+    }
+    _set_verdicts(report, verdicts, mps.provenance)
+
+
+def _kernel(args, report):
+    phi = _load_session(args).ring_map(args.map)
+    report.inputs = {
+        "map": args.map,
+        "source": repr(phi.source),
+        "target": repr(phi.target_ambient),
+        "images": [str(g) for g in phi.images],
+    }
+    _set_verdicts(report, {"kernel": list(ring_map_kernel(phi).min_gen_strings())}, "computed")
+
+
+def _contract(args, report):
+    session = _load_session(args)
+    phi = session.ring_map(args.map)
+    q = session.ideal(args.ideal)
+    report.inputs = {
+        "map": args.map,
+        "ideal": args.ideal,
+        "generators": [str(g) for g in q.gens],
+    }
+    _set_verdicts(report, {"contraction": list(contract(q, phi).min_gen_strings())}, "computed")
+
+
+def _gamma(args, report):
+    _, pres = _ring_inputs(args, report)
+    graph = build_gamma(pres)
+    _set_verdicts(report, _graph_verdicts(graph), graph.provenance)
+    return graph
+
+
+def _connected(args, report):
+    _, pres = _ring_inputs(args, report)
+    _connectivity(report, is_connected(build_gamma(pres)))
+
+
+def _disconnection(args, report):
+    _, pres = _ring_inputs(args, report)
+    rep = disconnection_exists(pres)
+    _connectivity(report, rep, disconnection_exists=rep.status == "disconnected")
+
+
+def _punctured(args, report):
+    pres, a = _ring_ideal_inputs(args, report)
+    _connectivity(report, punctured_spectrum_connected(pres, a))
+
+
+def _hl(args, report):
+    pres, a = _ring_ideal_inputs(args, report)
+    value = hl_nonvanishing(pres, a)
+    _set_verdicts(report, {"nonvanishing": value}, provenance(pres.min_primes))
+
+
+def _s2member(args, report):
+    session, _ = _ring_inputs(args, report)
+    frac = parse_fraction(session, args.ring, args.fraction)
+    res = conductor(frac)
+    report.inputs["fraction"] = str(frac)
+    verdicts = {
+        "member": res.member,
+        "conductor": list(res.ideal.min_gen_strings()),
+        "height": res.height_text(),
+    }
+    _set_verdicts(report, verdicts, res.provenance)
+
+
+def _s2local(args, report):
+    _, pres = _ring_inputs(args, report)
+    rep = s2_local_decision(pres)
+    _set_verdicts(report, {"status": rep.status, "connected": rep.connected}, rep.provenance)
+    for name, value, label in rep.conditions:
+        report.verdicts[name] = value
+        report.provenance[name] = label
+    report.witnesses = dict(rep.witness or {})
+
+
+def _faltings(args, report):
+    if args.trials < 1:
+        raise PreconditionError("--trials must be positive")
+    report.inputs = {
+        "trials": args.trials,
+        "seed": args.seed,
+        "max_vertices": args.max_vertices,
+        "max_facet_size": args.max_facet_size,
+    }
+    harness = faltings_harness(**report.inputs)
+    _set_verdicts(
+        report,
+        {"ok": harness.ok, "passed": harness.passed, "failed": harness.failed},
+        "computed",
+    )
+    report.witnesses = {
+        "failures": harness.failures,
+        "records": [r.to_json_dict() for r in harness.records],
+    }
+
+
+def _product_gamma(args, report):
+    graph = gamma_product(_load_graph(args.graph1), _load_graph(args.graph2))
+    report.inputs = {"graph1": str(args.graph1), "graph2": str(args.graph2)}
+    verdicts = _graph_verdicts(graph)
+    verdicts["connected"] = is_connected(graph).connected
+    _set_verdicts(report, verdicts, graph.provenance)
+    return graph
+
+
+COMMANDS = {
+    "gb": _gb,
+    "dim": _dim,
+    "minprimes": _minprimes,
+    "kernel": _kernel,
+    "contract": _contract,
+    "gamma": _gamma,
+    "connected": _connected,
+    "disconnection": _disconnection,
+    "punctured": _punctured,
+    "hl": _hl,
+    "s2member": _s2member,
+    "s2local": _s2local,
+    "faltings": _faltings,
+    "product-gamma": _product_gamma,
+}
 
 
 def _load_graph(path: Path) -> PrimeGraph:

@@ -22,8 +22,9 @@ from .ideals import (
     ideal_intersection,
     ideal_sum,
     m_primary_status,
+    provenance,
 )
-from .minprimes import ensure_min_primes, is_equidimensional, minimal_primes
+from .minprimes import ensure_min_primes, minimal_primes, require_equidimensional
 
 PARTITION_VERTEX_CAP = 20
 
@@ -63,15 +64,17 @@ class UnionFind:
 class PrimeGraph:
     """A finite graph with canonical, hashable vertex labels.
 
-    ``payloads`` optionally carries the prime ideals behind the labels
-    and ``evidence`` the pairwise data (heights or primary statuses)
-    that produced the edges.
+    ``payloads`` optionally carries the prime ideals behind the labels,
+    ``evidence`` the pairwise data (heights or primary statuses) that
+    produced the edges, and ``provenance`` the label of every verdict
+    read off the graph.
     """
 
     labels: tuple
     edges: frozenset  # of (i, j) pairs with i < j
     payloads: tuple | None = None
     evidence: tuple | None = None  # sorted ((i, j), value) pairs
+    provenance: str = "computed"
 
     @property
     def n(self) -> int:
@@ -194,18 +197,6 @@ def _sorted_primes(mps) -> list:
     return sorted(mps.ideals(), key=lambda p: p.canonical_key())
 
 
-def _require_equidimensional(ring: PresentedRing, strategy: str):
-    flag = ring.equidimensional
-    if flag is None:
-        is_equidimensional(ring, strategy)
-        flag = ring.equidimensional
-    if not flag.value:
-        raise PreconditionError(
-            "the minimal-prime graph needs an equidimensional presentation; "
-            "kill the small-dimension ideal first"
-        )
-
-
 def prime_label(p: Ideal) -> tuple:
     return tuple(p.min_gen_strings()) or ("0",)
 
@@ -215,10 +206,12 @@ def build_gamma(ring: PresentedRing, strategy: str = "auto") -> PrimeGraph:
 
     The only place pairwise heights are computed.  The graph is built
     once per presented ring and kept on it: attached minimal primes are
-    verified against the defining ideal, so they cannot go stale.
+    verified against the defining ideal, so they cannot go stale.  The
+    graph is ``asserted`` when the primes or the equidimensionality flag
+    its heights rest on were asserted.
     """
     mps = ensure_min_primes(ring, strategy)
-    _require_equidimensional(ring, strategy)
+    flag = require_equidimensional(ring, "the minimal-prime graph", strategy)
     if ring.gamma is None:
         primes = _sorted_primes(mps)
         heights = {
@@ -231,20 +224,23 @@ def build_gamma(ring: PresentedRing, strategy: str = "auto") -> PrimeGraph:
             edges=frozenset(pair for pair, h in heights.items() if h == 1),
             payloads=tuple(primes),
             evidence=tuple(sorted(heights.items())),
+            provenance=provenance(mps, flag),
         )
     return ring.gamma
 
 
 def is_connected(graph: PrimeGraph) -> ConnectivityReport:
-    """Union-find connectivity with a split witness when disconnected."""
+    """Union-find connectivity with a split witness when disconnected;
+    the report carries the graph's provenance."""
+    prov = graph.provenance
     if graph.n == 0:
-        return ConnectivityReport("empty", None, (), ())
+        return ConnectivityReport("empty", None, (), (), provenance=prov)
     uf = UnionFind(graph.n)
     for a, b in graph.edges:
         uf.union(a, b)
     comps = uf.components()
     if len(comps) == 1:
-        return ConnectivityReport("connected", True, comps, graph.labels)
+        return ConnectivityReport("connected", True, comps, graph.labels, provenance=prov)
     side_a = comps[0]
     side_b = tuple(sorted(i for c in comps[1:] for i in c))
     witness = {
@@ -258,7 +254,7 @@ def is_connected(graph: PrimeGraph) -> ConnectivityReport:
             for i in side_a
             for j in side_b
         ]
-    return ConnectivityReport("disconnected", False, comps, graph.labels, witness)
+    return ConnectivityReport("disconnected", False, comps, graph.labels, witness, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +269,19 @@ def disconnection_exists(ring: PresentedRing, strategy: str = "auto") -> Connect
     the intersection ideals of its two sides, or a connected report
     when every bipartition is crossed by a height-one pair.  Reads the
     heights from :func:`build_gamma` but never its edges, so this route
-    stays independent of :func:`is_connected`.
+    stays independent of :func:`is_connected`; its provenance is the
+    graph's, since it reads the same claims.
     """
-    mps = ensure_min_primes(ring, strategy)
-    _require_equidimensional(ring, strategy)
-    k = len(mps.primes)
+    k = len(ensure_min_primes(ring, strategy).primes)
     if k > PARTITION_VERTEX_CAP:
         raise PreconditionError(
             f"bipartition search is capped at {PARTITION_VERTEX_CAP} minimal primes, got {k}"
         )
     graph = build_gamma(ring, strategy)
     primes, labels, heights = graph.payloads, graph.labels, graph.evidence_dict()
+    prov = graph.provenance
     if k <= 1:
-        report = ConnectivityReport("connected", True, (tuple(range(k)),), labels)
-        if mps.is_asserted():
-            report.provenance = "asserted"
-        return report
+        return ConnectivityReport("connected", True, (tuple(range(k)),), labels, provenance=prov)
 
     for mask in range(2 ** (k - 1) - 1):
         side_a = [0] + [i + 1 for i in range(k - 1) if mask >> i & 1]
@@ -318,23 +311,20 @@ def disconnection_exists(ring: PresentedRing, strategy: str = "auto") -> Connect
                     for i in side_a
                     for j in side_b
                 ],
+                "partition_count_searched": mask + 1,
             }
             comps = (tuple(sorted(side_a)), tuple(sorted(side_b)))
-            report = ConnectivityReport("disconnected", False, comps, labels, witness)
-            report.witness["partition_count_searched"] = mask + 1
-            if mps.is_asserted():
-                report.provenance = "asserted"
-            return report
-    report = ConnectivityReport(
+            return ConnectivityReport(
+                "disconnected", False, comps, labels, witness, provenance=prov
+            )
+    return ConnectivityReport(
         "connected",
         True,
         (tuple(range(k)),),
         labels,
         witness={"partition_count_searched": 2 ** (k - 1) - 1},
+        provenance=prov,
     )
-    if mps.is_asserted():
-        report.provenance = "asserted"
-    return report
 
 
 def _height_json(h):
@@ -372,11 +362,10 @@ def punctured_spectrum_connected(
         for j in range(i + 1, len(primes))
     }
     edges = frozenset(p for p, s in statuses.items() if s == "not-m-primary")
-    graph = PrimeGraph(labels, edges, tuple(primes), tuple(sorted(statuses.items())))
-    report = is_connected(graph)
-    if mps.is_asserted():
-        report.provenance = "asserted"
-    return report
+    graph = PrimeGraph(
+        labels, edges, tuple(primes), tuple(sorted(statuses.items())), provenance(mps)
+    )
+    return is_connected(graph)
 
 
 def hl_nonvanishing(ring: PresentedRing, a: Ideal, strategy: str = "auto") -> bool:

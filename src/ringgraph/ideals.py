@@ -17,7 +17,6 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import PreconditionError, StructuralError
-from .fields import Field
 from .groebner import (
     GroebnerBasis,
     buchberger,
@@ -275,6 +274,17 @@ def _max_independent(n: int, supports: tuple) -> int:
 class Flag(NamedTuple):
     value: bool
     provenance: str  # "certified" | "asserted"
+
+    def is_asserted(self) -> bool:
+        return self.provenance == "asserted"
+
+
+def provenance(*claims, clean: str = "computed") -> str:
+    """The taint rule, and the only place it is written: a verdict is
+    ``asserted`` when any claim it read -- a :class:`Flag` or a
+    minimal-prime set -- was asserted, and ``clean`` otherwise.  Unset
+    claims (``None``) are skipped."""
+    return "asserted" if any(c is not None and c.is_asserted() for c in claims) else clean
 
 
 class PresentedRing:

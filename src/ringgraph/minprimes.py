@@ -15,12 +15,12 @@ with the leaf attached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 from .errors import PreconditionError, StructuralError, UndecidedComponentError
 from .factor import certify_irreducible, factor_once
 from .groebner import normal_form
 from .ideals import (
+    Flag,
     Ideal,
     PresentedRing,
     RingMap,
@@ -31,7 +31,7 @@ from .ideals import (
     ring_map_kernel,
     saturation,
 )
-from .polynomials import GREVLEX, mono_support
+from .polynomials import mono_support
 
 CERTIFICATE_KINDS = (
     "monomial-variable-prime",
@@ -346,6 +346,20 @@ def is_equidimensional(ring: PresentedRing, strategy: str = "auto") -> bool:
     return value
 
 
+def require_equidimensional(ring: PresentedRing, needed_by: str, strategy: str = "auto") -> Flag:
+    """The equidimensionality flag a verdict rests on, computed when
+    unset; refuses when the presentation is not equidimensional."""
+    if ring.equidimensional is None:
+        is_equidimensional(ring, strategy)
+    flag = ring.equidimensional
+    if not flag.value:
+        raise PreconditionError(
+            f"{needed_by} needs an equidimensional presentation; "
+            "kill the small-dimension ideal first"
+        )
+    return flag
+
+
 def certify_reduced_from_decomposition(ring: PresentedRing, strategy: str = "auto") -> bool:
     """Decide reducedness by computation: the defining ideal is radical
     exactly when it equals the intersection of its minimal primes.
@@ -405,17 +419,25 @@ def image_domain_presentation(phi: RingMap) -> PresentedRing:
     """The image of a map into a polynomial ring, presented as the
     quotient of the source by the map's kernel.
 
-    The kernel of a map into a domain is prime, so the quotient is a
-    domain: its one minimal prime is the defining ideal itself, carried
-    by a kernel certificate that recomputes the elimination, and the
-    reduced and equidimensional flags are certified.
+    Refuses quotient targets, which are not certified domains.
     """
     if isinstance(phi.target, PresentedRing):
         raise PreconditionError(
             "the domain presentation needs a polynomial-ring target;"
             " quotient targets are not certified domains"
         )
-    kernel = ring_map_kernel(phi)
+    return kernel_domain_presentation(phi, ring_map_kernel(phi))
+
+
+def kernel_domain_presentation(phi: RingMap, kernel: Ideal) -> PresentedRing:
+    """The quotient of the source of phi, a map into a polynomial ring,
+    by its already computed ``kernel``.
+
+    The kernel of a map into a domain is prime, so the quotient is a
+    domain: its one minimal prime is the defining ideal itself, carried
+    by a kernel certificate that recomputes the elimination, and the
+    reduced and equidimensional flags are certified.
+    """
     pres = PresentedRing(phi.source, kernel)
     cert = PrimeCertificate("kernel-of-map-into-domain", witness=phi)
     pres.attach_min_primes(MinimalPrimeSet(kernel, ((kernel, cert),), "computed-kernel"))

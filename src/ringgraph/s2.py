@@ -28,12 +28,14 @@ from .ideals import (
     height_in_quotient,
     ideal_colon,
     ideal_sum,
+    provenance,
 )
 from .minprimes import (
     MinimalPrimeSet,
     certify_reduced_from_decomposition,
     is_equidimensional,
     j_ideal,
+    require_equidimensional,
     top_dimensional_primes,
 )
 from .polynomials import GREVLEX, Polynomial
@@ -144,20 +146,11 @@ def conductor(f: Fraction) -> ConductorResult:
     the quotient, so the presentation must be equidimensional."""
     ring = f.ring
     amb = ring.ambient
-    flag = ring.equidimensional
-    if flag is None:
-        is_equidimensional(ring)
-        flag = ring.equidimensional
-    if not flag.value:
-        raise PreconditionError(
-            "conductor heights need an equidimensional presentation;"
-            " kill the small-dimension ideal first"
-        )
+    flag = require_equidimensional(ring, "the conductor height")
     jv = ideal_sum(ring.defining, Ideal(amb, (f.denominator,)))
     d = ideal_colon(jv, Ideal(amb, (f.numerator,)))
     h = height_in_quotient(ring, d)
-    provenance = "computed" if flag.provenance == "certified" else "asserted"
-    return ConductorResult(d, h, h >= 2, provenance)
+    return ConductorResult(d, h, h >= 2, provenance(flag))
 
 
 def s2_membership(f: Fraction) -> bool:
@@ -188,6 +181,8 @@ def s2_local_decision(ring: PresentedRing, strategy: str = "auto") -> Connectivi
     minimal-prime graph and the exhaustive disconnecting-partition
     search — cross-checks them, and reports the three equivalent
     module-theoretic conditions with provenance ``by-equivalence``.
+    Every label turns ``asserted`` when the reducedness flag or the
+    core's primes or equidimensionality flag were asserted.
     """
     flag = ring.reduced
     if flag is None:
@@ -208,13 +203,16 @@ def s2_local_decision(ring: PresentedRing, strategy: str = "auto") -> Connectivi
             "internal disagreement between the graph route and the partition route"
         )
     verdict = via_graph.connected
-    tainted = (
-        flag.provenance == "asserted"
-        or core.min_primes.is_asserted()
-        or (core.equidimensional is not None and core.equidimensional.provenance == "asserted")
-    )
+    claims = (flag, core.min_primes, core.equidimensional)
     conditions = tuple(
-        (name, verdict, "computed" if name in COMPUTED_CONDITIONS else "by-equivalence")
+        (
+            name,
+            verdict,
+            provenance(
+                *claims,
+                clean="computed" if name in COMPUTED_CONDITIONS else "by-equivalence",
+            ),
+        )
         for name in EQUIVALENT_CONDITIONS
     )
     return ConnectivityReport(
@@ -224,5 +222,5 @@ def s2_local_decision(ring: PresentedRing, strategy: str = "auto") -> Connectivi
         labels=via_graph.labels,
         witness=via_partition.witness,
         conditions=conditions,
-        provenance="asserted" if tainted else "computed",
+        provenance=provenance(*claims),
     )

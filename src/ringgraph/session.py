@@ -32,42 +32,9 @@ from .ideals import (
     polynomial_quotient,
     ring_map_kernel,
 )
-from .minprimes import (
-    MinimalPrimeSet,
-    PrimeCertificate,
-    is_equidimensional,
-    minimal_primes,
-)
+from .minprimes import kernel_domain_presentation, minimal_primes
 from .polynomials import Polynomial
 from .s2 import Fraction
-
-KEYWORDS = (
-    "field",
-    "ring",
-    "ideal",
-    "map",
-    "complex",
-    "assert",
-)
-
-_PUNCT = (
-    "->",
-    ";",
-    ",",
-    "=",
-    "(",
-    ")",
-    "[",
-    "]",
-    "{",
-    "}",
-    "+",
-    "-",
-    "*",
-    "/",
-    "^",
-    ":",
-)
 
 
 @dataclass(frozen=True)
@@ -275,22 +242,13 @@ class _TokenStream:
 # the session document
 
 
-@dataclass(frozen=True)
-class Statement:
-    """One declaration, with the resolved content needed to reprint and
-    compare it.  Statement tuples define session equality."""
-
-    kind: str
-    name: str | None
-    payload: tuple
-
-
 @dataclass
 class SessionFile:
-    """A parsed session: resolved declarations plus print metadata."""
+    """A parsed session: resolved declarations plus their canonical
+    lines, which define both session equality and the printed form."""
 
     field: Field
-    statements: tuple = ()
+    lines: tuple = ()
     rings: dict = dc_field(default_factory=dict)
     ideals: dict = dc_field(default_factory=dict)
     maps: dict = dc_field(default_factory=dict)
@@ -300,14 +258,7 @@ class SessionFile:
     _presented: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SessionFile)
-            and self.field == other.field
-            and self.statements == other.statements
-        )
-
-    def ring_names(self) -> tuple:
-        return tuple(self.rings)
+        return isinstance(other, SessionFile) and self.lines == other.lines
 
     def presented(self, name: str) -> PresentedRing:
         """The named object as a presented ring, cached so that flags
@@ -322,7 +273,7 @@ class SessionFile:
             pres = face_ring(self.complexes[name], self.field)
         else:
             raise StructuralError(f"no ring or complex named {name!r}")
-        mp = self.minprime_assertions.get(id_of_defining(pres))
+        mp = self.minprime_assertions.get(pres.defining.canonical_key())
         if mp is not None and pres.min_primes is None:
             pres.attach_min_primes(mp)
         self._presented[name] = pres
@@ -340,89 +291,82 @@ class SessionFile:
 
     def asserted_primes_for(self, a: Ideal):
         """The asserted minimal-prime set for this ideal, if any."""
-        for key, mps in self.minprime_assertions.items():
+        for mps in self.minprime_assertions.values():
             if mps.for_ideal.equals(a):
                 return mps
         return None
 
 
-def id_of_defining(pres: PresentedRing) -> tuple:
-    return pres.defining.canonical_key()
-
-
 # ---------------------------------------------------------------------------
-# parsing
+# parsing: one parser per declaration keyword, each returning the
+# declaration's canonical line
 
 
 def parse_session(text: str) -> SessionFile:
     stream = _TokenStream(tokenize(text))
     session: SessionFile | None = None
-    statements: list = []
-    poly_order: list = []  # polynomial rings in declaration order, for inference
-
-    def need_session(tok: Token) -> SessionFile:
-        if session is None:
-            raise SessionSyntaxError(
-                "the field declaration must come first", tok.line, tok.column
-            )
-        return session
-
+    lines: list = []
     while not stream.at_end():
-        tok = stream.peek()
+        tok = stream.take()
         if tok.kind != "name":
             raise SessionSyntaxError(
                 f"expected a declaration, found {tok.text!r}", tok.line, tok.column
             )
         if tok.text == "field":
-            stream.take()
             if session is not None:
                 raise SessionSyntaxError("duplicate field declaration", tok.line, tok.column)
             session = SessionFile(field=_parse_field(stream))
-            statements.append(Statement("field", None, (session.field,)))
-            stream.expect(";")
-        elif tok.text == "ring":
-            stream.take()
-            sess = need_session(tok)
-            statements.append(_parse_ring(stream, sess, poly_order))
-        elif tok.text == "ideal":
-            stream.take()
-            sess = need_session(tok)
-            statements.append(_parse_ideal(stream, sess, poly_order))
-        elif tok.text == "map":
-            stream.take()
-            sess = need_session(tok)
-            statements.append(_parse_map(stream, sess))
-        elif tok.text == "complex":
-            stream.take()
-            sess = need_session(tok)
-            statements.append(_parse_complex(stream, sess))
-        elif tok.text == "assert":
-            stream.take()
-            sess = need_session(tok)
-            statements.append(_parse_assert(stream, sess))
-        else:
+            lines.append("field Q;" if session.field == QQ else f"field Fp {session.field.p};")
+            continue
+        parse = _DECLARATIONS.get(tok.text)
+        if parse is None:
             raise SessionSyntaxError(
                 f"unknown declaration {tok.text!r}", tok.line, tok.column
             )
+        if session is None:
+            raise SessionSyntaxError(
+                "the field declaration must come first", tok.line, tok.column
+            )
+        lines.append(parse(stream, session))
     if session is None:
         raise SessionSyntaxError("empty session: a field declaration is required", 1, 1)
-    session.statements = tuple(statements)
+    session.lines = tuple(lines)
     return session
+
+
+def _comma_list(stream: _TokenStream, item) -> list:
+    """item (',' item)*, collecting what ``item()`` returns."""
+    items = [item()]
+    while stream.peek().text == ",":
+        stream.take()
+        items.append(item())
+    return items
+
+
+def _declared(table: dict, tok: Token, what: str):
+    """The object a name token refers to, or a located refusal."""
+    obj = table.get(tok.text)
+    if obj is None:
+        raise SessionSyntaxError(f"unknown {what} {tok.text!r}", tok.line, tok.column)
+    return obj
 
 
 def _parse_field(stream: _TokenStream) -> Field:
     tok = stream.expect_kind("name", "a field name (Q or Fp)")
     if tok.text == "Q":
-        return QQ
-    if tok.text == "Fp":
+        field = QQ
+    elif tok.text == "Fp":
         ptok = stream.expect_kind("int", "a prime modulus")
         try:
-            return PrimeField(int(ptok.text))
+            field = PrimeField(int(ptok.text))
         except RingGraphError as e:
             raise SessionSyntaxError(str(e), ptok.line, ptok.column) from e
-    raise SessionSyntaxError(
-        f"unknown field {tok.text!r}; use Q or Fp <prime>", tok.line, tok.column
-    )
+    else:
+        raise SessionSyntaxError(
+            f"unknown field {tok.text!r}; use Q or Fp <prime>", tok.line, tok.column
+        )
+    stream.expect(";")
+    return field
 
 
 def _fresh_name(stream: _TokenStream, session: SessionFile, kinds: tuple) -> Token:
@@ -441,35 +385,26 @@ def _fresh_name(stream: _TokenStream, session: SessionFile, kinds: tuple) -> Tok
     return tok
 
 
-def _parse_ring(stream: _TokenStream, session: SessionFile, poly_order: list) -> Statement:
-    name_tok = _fresh_name(stream, session, ("ring", "complex"))
-    name = name_tok.text
+def _parse_ring(stream: _TokenStream, session: SessionFile) -> str:
+    name = _fresh_name(stream, session, ("ring", "complex")).text
     stream.expect("=")
-    tok = stream.peek()
-    if tok.text == "[":
+    if stream.peek().text == "[":
         stream.take()
-        var_names = []
-        while True:
+        var_names: list = []
+
+        def variable():
             v = stream.expect_kind("name", "a variable name")
             if v.text in var_names:
                 raise SessionSyntaxError(f"duplicate variable {v.text!r}", v.line, v.column)
             var_names.append(v.text)
-            if stream.peek().text == ",":
-                stream.take()
-                continue
-            break
+
+        _comma_list(stream, variable)
         stream.expect("]")
         stream.expect(";")
-        ring = PolyRing(session.field, tuple(var_names))
-        session.rings[name] = ring
-        poly_order.append((name, ring))
-        return Statement("ring-poly", name, (ring,))
+        session.rings[name] = PolyRing(session.field, tuple(var_names))
+        return f"ring {name} = [{', '.join(var_names)}];"
     base_tok = stream.expect_kind("name", "a ring name or variable list")
-    base = session.rings.get(base_tok.text)
-    if base is None:
-        raise SessionSyntaxError(
-            f"unknown ring {base_tok.text!r}", base_tok.line, base_tok.column
-        )
+    base = _declared(session.rings, base_tok, "ring")
     if not isinstance(base, PolyRing):
         raise SessionSyntaxError(
             "quotients must be taken over a polynomial ring",
@@ -478,11 +413,7 @@ def _parse_ring(stream: _TokenStream, session: SessionFile, poly_order: list) ->
         )
     stream.expect("/")
     ideal_tok = stream.expect_kind("name", "an ideal name")
-    a = session.ideals.get(ideal_tok.text)
-    if a is None:
-        raise SessionSyntaxError(
-            f"unknown ideal {ideal_tok.text!r}", ideal_tok.line, ideal_tok.column
-        )
+    a = _declared(session.ideals, ideal_tok, "ideal")
     if a.ring != base:
         raise SessionSyntaxError(
             f"ideal {ideal_tok.text!r} does not live in ring {base_tok.text!r}",
@@ -490,27 +421,23 @@ def _parse_ring(stream: _TokenStream, session: SessionFile, poly_order: list) ->
             ideal_tok.column,
         )
     stream.expect(";")
-    pres = PresentedRing(base, a)
-    origin = session.ideal_origins.get(ideal_tok.text)
-    if origin is not None and origin[0] == "kernel":
-        # The defining ideal is the kernel of a map into a polynomial
-        # ring, hence prime: present the quotient as a certified domain.
-        phi = origin[1]
-        if not isinstance(phi.target, PresentedRing):
-            cert = PrimeCertificate("kernel-of-map-into-domain", witness=phi)
-            pres.attach_min_primes(MinimalPrimeSet(a, ((a, cert),), "computed-kernel"))
-            pres.certify_reduced(True)
-            is_equidimensional(pres)
-    session.rings[name] = pres
-    return Statement("ring-quot", name, (base_tok.text, ideal_tok.text))
+    kind, phi = session.ideal_origins.get(ideal_tok.text, (None, None))
+    if kind == "kernel" and not isinstance(phi.target, PresentedRing):
+        # The kernel of a map into a polynomial ring is prime: present
+        # the quotient as a certified domain.
+        session.rings[name] = kernel_domain_presentation(phi, a)
+    else:
+        session.rings[name] = PresentedRing(base, a)
+    return f"ring {name} = {base_tok.text} / {ideal_tok.text};"
 
 
-def _infer_ring(asts: list, poly_order: list, tok: Token) -> PolyRing:
+def _infer_ring(asts: list, session: SessionFile, tok: Token) -> PolyRing:
+    """The earliest declared polynomial ring containing every name."""
     names: set = set()
     for ast in asts:
         _ast_names(ast, names)
-    for _, ring in poly_order:
-        if names <= set(ring.names):
+    for ring in session.rings.values():
+        if isinstance(ring, PolyRing) and names <= set(ring.names):
             return ring
     raise SessionSyntaxError(
         "no declared polynomial ring contains the variables "
@@ -520,35 +447,30 @@ def _infer_ring(asts: list, poly_order: list, tok: Token) -> PolyRing:
     )
 
 
-def _parse_ideal(stream: _TokenStream, session: SessionFile, poly_order: list) -> Statement:
+def _parse_ideal(stream: _TokenStream, session: SessionFile) -> str:
     name_tok = _fresh_name(stream, session, ("ideal",))
     name = name_tok.text
     stream.expect("=")
     tok = stream.peek()
-    if tok.kind == "name" and tok.text == "kernel" and stream.peek(1).text == "(":
+    call = tok.text if tok.kind == "name" and stream.peek(1).text == "(" else None
+    if call == "kernel":
         stream.take()
         stream.expect("(")
         mtok = stream.expect_kind("name", "a map name")
-        phi = session.maps.get(mtok.text)
-        if phi is None:
-            raise SessionSyntaxError(f"unknown map {mtok.text!r}", mtok.line, mtok.column)
+        phi = _declared(session.maps, mtok, "map")
         stream.expect(")")
         stream.expect(";")
         session.ideals[name] = ring_map_kernel(phi)
         session.ideal_origins[name] = ("kernel", phi)
-        return Statement("ideal-kernel", name, (mtok.text,))
-    if tok.kind == "name" and tok.text == "contract" and stream.peek(1).text == "(":
+        return f"ideal {name} = kernel({mtok.text});"
+    if call == "contract":
         stream.take()
         stream.expect("(")
         qtok = stream.expect_kind("name", "an ideal name")
-        q = session.ideals.get(qtok.text)
-        if q is None:
-            raise SessionSyntaxError(f"unknown ideal {qtok.text!r}", qtok.line, qtok.column)
+        q = _declared(session.ideals, qtok, "ideal")
         stream.expect(",")
         mtok = stream.expect_kind("name", "a map name")
-        phi = session.maps.get(mtok.text)
-        if phi is None:
-            raise SessionSyntaxError(f"unknown map {mtok.text!r}", mtok.line, mtok.column)
+        phi = _declared(session.maps, mtok, "map")
         stream.expect(")")
         stream.expect(";")
         if q.ring != phi.target_ambient:
@@ -558,41 +480,34 @@ def _parse_ideal(stream: _TokenStream, session: SessionFile, poly_order: list) -
                 qtok.column,
             )
         session.ideals[name] = contract(q, phi)
-        return Statement("ideal-contract", name, (qtok.text, mtok.text))
+        return f"ideal {name} = contract({qtok.text}, {mtok.text});"
     stream.expect("(")
-    asts = [_parse_expression(stream)]
-    while stream.peek().text == ",":
-        stream.take()
-        asts.append(_parse_expression(stream))
+    asts = _comma_list(stream, lambda: _parse_expression(stream))
     stream.expect(")")
     stream.expect(";")
-    ring = _infer_ring(asts, poly_order, name_tok)
+    ring = _infer_ring(asts, session, name_tok)
     gens = tuple(_eval_ast(ast, ring) for ast in asts)
     session.ideals[name] = Ideal(ring, gens)
-    return Statement("ideal-gens", name, (gens,))
+    return f"ideal {name} = ({', '.join(g.to_str() for g in gens)});"
 
 
-def _parse_map(stream: _TokenStream, session: SessionFile) -> Statement:
-    name_tok = _fresh_name(stream, session, ("map",))
-    name = name_tok.text
+def _parse_map(stream: _TokenStream, session: SessionFile) -> str:
+    name = _fresh_name(stream, session, ("map",)).text
     stream.expect(":")
     src_tok = stream.expect_kind("name", "a source ring name")
-    source = session.rings.get(src_tok.text)
-    if source is None:
-        raise SessionSyntaxError(f"unknown ring {src_tok.text!r}", src_tok.line, src_tok.column)
+    source = _declared(session.rings, src_tok, "ring")
     if not isinstance(source, PolyRing):
         raise SessionSyntaxError(
             "map sources must be polynomial rings", src_tok.line, src_tok.column
         )
     stream.expect("->")
     tgt_tok = stream.expect_kind("name", "a target ring name")
-    target = session.rings.get(tgt_tok.text)
-    if target is None:
-        raise SessionSyntaxError(f"unknown ring {tgt_tok.text!r}", tgt_tok.line, tgt_tok.column)
+    target = _declared(session.rings, tgt_tok, "ring")
     target_ambient = target.ambient if isinstance(target, PresentedRing) else target
     stream.expect("{")
     bindings: dict = {}
-    while True:
+
+    def binding():
         v = stream.expect_kind("name", "a source variable")
         if v.text not in source.names:
             raise SessionSyntaxError(
@@ -601,12 +516,9 @@ def _parse_map(stream: _TokenStream, session: SessionFile) -> Statement:
         if v.text in bindings:
             raise SessionSyntaxError(f"duplicate image for {v.text!r}", v.line, v.column)
         stream.expect("->")
-        ast = _parse_expression(stream)
-        bindings[v.text] = _eval_ast(ast, target_ambient)
-        if stream.peek().text == ",":
-            stream.take()
-            continue
-        break
+        bindings[v.text] = _eval_ast(_parse_expression(stream), target_ambient)
+
+    _comma_list(stream, binding)
     brace = stream.expect("}")
     missing = [v for v in source.names if v not in bindings]
     if missing:
@@ -616,77 +528,65 @@ def _parse_map(stream: _TokenStream, session: SessionFile) -> Statement:
     if stream.peek().text == ";":
         stream.take()
     images = tuple(bindings[v] for v in source.names)
-    phi = RingMap(source, target, images)
-    session.maps[name] = phi
-    return Statement("map", name, (src_tok.text, tgt_tok.text, images))
+    session.maps[name] = RingMap(source, target, images)
+    pairs = ", ".join(f"{v} -> {img.to_str()}" for v, img in zip(source.names, images))
+    return f"map {name} : {src_tok.text} -> {tgt_tok.text} {{ {pairs} }};"
 
 
-def _parse_complex(stream: _TokenStream, session: SessionFile) -> Statement:
+def _parse_complex(stream: _TokenStream, session: SessionFile) -> str:
     name_tok = _fresh_name(stream, session, ("complex", "ring"))
-    name = name_tok.text
     stream.expect("=")
     stream.expect("{")
-    facets = []
-    while True:
+
+    def vertex():
+        v = stream.expect_kind("int", "a vertex number")
+        if int(v.text) < 1:
+            raise SessionSyntaxError("vertices are numbered from 1", v.line, v.column)
+        return int(v.text)
+
+    def facet():
         stream.expect("{")
-        verts = []
-        while True:
-            v = stream.expect_kind("int", "a vertex number")
-            value = int(v.text)
-            if value < 1:
-                raise SessionSyntaxError("vertices are numbered from 1", v.line, v.column)
-            verts.append(value)
-            if stream.peek().text == ",":
-                stream.take()
-                continue
-            break
+        verts = _comma_list(stream, vertex)
         stream.expect("}")
-        facets.append(frozenset(verts))
-        if stream.peek().text == ",":
-            stream.take()
-            continue
-        break
-    close = stream.expect("}")
+        return frozenset(verts)
+
+    facets = _comma_list(stream, facet)
+    stream.expect("}")
     stream.expect(";")
     n = max(max(f) for f in facets)
     try:
         cplx = SimplicialComplex(n, tuple(facets))
     except RingGraphError as e:
         raise SessionSyntaxError(str(e), name_tok.line, name_tok.column) from e
-    session.complexes[name] = cplx
-    return Statement("complex", name, (cplx.canonical_facets(),))
+    session.complexes[name_tok.text] = cplx
+    body = ", ".join(
+        "{" + ", ".join(str(v) for v in f) + "}" for f in cplx.canonical_facets()
+    )
+    return f"complex {name_tok.text} = {{ {body} }};"
 
 
-def _parse_assert(stream: _TokenStream, session: SessionFile) -> Statement:
+def _parse_assert(stream: _TokenStream, session: SessionFile) -> str:
     what = stream.expect_kind("name", "an assertion kind")
     if what.text == "minprimes":
         itok = stream.expect_kind("name", "an ideal name")
-        a = session.ideals.get(itok.text)
-        if a is None:
-            raise SessionSyntaxError(f"unknown ideal {itok.text!r}", itok.line, itok.column)
+        a = _declared(session.ideals, itok, "ideal")
         stream.expect("=")
         stream.expect("[")
-        prime_names = []
-        primes = []
-        while True:
+
+        def prime():
             ptok = stream.expect_kind("name", "an ideal name")
-            p = session.ideals.get(ptok.text)
-            if p is None:
-                raise SessionSyntaxError(f"unknown ideal {ptok.text!r}", ptok.line, ptok.column)
+            p = _declared(session.ideals, ptok, "ideal")
             if p.ring != a.ring:
                 raise SessionSyntaxError(
                     f"ideal {ptok.text!r} lives in a different ring", ptok.line, ptok.column
                 )
-            prime_names.append(ptok.text)
-            primes.append(p)
-            if stream.peek().text == ",":
-                stream.take()
-                continue
-            break
+            return ptok.text, p
+
+        named = _comma_list(stream, prime)
         stream.expect("]")
         stream.expect(";")
         try:
-            mps = minimal_primes(a, asserted=primes)
+            mps = minimal_primes(a, asserted=[p for _, p in named])
         except RingGraphError as e:
             raise SessionSyntaxError(
                 f"asserted minimal primes rejected: {e}", itok.line, itok.column
@@ -695,11 +595,10 @@ def _parse_assert(stream: _TokenStream, session: SessionFile) -> Statement:
         for obj in session.rings.values():
             if isinstance(obj, PresentedRing) and obj.defining.equals(a) and obj.min_primes is None:
                 obj.attach_min_primes(mps)
-        return Statement("assert-minprimes", itok.text, (tuple(prime_names),))
+        return f"assert minprimes {itok.text} = [{', '.join(n for n, _ in named)}];"
     if what.text in ("equidim", "reduced"):
         rtok = stream.expect_kind("name", "a ring name")
-        if rtok.text not in session.rings:
-            raise SessionSyntaxError(f"unknown ring {rtok.text!r}", rtok.line, rtok.column)
+        _declared(session.rings, rtok, "ring")
         stream.expect(";")
         pres = session.presented(rtok.text)
         try:
@@ -709,7 +608,7 @@ def _parse_assert(stream: _TokenStream, session: SessionFile) -> Statement:
                 pres.assert_reduced(True)
         except RingGraphError as e:
             raise SessionSyntaxError(str(e), rtok.line, rtok.column) from e
-        return Statement(f"assert-{what.text}", rtok.text, ())
+        return f"assert {what.text} {rtok.text};"
     raise SessionSyntaxError(
         f"unknown assertion {what.text!r}; use minprimes, equidim or reduced",
         what.line,
@@ -717,53 +616,21 @@ def _parse_assert(stream: _TokenStream, session: SessionFile) -> Statement:
     )
 
 
+_DECLARATIONS = {
+    "ring": _parse_ring,
+    "ideal": _parse_ideal,
+    "map": _parse_map,
+    "complex": _parse_complex,
+    "assert": _parse_assert,
+}
+
+
 # ---------------------------------------------------------------------------
 # the canonical printer
 
 
 def print_session(session: SessionFile) -> str:
-    lines = []
-    for st in session.statements:
-        lines.append(_print_statement(session, st))
-    return "\n".join(lines) + "\n"
-
-
-def _print_statement(session: SessionFile, st: Statement) -> str:
-    if st.kind == "field":
-        f = st.payload[0]
-        return "field Q;" if f == QQ else f"field Fp {f.p};"
-    if st.kind == "ring-poly":
-        ring = st.payload[0]
-        return f"ring {st.name} = [{', '.join(ring.names)}];"
-    if st.kind == "ring-quot":
-        base, ideal_name = st.payload
-        return f"ring {st.name} = {base} / {ideal_name};"
-    if st.kind == "ideal-gens":
-        gens = st.payload[0]
-        return f"ideal {st.name} = ({', '.join(g.to_str() for g in gens)});"
-    if st.kind == "ideal-kernel":
-        return f"ideal {st.name} = kernel({st.payload[0]});"
-    if st.kind == "ideal-contract":
-        q, m = st.payload
-        return f"ideal {st.name} = contract({q}, {m});"
-    if st.kind == "map":
-        src, tgt, images = st.payload
-        source = session.rings[src]
-        pairs = ", ".join(
-            f"{v} -> {img.to_str()}" for v, img in zip(source.names, images)
-        )
-        return f"map {st.name} : {src} -> {tgt} {{ {pairs} }};"
-    if st.kind == "complex":
-        facets = st.payload[0]
-        body = ", ".join("{" + ", ".join(str(v) for v in f) + "}" for f in facets)
-        return f"complex {st.name} = {{ {body} }};"
-    if st.kind == "assert-minprimes":
-        return f"assert minprimes {st.name} = [{', '.join(st.payload[0])}];"
-    if st.kind == "assert-equidim":
-        return f"assert equidim {st.name};"
-    if st.kind == "assert-reduced":
-        return f"assert reduced {st.name};"
-    raise StructuralError(f"unknown statement kind {st.kind!r}")
+    return "\n".join(session.lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """The command-line surface: exit codes, byte-identical reports,
 output formats, and the stored-graph product pipeline."""
 
+import argparse
+import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from ringgraph import cli
+from ringgraph.reports import ReportDocument
 
 ROOT = Path(__file__).resolve().parent.parent
 SESSIONS = ROOT / "sessions"
@@ -266,3 +270,73 @@ class TestStoredGraphs:
         code, _, err = run(capsys, "product-gamma", g1, str(tmp_path / "gone.json"))
         assert code == 2
         assert "refused" in err
+
+
+class TestRecordedTextReports:
+    def test_text_format_renders_recorded_json(self, capsys, monkeypatch):
+        """For every recorded call, ``--format text`` prints exactly the
+        text rendering of the recorded JSON report."""
+        golden = json.loads(GOLDEN.read_text())
+        monkeypatch.chdir(ROOT)
+        mismatched = []
+        for key, recorded in golden.items():
+            argv = key.split(" ", 4) if key.startswith("s2member ") else key.split(" ")
+            code, out, err = run(capsys, *argv, "--format", "text")
+            expected = ReportDocument(**json.loads(recorded)).to_text()
+            if code != 0 or out != expected:
+                mismatched.append((key, code, err))
+        assert golden and mismatched == []
+
+
+class TestRecordedDigests:
+    """Commands the recorded reports do not cover, pinned by the sha256
+    of their stdout."""
+
+    def test_faltings_report(self, capsys):
+        code, out, _ = run(capsys, "faltings", "--trials", "3", "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "76ae42203ccf6b9f79d0c5c8f48ba35eebb4b5caa52f5d666a1e3285142a9d05"
+        )
+
+    def test_product_gamma_report(self, tmp_path, capsys, monkeypatch):
+        golden = json.loads(GOLDEN.read_text())
+        (tmp_path / "c4.json").write_text(
+            golden["gamma --session sessions/four_cycle_of_planes.rg R"]
+        )
+        (tmp_path / "k2.json").write_text(golden["gamma --session sessions/nodal_curve.rg R"])
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "product-gamma", "c4.json", "k2.json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ae09fd761b195e72ededabbaed7f6e95d290a14c06a10fb3272a00d9abe850f8"
+        )
+
+
+class TestAssertedFlagProvenance:
+    def test_asserted_equidim_taints_graph_verdicts(self, tmp_path, capsys):
+        """Q[x,y,z]/(x*y, x*z) is not equidimensional; the graph's
+        heights rest on the asserted flag, so every verdict read off
+        the graph is asserted."""
+        session = tmp_path / "plane_and_line.rg"
+        session.write_text(
+            "field Q;\nring A = [x, y, z];\nideal I = (x*y, x*z);\n"
+            "ring R = A / I;\nassert equidim R;\n"
+        )
+        for command in ("gamma", "connected", "disconnection"):
+            doc = run_json(capsys, command, "--session", str(session), "R")
+            assert doc["provenance"] and set(doc["provenance"].values()) == {"asserted"}, command
+
+
+class TestCommandTable:
+    def test_every_subcommand_has_a_handler_and_a_readme_row(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(cli.COMMANDS)
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Commands", 1)[1].split("\n\n", 2)[1]
+        named = set()
+        for row in table.splitlines()[2:]:
+            for span in re.findall(r"`([^`]+)`", row.split("|")[1]):
+                named.add(span.split()[0])
+        assert named == set(cli.COMMANDS)

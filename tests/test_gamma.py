@@ -310,3 +310,20 @@ class TestProvenanceTaint:
         pres.attach_min_primes(asserted)
         rep = disconnection_exists(pres)
         assert rep.provenance == "asserted"
+
+    def test_asserted_equidim_flag_taints_graph_routes(self):
+        ring = PolyRing(QQ, ("x", "y", "z"))
+        x, y, z = ring.gens()
+        pres = PresentedRing(ring, Ideal(ring, (x * y, x * z)))
+        pres.assert_equidimensional(True)
+        graph = build_gamma(pres)
+        assert graph.provenance == "asserted"
+        assert is_connected(graph).provenance == "asserted"
+        assert disconnection_exists(pres).provenance == "asserted"
+
+    def test_computed_claims_stay_computed(self):
+        pres = four_cycle_ring()
+        graph = build_gamma(pres)
+        assert pres.equidimensional == (True, "certified")
+        assert graph.provenance == "computed"
+        assert is_connected(graph).provenance == "computed"

@@ -28,6 +28,7 @@ from ringgraph import (
     ring_map_kernel,
     saturation,
 )
+from ringgraph.ideals import Flag, provenance
 
 from conftest import random_nonzero_polynomial
 
@@ -194,6 +195,14 @@ class TestPresentedRing:
         sq = PresentedRing(R3, I(X ** 2))
         with pytest.raises(RingGraphError):
             sq.assert_reduced(True)
+
+    def test_provenance_taint_rule(self):
+        certified, asserted = Flag(True, "certified"), Flag(True, "asserted")
+        assert provenance() == "computed"
+        assert provenance(None, certified) == "computed"
+        assert provenance(certified, None, asserted) == "asserted"
+        assert provenance(certified, clean="by-equivalence") == "by-equivalence"
+        assert provenance(asserted, clean="by-equivalence") == "asserted"
 
     def test_m_primary_status(self):
         ring = polynomial_quotient(R3)

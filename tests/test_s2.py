@@ -233,3 +233,4 @@ class TestLocalityDecision:
         rep = s2_local_decision(pres)
         assert rep.connected is True
         assert rep.provenance == "asserted"
+        assert {label for _, _, label in rep.conditions} == {"asserted"}

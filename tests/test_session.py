@@ -124,6 +124,24 @@ class TestMapsAndKernels:
         assert pres.defining.equals(j)
         assert pres.reduced == (True, "certified")
         assert pres.min_primes.provenance == "computed-kernel"
+        assert pres.equidimensional == (True, "certified")
+
+    def test_kernel_quotient_reuses_the_declared_kernel(self, monkeypatch):
+        """The quotient by a declared kernel is certified without a
+        fresh elimination: one kernel for the declaration, one for the
+        prime certificate's independent recheck."""
+        import ringgraph.ideals as ideals_module
+
+        calls = []
+        real = ideals_module.contract
+
+        def counting(q, phi):
+            calls.append(phi)
+            return real(q, phi)
+
+        monkeypatch.setattr(ideals_module, "contract", counting)
+        parse_session(self.SURFACE)
+        assert len(calls) == 2
 
     def test_map_source_vars_bound_exactly_once(self):
         with pytest.raises(SessionSyntaxError):
