@@ -150,7 +150,7 @@ def _load_session(args) -> SessionFile:
     return parse_session(text)
 
 
-def _parse_order(text: str, ring) -> MonomialOrder:
+def _parse_order(text: str) -> MonomialOrder:
     if text == "lex":
         return LEX
     if text == "grevlex":
@@ -231,7 +231,7 @@ def _connectivity(report: ReportDocument, rep, **extra):
 
 def _gb(args, report):
     _, a = _ideal_inputs(args, report)
-    order = _parse_order(args.order, a.ring)
+    order = _parse_order(args.order)
     basis = buchberger(list(a.gens), order=order, ring=a.ring)
     report.inputs["order"] = order.label()
     _set_verdicts(

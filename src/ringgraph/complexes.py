@@ -22,7 +22,6 @@ from math import comb
 from .errors import PreconditionError, StructuralError
 from .fields import QQ, Field
 from .gamma import (
-    ConnectivityReport,
     PrimeGraph,
     build_gamma,
     is_connected,
@@ -70,9 +69,6 @@ class SimplicialComplex:
 
     def is_face(self, s: frozenset) -> bool:
         return any(s <= f for f in self.facets)
-
-    def facet_sizes(self) -> tuple:
-        return tuple(sorted(len(f) for f in self.facets))
 
     def canonical_facets(self) -> tuple:
         return tuple(sorted((tuple(sorted(f)) for f in self.facets)))
@@ -271,15 +267,13 @@ def faltings_harness(
     seed: int,
     max_vertices: int = 8,
     max_facet_size: int = 5,
-    generator_count_rule=default_generator_count,
-    field: Field = QQ,
 ) -> HarnessReport:
     """Randomized check of the connectedness statement at desk scale.
 
     Each trial: draw a pure complex with a connected minimal-prime
-    graph on at most ``max_vertices`` vertices, adjoin at most
-    ``dim - 2`` random monomials, and test that the punctured spectrum
-    of the quotient stays connected.  Any disconnected trial is a
+    graph on at most ``max_vertices`` vertices, adjoin
+    ``default_generator_count(dim)`` random monomials over Q, and test
+    that the punctured spectrum of the quotient stays connected.  Any disconnected trial is a
     failure and its reproduction data is recorded.
     """
     if max_vertices < 2 or max_vertices > 12:
@@ -296,14 +290,8 @@ def faltings_harness(
             cplx = random_pure_connected_complex(n, size, count, sub_seed)
         except PreconditionError:
             cplx = SimplicialComplex(n, (frozenset(range(1, size + 1)),))
-        pres = face_ring(cplx, field)
-        dim = pres.dim()
-        wanted = generator_count_rule(dim)
-        if wanted > max(0, dim - 2):
-            raise PreconditionError(
-                "generator count rule exceeds the dim - 2 bound of the statement"
-            )
-        gens = _random_monomials(rng, pres.ambient, wanted)
+        pres = face_ring(cplx)
+        gens = _random_monomials(rng, pres.ambient, default_generator_count(pres.dim()))
         a = Ideal(pres.ambient, tuple(gens))
         result = punctured_spectrum_connected(pres, a)
         ok = result.status in ("connected", "empty")

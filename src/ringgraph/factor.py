@@ -19,9 +19,10 @@ in a single variable whose discriminant is a polynomial perfect square.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import StructuralError
+from .groebner import _primitive, normal_form_with_quotients
 from .polynomials import GREVLEX, Polynomial, mono_div, mono_divides
 
 FP_SCAN_CAP = 4096  # exhaustive root scans in GF(p) stay below this
@@ -29,8 +30,6 @@ FP_SCAN_CAP = 4096  # exhaustive root scans in GF(p) stay below this
 
 def exact_divide(f: Polynomial, g: Polynomial):
     """f / g when g divides f exactly, else None."""
-    from .groebner import normal_form_with_quotients
-
     if g.is_zero():
         return None
     r, q = normal_form_with_quotients(f, [g], GREVLEX)
@@ -116,9 +115,7 @@ def _divisors(n: int) -> list:
 
 def _rational_roots(coeffs: list) -> list:
     """Rational roots of a Q[x] polynomial given by dense coefficients."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()
@@ -137,12 +134,6 @@ def _rational_roots(coeffs: list) -> list:
                 if _eval_dense(ints, r) == 0 and r not in roots:
                     roots.append(r)
     return roots
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
 
 
 def _eval_dense(ints: list, x: Fraction):
@@ -324,7 +315,6 @@ def _bivariate_homogeneous(f: Polynomial, occurring: tuple):
     """
     ring = f.ring
     i, j = occurring
-    d = f.total_degree()
     coeffs = {}
     for m, c in f.terms.items():
         coeffs[m[i]] = c
@@ -332,9 +322,7 @@ def _bivariate_homogeneous(f: Polynomial, occurring: tuple):
     verdict, payload = _univariate_factor(aux, i)
     if verdict != "factored":
         return verdict, None
-    g1, g2 = payload
-    h1 = _homogenize_pair(g1, i, j)
-    h2 = _homogenize_pair(g2, i, j)
+    h1 = _homogenize_pair(payload[0], i, j)
     q = exact_divide(f, h1)
     if q is None:
         return "unknown", None
@@ -373,7 +361,7 @@ def _quadratic_in_variable(f: Polynomial):
                 q = exact_divide(f, cand)
                 if q is not None and not q.is_constant():
                     return "factored", (cand, q)
-                scaled = _strip_numeric_content(cand)
+                scaled = _primitive(cand)
                 q = exact_divide(f, scaled)
                 if q is not None and not q.is_constant():
                     return "factored", (scaled, q)
@@ -392,19 +380,3 @@ def _coeff_of_degree(f: Polynomial, i: int, e: int) -> Polynomial:
             mm = tuple(0 if j == i else x for j, x in enumerate(m))
             out[mm] = c
     return Polynomial(f.ring, out)
-
-
-def _strip_numeric_content(p: Polynomial) -> Polynomial:
-    if p.is_zero() or p.ring.field.name != "Q":
-        return p
-    from math import gcd, lcm
-
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in p.terms.values():
-        num = gcd(num, c.numerator * den)
-    if num == 0:
-        return p
-    return p.scale(Fraction(den, num))

@@ -48,9 +48,6 @@ class UnionFind:
         if ri != rj:
             self.parent[rj] = ri
 
-    def linked(self, i: int, j: int) -> bool:
-        return self.find(i) == self.find(j)
-
     def components(self) -> tuple:
         groups: dict = {}
         for i in range(len(self.parent)):
@@ -174,20 +171,6 @@ class ConnectivityReport:
     conditions: tuple | None = None
     provenance: str = "computed"
 
-    def to_json_dict(self) -> dict:
-        doc = {
-            "status": self.status,
-            "connected": self.connected,
-            "components": [list(c) for c in self.components],
-            "vertices": [_label_to_json(l) for l in self.labels],
-            "provenance": self.provenance,
-        }
-        if self.witness is not None:
-            doc["witness"] = self.witness
-        if self.conditions is not None:
-            doc["conditions"] = [list(c) for c in self.conditions]
-        return doc
-
 
 # ---------------------------------------------------------------------------
 # building the graph
@@ -201,7 +184,7 @@ def prime_label(p: Ideal) -> tuple:
     return tuple(p.min_gen_strings()) or ("0",)
 
 
-def build_gamma(ring: PresentedRing, strategy: str = "auto") -> PrimeGraph:
+def build_gamma(ring: PresentedRing) -> PrimeGraph:
     """The minimal-prime graph: edge exactly at height-one pair sums.
 
     The only place pairwise heights are computed.  The graph is built
@@ -210,8 +193,8 @@ def build_gamma(ring: PresentedRing, strategy: str = "auto") -> PrimeGraph:
     graph is ``asserted`` when the primes or the equidimensionality flag
     its heights rest on were asserted.
     """
-    mps = ensure_min_primes(ring, strategy)
-    flag = require_equidimensional(ring, "the minimal-prime graph", strategy)
+    mps = ensure_min_primes(ring)
+    flag = require_equidimensional(ring, "the minimal-prime graph")
     if ring.gamma is None:
         primes = _sorted_primes(mps)
         heights = {
@@ -261,7 +244,7 @@ def is_connected(graph: PrimeGraph) -> ConnectivityReport:
 # the exhaustive bipartition route
 
 
-def disconnection_exists(ring: PresentedRing, strategy: str = "auto") -> ConnectivityReport:
+def disconnection_exists(ring: PresentedRing) -> ConnectivityReport:
     """Search all 2^(k-1) - 1 bipartitions of the minimal primes for one
     whose cross sums all have height at least two.
 
@@ -272,12 +255,12 @@ def disconnection_exists(ring: PresentedRing, strategy: str = "auto") -> Connect
     stays independent of :func:`is_connected`; its provenance is the
     graph's, since it reads the same claims.
     """
-    k = len(ensure_min_primes(ring, strategy).primes)
+    k = len(ensure_min_primes(ring).primes)
     if k > PARTITION_VERTEX_CAP:
         raise PreconditionError(
             f"bipartition search is capped at {PARTITION_VERTEX_CAP} minimal primes, got {k}"
         )
-    graph = build_gamma(ring, strategy)
+    graph = build_gamma(ring)
     primes, labels, heights = graph.payloads, graph.labels, graph.evidence_dict()
     prov = graph.provenance
     if k <= 1:
@@ -295,12 +278,8 @@ def disconnection_exists(ring: PresentedRing, strategy: str = "auto") -> Connect
             if not ok:
                 break
         if ok:
-            inter_a = primes[side_a[0]]
-            for i in side_a[1:]:
-                inter_a = ideal_intersection(inter_a, primes[i])
-            inter_b = primes[side_b[0]]
-            for j in side_b[1:]:
-                inter_b = ideal_intersection(inter_b, primes[j])
+            inter_a = ideal_intersection(*(primes[i] for i in side_a))
+            inter_b = ideal_intersection(*(primes[j] for j in side_b))
             witness = {
                 "side_a": [_label_to_json(labels[i]) for i in side_a],
                 "side_b": [_label_to_json(labels[j]) for j in side_b],
@@ -335,9 +314,7 @@ def _height_json(h):
 # punctured spectrum and local cohomology
 
 
-def punctured_spectrum_connected(
-    ring: PresentedRing, a: Ideal, strategy: str = "auto"
-) -> ConnectivityReport:
+def punctured_spectrum_connected(ring: PresentedRing, a: Ideal) -> ConnectivityReport:
     """Connectivity of the punctured spectrum of ring/a.
 
     Vertices are the minimal primes over the defining ideal plus a; two
@@ -353,7 +330,7 @@ def punctured_spectrum_connected(
         raise PreconditionError("the ideal is the unit ideal in the quotient; nothing to puncture")
     if status == "m-primary":
         return ConnectivityReport("empty", None, (), (), witness={"reason": "m-primary"})
-    mps = minimal_primes(total, strategy)
+    mps = minimal_primes(total)
     primes = _sorted_primes(mps)
     labels = tuple(prime_label(p) for p in primes)
     statuses = {
@@ -368,7 +345,7 @@ def punctured_spectrum_connected(
     return is_connected(graph)
 
 
-def hl_nonvanishing(ring: PresentedRing, a: Ideal, strategy: str = "auto") -> bool:
+def hl_nonvanishing(ring: PresentedRing, a: Ideal) -> bool:
     """Nonvanishing of top local cohomology supported at a.
 
     True exactly when some minimal prime of full dimension combines
@@ -380,7 +357,7 @@ def hl_nonvanishing(ring: PresentedRing, a: Ideal, strategy: str = "auto") -> bo
     for g in a.gens:
         if zero_mono in g.terms:
             raise PreconditionError("the supporting ideal must sit inside the irrelevant maximal ideal")
-    mps = ensure_min_primes(ring, strategy)
+    mps = ensure_min_primes(ring)
     d = ring.dim()
     for p in _sorted_primes(mps):
         if dimension(p) == d and m_primary_status(ideal_sum(p, a), ring) == "m-primary":

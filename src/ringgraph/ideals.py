@@ -135,12 +135,17 @@ def _monomial_intersection(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(a.ring, tuple(a.ring.monomial(m) for m in monos))
 
 
-def ideal_intersection(a: Ideal, b: Ideal) -> Ideal:
-    """a ∩ b, by eliminating an auxiliary variable t from t*a + (1-t)*b.
+def ideal_intersection(a: Ideal, *others: Ideal) -> Ideal:
+    """a ∩ b ∩ ..., folded from the left, each step by eliminating an
+    auxiliary variable t from t*a + (1-t)*b.
 
     Purely monomial inputs short-circuit to pairwise lcms; the shortcut
     agrees with the elimination route (tested).
     """
+    return functools.reduce(_intersect_two, others, a)
+
+
+def _intersect_two(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise StructuralError("intersection of ideals in different rings")
     if a.is_monomial() and b.is_monomial():
@@ -165,19 +170,17 @@ def ideal_colon(a: Ideal, b: Ideal) -> Ideal:
     nonzero = [g for g in b.gens if not g.is_zero()]
     if not nonzero:
         return Ideal(ring, (ring.one(),))
-    result = None
-    order = GREVLEX
+    parts = []
     for g in nonzero:
         cap = ideal_intersection(a, Ideal(ring, (g,)))
         quots = []
         for h in cap.groebner().generators:
-            r, q = normal_form_with_quotients(h, [g], order)
+            r, q = normal_form_with_quotients(h, [g], GREVLEX)
             if not r.is_zero():
                 raise StructuralError("intersection element not divisible by colon generator")
             quots.append(q[0])
-        part = Ideal(ring, tuple(quots))
-        result = part if result is None else ideal_intersection(result, part)
-    return result
+        parts.append(Ideal(ring, tuple(quots)))
+    return ideal_intersection(*parts)
 
 
 def saturation(a: Ideal, b: Ideal) -> Ideal:
@@ -287,6 +290,22 @@ def provenance(*claims, clean: str = "computed") -> str:
     return "asserted" if any(c is not None and c.is_asserted() for c in claims) else clean
 
 
+def _claim(held: Flag | None, new: Flag, what: str) -> Flag:
+    """The one rule for setting a ring's flag.  A claim that contradicts
+    the held flag refuses, whichever of the two was asserted; a
+    certified claim replaces an agreeing assertion; an assertion never
+    replaces a certified flag."""
+    if held is None:
+        return new
+    if held.value != new.value:
+        raise PreconditionError(
+            f"assertion contradicts a certified {what} flag"
+            if held.provenance != new.provenance
+            else f"contradictory {held.provenance} {what} flags"
+        )
+    return held if new.is_asserted() else new
+
+
 class PresentedRing:
     """A quotient of a polynomial ring by a proper defining ideal.
 
@@ -316,13 +335,9 @@ class PresentedRing:
 
     def _auto_certify_reduced(self):
         gens = self.defining.groebner().generators
-        if not gens:
-            self._reduced = Flag(True, "certified")
-        elif all(g.is_monomial() for g in gens):
-            squarefree = all(
-                all(e <= 1 for e in next(iter(g.terms))) for g in gens
-            )
-            self._reduced = Flag(squarefree, "certified")
+        if all(g.is_monomial() for g in gens):
+            squarefree = all(e <= 1 for g in gens for e in next(iter(g.terms)))
+            self.certify_reduced(squarefree)
 
     def dim(self) -> int:
         if self._dim is None:
@@ -342,24 +357,16 @@ class PresentedRing:
         return self._min_primes
 
     def assert_reduced(self, value: bool = True):
-        if self._reduced is not None and self._reduced.provenance == "certified":
-            if self._reduced.value != value:
-                raise PreconditionError("assertion contradicts a certified reducedness flag")
-            return
-        self._reduced = Flag(value, "asserted")
+        self._reduced = _claim(self._reduced, Flag(value, "asserted"), "reducedness")
 
     def certify_reduced(self, value: bool):
-        self._reduced = Flag(value, "certified")
+        self._reduced = _claim(self._reduced, Flag(value, "certified"), "reducedness")
 
     def assert_equidimensional(self, value: bool = True):
-        if self._equidim is not None and self._equidim.provenance == "certified":
-            if self._equidim.value != value:
-                raise PreconditionError("assertion contradicts a certified equidimensionality flag")
-            return
-        self._equidim = Flag(value, "asserted")
+        self._equidim = _claim(self._equidim, Flag(value, "asserted"), "equidimensionality")
 
     def certify_equidimensional(self, value: bool):
-        self._equidim = Flag(value, "certified")
+        self._equidim = _claim(self._equidim, Flag(value, "certified"), "equidimensionality")
 
     def attach_min_primes(self, prime_set):
         """Attach a minimal-prime set; verified against the defining ideal."""

@@ -144,10 +144,7 @@ def verify_decomposition(a: Ideal, primes) -> DecompositionReport:
             failures.append(f"prime #{idx} is the unit ideal")
         elif not p.contains_ideal(a):
             failures.append(f"prime #{idx} does not contain the ideal")
-    inter = primes[0]
-    for p in primes[1:]:
-        inter = ideal_intersection(inter, p)
-    for g in inter.canonical_gens():
+    for g in ideal_intersection(*primes).canonical_gens():
         if not radical_membership(g, a):
             failures.append(f"intersection generator {g} escapes the radical")
             break
@@ -211,11 +208,11 @@ def _certify_leaf(leaf: Ideal):
     """Certificates for a leaf with no factorable generator, or None."""
     gens = leaf.groebner().generators
     if all(g.is_monomial() for g in gens):
-        return [(p, c) for p, c in monomial_minimal_primes(Ideal(leaf.ring, gens)).primes]
-    if all(g.total_degree() <= 1 for g in gens):
-        return [(leaf, PrimeCertificate("linear-prime"))]
-    if len(gens) == 1 and certify_irreducible(gens[0]):
-        return [(leaf, PrimeCertificate("principal-irreducible"))]
+        return list(monomial_minimal_primes(Ideal(leaf.ring, gens)).primes)
+    for kind in ("linear-prime", "principal-irreducible"):
+        cert = PrimeCertificate(kind)
+        if cert.check(leaf):
+            return [(leaf, cert)]
     return None
 
 
@@ -318,12 +315,12 @@ def minimal_primes(a: Ideal, strategy: str = "auto", asserted=None) -> MinimalPr
     return split_minimal_primes(a)
 
 
-def ensure_min_primes(ring: PresentedRing, strategy: str = "auto") -> MinimalPrimeSet:
+def ensure_min_primes(ring: PresentedRing) -> MinimalPrimeSet:
     """Attach (or reuse) minimal primes on a presented ring."""
     if ring.min_primes is not None:
         return ring.min_primes
     try:
-        mps = minimal_primes(ring.defining, strategy)
+        mps = minimal_primes(ring.defining)
     except UndecidedComponentError as e:
         raise PreconditionError(
             "minimal primes unavailable: " + str(e)
@@ -337,20 +334,27 @@ def ensure_min_primes(ring: PresentedRing, strategy: str = "auto") -> MinimalPri
 # equidimensionality and the small-dimension ideal
 
 
-def is_equidimensional(ring: PresentedRing, strategy: str = "auto") -> bool:
-    """All minimal primes cut out components of the full dimension."""
-    mps = ensure_min_primes(ring, strategy)
+def is_equidimensional(ring: PresentedRing) -> bool:
+    """All minimal primes cut out components of the full dimension.
+
+    A certified flag is returned as it stands; otherwise the verdict is
+    computed and certified, which refuses if it contradicts an
+    asserted flag."""
+    flag = ring.equidimensional
+    if flag is not None and not flag.is_asserted():
+        return flag.value
+    mps = ensure_min_primes(ring)
     d = ring.dim()
     value = all(dimension(p) == d for p in mps.ideals())
     ring.certify_equidimensional(value)
     return value
 
 
-def require_equidimensional(ring: PresentedRing, needed_by: str, strategy: str = "auto") -> Flag:
+def require_equidimensional(ring: PresentedRing, needed_by: str) -> Flag:
     """The equidimensionality flag a verdict rests on, computed when
     unset; refuses when the presentation is not equidimensional."""
     if ring.equidimensional is None:
-        is_equidimensional(ring, strategy)
+        is_equidimensional(ring)
     flag = ring.equidimensional
     if not flag.value:
         raise PreconditionError(
@@ -360,30 +364,25 @@ def require_equidimensional(ring: PresentedRing, needed_by: str, strategy: str =
     return flag
 
 
-def certify_reduced_from_decomposition(ring: PresentedRing, strategy: str = "auto") -> bool:
+def certify_reduced_from_decomposition(ring: PresentedRing) -> bool:
     """Decide reducedness by computation: the defining ideal is radical
     exactly when it equals the intersection of its minimal primes.
     Certifies the flag either way and returns the verdict."""
     flag = ring.reduced
-    if flag is not None and flag.provenance == "certified":
+    if flag is not None and not flag.is_asserted():
         return flag.value
-    mps = ensure_min_primes(ring, strategy)
-    primes = mps.ideals()
-    inter = primes[0]
-    for p in primes[1:]:
-        inter = ideal_intersection(inter, p)
-    value = inter.equals(ring.defining)
+    value = ideal_intersection(*ensure_min_primes(ring).ideals()).equals(ring.defining)
     ring.certify_reduced(value)
     return value
 
 
-def top_dimensional_primes(ring: PresentedRing, strategy: str = "auto") -> tuple:
-    mps = ensure_min_primes(ring, strategy)
+def top_dimensional_primes(ring: PresentedRing) -> tuple:
+    mps = ensure_min_primes(ring)
     d = ring.dim()
     return tuple((p, c) for p, c in mps.primes if dimension(p) == d)
 
 
-def j_ideal(ring: PresentedRing, strategy: str = "auto") -> Ideal:
+def j_ideal(ring: PresentedRing) -> Ideal:
     """The largest ideal of the quotient of dimension below the ring's,
     for reduced presentations: the intersection of the top-dimensional
     minimal primes, returned as its lift to the ambient ring.
@@ -400,12 +399,10 @@ def j_ideal(ring: PresentedRing, strategy: str = "auto") -> Ideal:
         raise PreconditionError(
             "the small-dimension ideal is only supported for reduced presentations"
         )
-    tops = top_dimensional_primes(ring, strategy)
+    tops = top_dimensional_primes(ring)
     if not tops:
         raise StructuralError("no top-dimensional primes; broken decomposition")
-    inter = tops[0][0]
-    for p, _ in tops[1:]:
-        inter = ideal_intersection(inter, p)
+    inter = ideal_intersection(*(p for p, _ in tops))
     return Ideal(ring.ambient, inter.canonical_gens())
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import StructuralError
-from .fields import Field, QQ
+from .fields import Field
 
 Mono = tuple  # exponent tuples
 
@@ -460,7 +460,3 @@ def strip_first(p: Polynomial, k: int, target: PolyRing) -> Polynomial:
             raise StructuralError("polynomial still involves an eliminated variable")
         out[m[k:]] = c
     return Polynomial(target, out)
-
-
-def default_ring(names: Iterable[str], field: Field = QQ) -> PolyRing:
-    return PolyRing(field, names)

@@ -130,15 +130,6 @@ class ConductorResult:
     def height_text(self) -> str:
         return "+inf" if self.height == HEIGHT_INFINITY else str(self.height)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "conductor": list(self.ideal.min_gen_strings()),
-            "height": None if self.height == HEIGHT_INFINITY else self.height,
-            "height_text": self.height_text(),
-            "member": self.member,
-            "provenance": self.provenance,
-        }
-
 
 def conductor(f: Fraction) -> ConductorResult:
     """The ideal of ring elements multiplying the fraction into the
@@ -158,14 +149,14 @@ def s2_membership(f: Fraction) -> bool:
     return conductor(f).member
 
 
-def _equidimensional_core(ring: PresentedRing, strategy: str) -> PresentedRing:
+def _equidimensional_core(ring: PresentedRing) -> PresentedRing:
     """The ring itself when equidimensional, else the quotient by the
     intersection of its top-dimensional primes (killing the ideal of
     small-dimensional components), with everything re-attached."""
-    if is_equidimensional(ring, strategy):
+    if is_equidimensional(ring):
         return ring
-    j = j_ideal(ring, strategy)
-    top = top_dimensional_primes(ring, strategy)
+    j = j_ideal(ring)
+    top = top_dimensional_primes(ring)
     core = PresentedRing(ring.ambient, j)
     core.attach_min_primes(MinimalPrimeSet(j, top, ring.min_primes.provenance))
     core.certify_reduced(True)
@@ -173,7 +164,7 @@ def _equidimensional_core(ring: PresentedRing, strategy: str) -> PresentedRing:
     return core
 
 
-def s2_local_decision(ring: PresentedRing, strategy: str = "auto") -> ConnectivityReport:
+def s2_local_decision(ring: PresentedRing) -> ConnectivityReport:
     """Decide whether the S2-ification of the reduced, equidimensional
     core is local.
 
@@ -186,16 +177,16 @@ def s2_local_decision(ring: PresentedRing, strategy: str = "auto") -> Connectivi
     """
     flag = ring.reduced
     if flag is None:
-        certify_reduced_from_decomposition(ring, strategy)
+        certify_reduced_from_decomposition(ring)
         flag = ring.reduced
     if not flag.value:
         raise PreconditionError(
             "the locality decision needs a reduced presentation"
         )
-    core = _equidimensional_core(ring, strategy)
-    graph = build_gamma(core, strategy)
+    core = _equidimensional_core(ring)
+    graph = build_gamma(core)
     via_graph = is_connected(graph)
-    via_partition = disconnection_exists(core, strategy)
+    via_partition = disconnection_exists(core)
     if via_graph.connected != via_partition.connected:
         # An invariant breach, not a refusable precondition: the two
         # independently computed routes can only disagree on a bug.

@@ -291,10 +291,7 @@ class SessionFile:
 
     def asserted_primes_for(self, a: Ideal):
         """The asserted minimal-prime set for this ideal, if any."""
-        for mps in self.minprime_assertions.values():
-            if mps.for_ideal.equals(a):
-                return mps
-        return None
+        return self.minprime_assertions.get(a.canonical_key())
 
 
 # ---------------------------------------------------------------------------

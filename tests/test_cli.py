@@ -327,6 +327,19 @@ class TestAssertedFlagProvenance:
             doc = run_json(capsys, command, "--session", str(session), "R")
             assert doc["provenance"] and set(doc["provenance"].values()) == {"asserted"}, command
 
+    def test_contradicted_equidim_assertion_refuses_s2local(self, tmp_path, capsys):
+        """s2local computes equidimensionality; the result contradicts
+        the session's assertion, so the command refuses."""
+        session = tmp_path / "plane_and_line.rg"
+        session.write_text(
+            "field Q;\nring A = [x, y, z];\nideal I = (x*y, x*z);\n"
+            "ring R = A / I;\nassert equidim R;\n"
+        )
+        code, out, err = run(capsys, "s2local", "--session", str(session), "R")
+        assert code == 2
+        assert out == ""
+        assert "contradicts" in err
+
 
 class TestCommandTable:
     def test_every_subcommand_has_a_handler_and_a_readme_row(self):

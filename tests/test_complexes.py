@@ -174,10 +174,6 @@ class TestHarness:
         assert default_generator_count(2) == 0
         assert default_generator_count(1) == 0
 
-    def test_rule_exceeding_budget_refused(self):
-        with pytest.raises(RingGraphError):
-            faltings_harness(trials=1, seed=5, generator_count_rule=lambda d: d)
-
     def test_vertex_bound_validated(self):
         with pytest.raises(RingGraphError):
             faltings_harness(trials=1, seed=5, max_vertices=50)

@@ -11,6 +11,7 @@ from ringgraph import (
     Ideal,
     PolyRing,
     PresentedRing,
+    PreconditionError,
     RingGraphError,
     RingMap,
     contract,
@@ -195,6 +196,25 @@ class TestPresentedRing:
         sq = PresentedRing(R3, I(X ** 2))
         with pytest.raises(RingGraphError):
             sq.assert_reduced(True)
+
+    def test_certified_claim_replaces_agreeing_assertion(self):
+        pres = PresentedRing(R3, I(X ** 2 - Y))
+        pres.assert_equidimensional(True)
+        pres.certify_equidimensional(True)
+        assert pres.equidimensional == (True, "certified")
+        pres.assert_equidimensional(True)
+        assert pres.equidimensional == (True, "certified")
+
+    def test_certified_claim_cannot_contradict_assertion(self):
+        pres = PresentedRing(R3, I(X ** 2 - Y))
+        pres.assert_reduced(True)
+        pres.assert_equidimensional(True)
+        with pytest.raises(PreconditionError):
+            pres.certify_reduced(False)
+        with pytest.raises(PreconditionError):
+            pres.certify_equidimensional(False)
+        assert pres.reduced == (True, "asserted")
+        assert pres.equidimensional == (True, "asserted")
 
     def test_provenance_taint_rule(self):
         certified, asserted = Flag(True, "certified"), Flag(True, "asserted")

@@ -1,11 +1,13 @@
 """Minimal-prime decompositions: the monomial vertex-cover route, the
 splitting route, certificates, and the equidimensionality machinery."""
 
+import inspect
 import random
 from itertools import combinations
 
 import pytest
 
+import ringgraph
 from ringgraph import (
     QQ,
     Ideal,
@@ -191,3 +193,22 @@ class TestKernelPresentation:
         phi = RingMap(src, pres, (Z,))
         with pytest.raises(RingGraphError):
             image_domain_presentation(phi)
+
+
+class TestPublicSignatures:
+    def test_only_minimal_primes_takes_a_strategy(self):
+        takers = set()
+        for name in ringgraph.__all__:
+            obj = getattr(ringgraph, name)
+            if callable(obj):
+                try:
+                    params = inspect.signature(obj).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "strategy" in params:
+                    takers.add(name)
+        assert takers == {"minimal_primes"}
+
+    def test_harness_parameters(self):
+        params = inspect.signature(ringgraph.faltings_harness).parameters
+        assert list(params) == ["trials", "seed", "max_vertices", "max_facet_size"]

@@ -10,8 +10,10 @@ from ringgraph import (
     Ideal,
     PolyRing,
     PresentedRing,
+    PreconditionError,
     RingGraphError,
     ZerodivisorError,
+    build_gamma,
     conductor,
     ideal_intersection,
     ideal_product,
@@ -226,6 +228,21 @@ class TestLocalityDecision:
         with pytest.raises(RingGraphError):
             s2_local_decision(pres)
         assert pres.reduced == (False, "certified")
+
+    def test_contradicted_equidim_assertion_refused(self):
+        """Q[x,y,z]/(x*y, x*z) is not equidimensional: computing that
+        contradicts the asserted flag, so the decision refuses and the
+        flag and the graph built under it stay as they were."""
+        ring = PolyRing(QQ, ("x", "y", "z"))
+        x, y, z = ring.gens()
+        pres = PresentedRing(ring, Ideal(ring, (x * y, x * z)))
+        pres.assert_equidimensional(True)
+        graph = build_gamma(pres)
+        with pytest.raises(PreconditionError):
+            s2_local_decision(pres)
+        assert pres.equidimensional == (True, "asserted")
+        assert build_gamma(pres) is graph
+        assert graph.provenance == "asserted"
 
     def test_asserted_reducedness_taints(self):
         pres = PresentedRing(R2, Ideal(R2, (X ** 3 - Y ** 2,)))
