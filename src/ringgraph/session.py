@@ -273,7 +273,7 @@ class SessionFile:
             pres = face_ring(self.complexes[name], self.field)
         else:
             raise StructuralError(f"no ring or complex named {name!r}")
-        mp = self.minprime_assertions.get(pres.defining.canonical_key())
+        mp = self.asserted_primes_for(pres.defining)
         if mp is not None and pres.min_primes is None:
             pres.attach_min_primes(mp)
         self._presented[name] = pres
@@ -291,7 +291,14 @@ class SessionFile:
 
     def asserted_primes_for(self, a: Ideal):
         """The asserted minimal-prime set for this ideal, if any."""
-        return self.minprime_assertions.get(a.canonical_key())
+        return self.minprime_assertions.get(_assertion_key(a))
+
+
+def _assertion_key(a: Ideal) -> tuple:
+    """Where an assertion on ``a`` is stored.  The canonical key holds
+    only exponents and coefficients, so the ring is part of the key:
+    (x*y) in Q[x, y] and (u*v) in Q[u, v] share a canonical key."""
+    return (a.ring, a.canonical_key())
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +595,14 @@ def _parse_assert(stream: _TokenStream, session: SessionFile) -> str:
             raise SessionSyntaxError(
                 f"asserted minimal primes rejected: {e}", itok.line, itok.column
             ) from e
-        session.minprime_assertions[a.canonical_key()] = mps
+        session.minprime_assertions[_assertion_key(a)] = mps
         for obj in session.rings.values():
-            if isinstance(obj, PresentedRing) and obj.defining.equals(a) and obj.min_primes is None:
+            if (
+                isinstance(obj, PresentedRing)
+                and obj.min_primes is None
+                and obj.defining.ring == a.ring
+                and obj.defining.equals(a)
+            ):
                 obj.attach_min_primes(mps)
         return f"assert minprimes {itok.text} = [{', '.join(n for n, _ in named)}];"
     if what.text in ("equidim", "reduced"):

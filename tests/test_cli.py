@@ -341,6 +341,34 @@ class TestAssertedFlagProvenance:
         assert "contradicts" in err
 
 
+class TestAssertionsAcrossRings:
+    """(x*y) in Q[x, y] and (u*v) in Q[u, v] have the same exponents and
+    coefficients; an assertion on one must not answer for the other."""
+
+    HEADER = (
+        "field Q;\nring A = [x, y];\nring B = [u, v];\n"
+        "ideal I = (x*y);\nideal J = (u*v);\n"
+    )
+    ASSERT = "ideal P = (x);\nideal Q = (y);\nassert minprimes I = [P, Q];\n"
+
+    def test_assertion_in_one_ring_does_not_answer_for_another(self, tmp_path, capsys):
+        session = tmp_path / "two_rings.rg"
+        session.write_text(self.HEADER + self.ASSERT)
+        doc = run_json(capsys, "minprimes", "--session", str(session), "J")
+        assert doc["verdicts"]["primes"] == [["u"], ["v"]]
+        assert "asserted" not in doc["provenance"].values()
+        doc = run_json(capsys, "minprimes", "--session", str(session), "I")
+        assert doc["verdicts"]["primes"] == [["x"], ["y"]]
+        assert set(doc["provenance"].values()) == {"asserted"}
+
+    def test_quotient_of_another_ring_keeps_computed_primes(self, tmp_path, capsys):
+        session = tmp_path / "two_rings_quotient.rg"
+        session.write_text(self.HEADER + "ring S = B / J;\n" + self.ASSERT)
+        doc = run_json(capsys, "gamma", "--session", str(session), "S")
+        assert doc["verdicts"]["graph"]["vertices"] == [["v"], ["u"]]
+        assert set(doc["provenance"].values()) == {"computed"}
+
+
 class TestCommandTable:
     def test_every_subcommand_has_a_handler_and_a_readme_row(self):
         parser = cli.build_parser()
