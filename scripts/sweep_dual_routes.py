@@ -13,20 +13,8 @@ import random
 import time
 from itertools import combinations
 
-from ringgraph import (
-    build_gamma,
-    complex_from_lists,
-    disconnection_exists,
-    face_ring,
-    is_connected,
-)
-
-
-def routes_agree(facets, n: int) -> bool:
-    pres = face_ring(complex_from_lists(n, facets))
-    via_graph = is_connected(build_gamma(pres)).connected
-    via_partition = disconnection_exists(pres).status != "disconnected"
-    return via_graph == via_partition
+from ringgraph import complex_from_lists, face_ring
+from ringgraph.gamma import routes_agree
 
 
 def main() -> int:
@@ -60,7 +48,7 @@ def main() -> int:
             for count in range(1, top + 1):
                 for facets in combinations(pool, count):
                     checked += 1
-                    if not routes_agree([list(f) for f in facets], n):
+                    if not routes_agree(face_ring(complex_from_lists(n, facets))):
                         disagreements += 1
                         print(f"DISAGREEMENT n={n} facets={list(facets)}")
 
@@ -71,7 +59,7 @@ def main() -> int:
         pool = list(combinations(range(1, n + 1), size))
         facets = rng.sample(pool, rng.randint(1, len(pool)))
         checked += 1
-        if not routes_agree([list(f) for f in facets], n):
+        if not routes_agree(face_ring(complex_from_lists(n, facets))):
             disagreements += 1
             print(f"DISAGREEMENT n={n} facets={facets}")
 

@@ -306,6 +306,13 @@ def disconnection_exists(ring: PresentedRing) -> ConnectivityReport:
     )
 
 
+def routes_agree(ring: PresentedRing) -> bool:
+    """Whether the graph route and the bipartition route agree on the ring."""
+    via_graph = is_connected(build_gamma(ring)).connected
+    via_partition = disconnection_exists(ring).status != "disconnected"
+    return via_graph == via_partition
+
+
 def _height_json(h):
     return "inf" if h == float("inf") else h
 

@@ -22,6 +22,7 @@ from .polynomials import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mask,
     mono_mul,
 )
 
@@ -42,7 +43,11 @@ class GroebnerBasis:
         return len(self.generators) == 1 and self.generators[0].is_constant() and not self.generators[0].is_zero()
 
     def contains(self, f: Polynomial) -> bool:
-        return normal_form(f, self).is_zero()
+        gens = self.generators
+        if f.ring != self.ring or not all(len(g.terms) == 1 for g in gens):
+            return normal_form(f, self).is_zero()
+        # A monomial ideal holds f exactly when it holds every term of f.
+        return all(any(mono_divides(m, t) for g in gens for m in g.terms) for t in f.terms)
 
     def key(self) -> tuple:
         return tuple(g.key() for g in self.generators)
@@ -150,9 +155,10 @@ def _primitive(p: Polynomial) -> Polynomial:
 def _minimal_monomial_set(monos):
     keep = []
     for m in sorted(set(monos), key=lambda t: (sum(t), t)):
-        if not any(mono_divides(k, m) for k in keep):
-            keep.append(m)
-    return keep
+        mask = mono_mask(m)  # k | m needs k's support inside m's
+        if not any(km & ~mask == 0 and mono_divides(k, m) for km, k in keep):
+            keep.append((mask, m))
+    return [m for _, m in keep]
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX, ring: PolyRing | None = None) -> GroebnerBasis:

@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple
 from .errors import PreconditionError, StructuralError
 from .groebner import (
     GroebnerBasis,
+    _minimal_monomial_set,
     buchberger,
     normal_form,
     normal_form_with_quotients,
@@ -32,7 +33,7 @@ from .polynomials import (
     embed,
     fresh_names,
     mono_lcm,
-    mono_support,
+    mono_mask,
     strip_first,
 )
 
@@ -52,8 +53,8 @@ class Ideal:
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
         gens = tuple(gens)
-        for g in gens:
-            if not isinstance(g, Polynomial) or g.ring != ring:
+        for g in gens:  # identity first: every ideal_sum re-checks its generators
+            if not isinstance(g, Polynomial) or (g.ring is not ring and g.ring != ring):
                 raise StructuralError("generator outside the ambient ring")
         self.ring = ring
         self.gens = gens
@@ -121,17 +122,11 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     return Ideal(a.ring, tuple(f * g for f in a.gens for g in b.gens))
 
 
-def _monomial_intersection(a: Ideal, b: Ideal) -> Ideal:
-    ga = a.groebner().generators
-    gb = b.groebner().generators
-    if not ga or not gb:
-        return Ideal(a.ring, ())
-    monos = []
-    for f in ga:
-        mf = next(iter(f.terms))
-        for g in gb:
-            mg = next(iter(g.terms))
-            monos.append(mono_lcm(mf, mg))
+def _monomial_intersection(a: Ideal, *others: Ideal) -> Ideal:
+    monos = [m for g in a.groebner().generators for m in g.terms]
+    for b in others:
+        gens = [m for g in b.groebner().generators for m in g.terms]
+        monos = _minimal_monomial_set({mono_lcm(f, m) for f in monos for m in gens})
     return Ideal(a.ring, tuple(a.ring.monomial(m) for m in monos))
 
 
@@ -142,12 +137,14 @@ def ideal_intersection(a: Ideal, *others: Ideal) -> Ideal:
     Purely monomial inputs short-circuit to pairwise lcms; the shortcut
     agrees with the elimination route (tested).
     """
+    if any(b.ring != a.ring for b in others):
+        raise StructuralError("intersection of ideals in different rings")
+    if others and a.is_monomial() and all(b.is_monomial() for b in others):
+        return _monomial_intersection(a, *others)
     return functools.reduce(_intersect_two, others, a)
 
 
 def _intersect_two(a: Ideal, b: Ideal) -> Ideal:
-    if a.ring != b.ring:
-        raise StructuralError("intersection of ideals in different rings")
     if a.is_monomial() and b.is_monomial():
         return _monomial_intersection(a, b)
     ring = a.ring
@@ -212,11 +209,8 @@ def radical_membership(f: Polynomial, a: Ideal) -> bool:
         return True
     if f.is_monomial() and a.is_monomial():
         # m in Rad(monomial ideal) iff some basis support is covered.
-        supp = set(mono_support(next(iter(f.terms))))
-        for g in a.groebner().generators:
-            if set(mono_support(next(iter(g.terms)))) <= supp:
-                return True
-        return False
+        fm = mono_mask(next(iter(f.terms)))
+        return any(mono_mask(m) & ~fm == 0 for g in a.groebner().generators for m in g.terms)
     ring = a.ring
     (tname,) = fresh_names(ring, "~t", 1)
     ext = ring.extended((tname,), front=False)
@@ -235,36 +229,38 @@ def dimension(a: Ideal) -> int:
 
     Computed as the largest set of variables meeting no leading-term
     support, a correct combinatorial reading of the leading-term ideal.
-    Capped at 16 variables; beyond that the subset search refuses.
+    Monomial generators are their own leading terms, so their supports
+    are read without a Groebner basis.  Capped at 16 variables; beyond
+    that the subset search refuses.
     """
     n = a.ring.nvars
     if n > DIMENSION_VARIABLE_CAP:
         raise PreconditionError(
             f"dimension search supports at most {DIMENSION_VARIABLE_CAP} variables, got {n}"
         )
-    gb = a.groebner()
-    if gb.is_unit():
+    if all(len(g.terms) <= 1 for g in a.gens):
+        masks = {mono_mask(m) for g in a.gens for m in g.terms}
+    else:
+        masks = {mono_mask(g.leading_monomial(GREVLEX)) for g in a.groebner().generators}
+    if 0 in masks:  # a constant: the unit ideal
         return -1
-    supports = []
-    for g in gb.generators:
-        mask = 0
-        for i in mono_support(g.leading_monomial(GREVLEX)):
-            mask |= 1 << i
-        supports.append(mask)
-    return _max_independent(n, tuple(sorted(set(supports))))
+    # Only the minimal supports matter: drop those meeting a single
+    # variable support, then those containing a smaller one.
+    singles = sum(m for m in masks if not m & (m - 1))
+    minimal = []
+    for m in sorted(sorted(m for m in masks if not m & singles), key=int.bit_count):
+        if all(k & ~m for k in minimal):
+            minimal.append(m)
+    return _max_independent(n, singles, tuple(minimal))
 
 
 @functools.lru_cache(maxsize=4096)
-def _max_independent(n: int, supports: tuple) -> int:
-    if not supports:
-        return n
-    if any(s == 0 for s in supports):  # a constant leading term
-        return -1
-    for size in range(n, -1, -1):
-        for combo in combinations(range(n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
+def _max_independent(n: int, singles: int, supports: tuple) -> int:
+    """The most variables outside ``singles`` containing no support."""
+    free = [1 << i for i in range(n) if not singles >> i & 1]
+    for size in range(len(free), -1, -1):
+        for combo in combinations(free, size):
+            mask = sum(combo)
             if all(s & ~mask for s in supports):
                 return size
     return 0
@@ -314,10 +310,11 @@ class PresentedRing:
     were certified by computation or asserted by the caller, and the
     provenance taints every downstream report.  ``gamma`` holds the
     minimal-prime graph once :func:`ringgraph.gamma.build_gamma` has
-    built it.
+    built it, and ``core`` the equidimensional core once
+    :func:`ringgraph.s2.s2_local_decision` has built it.
     """
 
-    __slots__ = ("ambient", "defining", "_dim", "_reduced", "_equidim", "_min_primes", "gamma")
+    __slots__ = ("ambient", "defining", "_dim", "_reduced", "_equidim", "_min_primes", "gamma", "core")
 
     def __init__(self, ambient: PolyRing, defining: Ideal):
         if defining.ring != ambient:
@@ -331,6 +328,7 @@ class PresentedRing:
         self._equidim = None
         self._min_primes = None
         self.gamma = None
+        self.core = None
         self._auto_certify_reduced()
 
     def _auto_certify_reduced(self):

@@ -9,6 +9,8 @@ the :class:`MonomialOrder` it works under, and display uses grevlex.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -29,7 +31,7 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
 
 def mono_divides(a: Mono, b: Mono) -> bool:
     """True when a | b, i.e. every exponent of a is <= that of b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_div(a: Mono, b: Mono) -> Mono:
@@ -38,7 +40,7 @@ def mono_div(a: Mono, b: Mono) -> Mono:
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_deg(a: Mono) -> int:
@@ -51,6 +53,12 @@ def mono_coprime(a: Mono, b: Mono) -> bool:
 
 def mono_support(a: Mono) -> tuple:
     return tuple(i for i, e in enumerate(a) if e)
+
+
+@functools.lru_cache(maxsize=4096)
+def mono_mask(a: Mono) -> int:
+    """The support of a as a bitmask; a | b makes it a submask of b's."""
+    return sum(1 << i for i, e in enumerate(a) if e)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +144,7 @@ class PolyRing:
         self._hash = hash((field, names))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and other.field == self.field
             and other.names == self.names

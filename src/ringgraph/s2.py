@@ -152,16 +152,20 @@ def s2_membership(f: Fraction) -> bool:
 def _equidimensional_core(ring: PresentedRing) -> PresentedRing:
     """The ring itself when equidimensional, else the quotient by the
     intersection of its top-dimensional primes (killing the ideal of
-    small-dimensional components), with everything re-attached."""
+    small-dimensional components), with everything re-attached.  The
+    core is built once per ring and kept on it, as its graph is."""
     if is_equidimensional(ring):
         return ring
-    j = j_ideal(ring)
-    top = top_dimensional_primes(ring)
-    core = PresentedRing(ring.ambient, j)
-    core.attach_min_primes(MinimalPrimeSet(j, top, ring.min_primes.provenance))
-    core.certify_reduced(True)
-    core.certify_equidimensional(True)
-    return core
+    if ring.core is None:
+        j = j_ideal(ring)
+        core = PresentedRing(ring.ambient, j)
+        core.attach_min_primes(
+            MinimalPrimeSet(j, top_dimensional_primes(ring), ring.min_primes.provenance)
+        )
+        core.certify_reduced(True)
+        core.certify_equidimensional(True)
+        ring.core = core
+    return ring.core
 
 
 def s2_local_decision(ring: PresentedRing) -> ConnectivityReport:

@@ -20,7 +20,6 @@ from ringgraph import (
     complex_from_lists,
     conductor,
     dimension,
-    disconnection_exists,
     face_ring,
     faltings_harness,
     gamma_product,
@@ -37,6 +36,7 @@ from ringgraph import (
     s2_local_decision,
 )
 from ringgraph.complexes import random_pure_complex
+from ringgraph.gamma import routes_agree
 
 SEED = 20260819
 
@@ -103,12 +103,6 @@ def test_criterion_1_worked_example_end_to_end():
     )
 
 
-def _routes_agree(pres) -> bool:
-    via_graph = is_connected(build_gamma(pres)).connected
-    via_partition = disconnection_exists(pres).status != "disconnected"
-    return via_graph == via_partition
-
-
 def test_criterion_2_disconnection_matches_graph_connectivity():
     budget, started, failures = 300.0, time.perf_counter(), []
     checked = 0
@@ -116,7 +110,7 @@ def test_criterion_2_disconnection_matches_graph_connectivity():
     def sweep(n: int, facet_lists):
         nonlocal checked
         pres = face_ring(complex_from_lists(n, facet_lists))
-        if not _routes_agree(pres):
+        if not routes_agree(pres):
             failures.append(f"route disagreement on n={n} facets={facet_lists}")
         checked += 1
 

@@ -120,6 +120,17 @@ class TestSharedHeightEvidence:
         assert len(calls) == 6  # one per pair of the four minimal primes
         assert build_gamma(ring) is graph
 
+    def test_core_built_once_per_ring(self, monkeypatch):
+        # (xyz, xyw) = (x) ∩ (y) ∩ (z, w): the core drops the line z = w = 0
+        # and keeps the two hyperplanes, whose one pair gets one height.
+        x, y, z, w = X, Y, Z, W
+        ring = PresentedRing(R4, Ideal(R4, (x * y * z, x * y * w)))
+        calls = count_height_calls(monkeypatch)
+        reports = [s2_local_decision(ring) for _ in range(3)]
+        assert [r.connected for r in reports] == [True] * 3
+        assert len(calls) == 1
+        assert ring.core.gamma is build_gamma(ring.core)
+
     def test_partition_cap_refuses_before_any_height(self, monkeypatch):
         facets = [list(f) for f in combinations(range(1, 8), 3)][:21]
         ring = face_ring(complex_from_lists(7, facets))

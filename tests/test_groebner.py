@@ -17,7 +17,8 @@ from ringgraph import (
     normal_form,
     s_polynomial,
 )
-from ringgraph.groebner import normal_form_with_quotients
+from ringgraph.groebner import _minimal_monomial_set, normal_form_with_quotients
+from ringgraph.polynomials import mono_mul
 
 from conftest import random_nonzero_polynomial
 
@@ -182,3 +183,51 @@ class TestSPolynomial:
         g = Z ** b + Y
         gb = buchberger([f, g], GREVLEX)
         assert normal_form(s_polynomial(f, g, GREVLEX), gb).is_zero()
+
+
+EXPONENTS = st.tuples(*[st.integers(0, 2)] * 3)
+
+
+class TestMonomialFastPaths:
+    """The monomial shortcuts agree with the general definitions."""
+
+    @given(
+        st.lists(EXPONENTS, max_size=4),
+        st.lists(
+            st.tuples(EXPONENTS, st.booleans(), st.sampled_from([-2, -1, 1, 3])),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_monomial_contains_matches_normal_form(self, gens, terms):
+        basis = buchberger([R3.monomial(m) for m in gens], GREVLEX, ring=R3)
+        # Terms drawn on a generator are in the ideal; the rest may not be.
+        f = R3.zero()
+        for i, (m, on_gen, c) in enumerate(terms):
+            mono = mono_mul(m, gens[i % len(gens)]) if on_gen and gens else m
+            f = f + R3.monomial(mono, c)
+        assert basis.contains(f) == normal_form(f, basis).is_zero()
+
+    def test_monomial_contains_known(self):
+        basis = buchberger([X ** 2, Y * Z], GREVLEX)
+        assert basis.contains(X ** 3 + 2 * X * Y * Z - Y * Z ** 2)
+        assert not basis.contains(X ** 3 + Y)
+        assert not basis.contains(X * Y)
+        assert basis.contains(R3.zero())
+        zero = buchberger([], GREVLEX, ring=R3)
+        assert zero.contains(R3.zero()) and not zero.contains(X)
+        with pytest.raises(RingGraphError):
+            basis.contains(X2)
+
+    @given(st.lists(EXPONENTS, max_size=8))
+    def test_minimal_monomial_set_matches_definition(self, monos):
+        distinct = set(monos)
+        expected = sorted(
+            (
+                m
+                for m in distinct
+                if not any(k != m and all(a <= b for a, b in zip(k, m)) for k in distinct)
+            ),
+            key=lambda t: (sum(t), t),
+        )
+        assert _minimal_monomial_set(monos) == expected

@@ -1,8 +1,11 @@
 """Ideal arithmetic, dimension, presented rings, and ring maps."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringgraph import (
     GREVLEX,
@@ -30,6 +33,7 @@ from ringgraph import (
     saturation,
 )
 from ringgraph.ideals import Flag, provenance
+from ringgraph.polynomials import embed, strip_first
 
 from conftest import random_nonzero_polynomial
 
@@ -102,6 +106,22 @@ class TestIdealOperations:
                 Ideal(R3, a.gens + (a.gens[0] + a.gens[0],)), b
             )
             assert fast.equals(slow)
+
+    def test_monomial_fold_matches_elimination(self):
+        # the n-ary lcm fold against eliminations written out here
+        def eliminated(a, b):
+            ext = PolyRing(QQ, ("t",) + R3.names)
+            shift = (1, 2, 3)
+            t = ext.var(0)
+            gens = [t * embed(f, ext, shift) for f in a.gens]
+            gens += [(ext.one() - t) * embed(g, ext, shift) for g in b.gens]
+            kept = eliminate(Ideal(ext, gens), 1)
+            return Ideal(R3, tuple(strip_first(p, 1, R3) for p in kept.gens))
+
+        rng = random.Random(423)
+        for _ in range(10):
+            a, b, c = (random_monomial_ideal(rng, R3) for _ in range(3))
+            assert ideal_intersection(a, b, c).equals(eliminated(eliminated(a, b), c))
 
     def test_colon_known(self):
         assert ideal_colon(I(X * Y), I(X)).equals(I(Y))
@@ -178,6 +198,68 @@ class TestDimension:
             k = rng.randint(0, 3)
             chosen = rng.sample([X, Y, Z], k)
             assert dimension(Ideal(R3, tuple(chosen))) == 3 - k
+
+
+R4 = PolyRing(QQ, ("x", "y", "z", "w"))
+
+
+def brute_dimension(nvars: int, monos) -> int:
+    """Largest set of variables containing the support of no generator,
+    by enumerating every subset; -1 when a generator is constant."""
+    supports = [{i for i, e in enumerate(m) if e} for m in monos]
+    if set() in supports:
+        return -1
+    return max(
+        size
+        for size in range(nvars + 1)
+        for chosen in combinations(range(nvars), size)
+        if not any(s <= set(chosen) for s in supports)
+    )
+
+
+def groebner_route_dimension(a: Ideal) -> int:
+    """dimension through the reduced basis: a generator with two terms,
+    already in the ideal, turns the monomial lane off."""
+    g = a.gens[0]
+    return dimension(Ideal(a.ring, a.gens + (g + g * a.ring.var(0),)))
+
+
+class TestMonomialDimensionLane:
+    """Monomial generators are read as support masks without a Groebner
+    basis; the general route reads the reduced basis's leading terms."""
+
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=6))
+    def test_matches_groebner_route_and_enumeration(self, monos):
+        a = Ideal(R4, tuple(R4.monomial(m) for m in monos))
+        expected = brute_dimension(4, monos)
+        assert dimension(a) == expected
+        assert groebner_route_dimension(a) == expected
+
+    def test_edge_cases(self):
+        x, y, z, w = R4.gens()
+        cases = [
+            ((x ** 2 * y, x * y ** 2), 3),  # same support, neither divides
+            ((x ** 2 * y, x * y ** 2, z ** 3), 2),
+            ((R4.const(3),), -1),  # a constant: the unit ideal
+            ((x * y, R4.one()), -1),
+            ((x * y, x * y, x * y), 3),  # repeated generators
+            ((x ** 3,), 3),  # powers of a single variable
+            ((x ** 3, x, x ** 2), 3),
+            ((x ** 2, y ** 5), 2),
+            ((x, y * z, x * w), 2),  # x * w meets the single variable x
+            ((y * z * w, y * z), 3),  # nested supports
+            ((R4.zero(), x * y), 3),
+        ]
+        for gens, expected in cases:
+            a = Ideal(R4, gens)
+            assert dimension(a) == expected, gens
+            assert groebner_route_dimension(a) == expected, gens
+        assert dimension(Ideal(R4, ())) == 4
+
+    def test_variable_cap_refuses_monomial_input(self):
+        big = PolyRing(QQ, tuple(f"v{i}" for i in range(17)))
+        with pytest.raises(PreconditionError, match="at most 16"):
+            dimension(Ideal(big, (big.var(0),)))
 
 
 class TestPresentedRing:

@@ -2,10 +2,13 @@
 printer round trip, and fraction syntax."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ringgraph import (
     QQ,
     PrimeField,
+    SessionFile,
     SessionSyntaxError,
     parse_fraction,
     parse_polynomial,
@@ -13,6 +16,9 @@ from ringgraph import (
     print_session,
 )
 from ringgraph.errors import RingGraphError
+from ringgraph.session import tokenize
+
+from conftest import SESSIONS
 
 
 class TestBasicParsing:
@@ -305,3 +311,64 @@ class TestParsePolynomial:
         s = parse_session("field Q;\nring R = [x];")
         ring = s.presented("R").ambient
         assert parse_polynomial("-x - -1", ring) == -ring.var(0) + 1
+
+
+BUNDLED_TOKENS = {
+    path.name: [t.text for t in tokenize(path.read_text()) if t.kind != "eof"]
+    for path in sorted(SESSIONS.glob("*.rg"))
+}
+VOCABULARY = sorted({t for tokens in BUNDLED_TOKENS.values() for t in tokens})
+
+
+def parse_outcome(text: str):
+    """A SessionFile or the RingGraphError it raised: what the CLI turns
+    into exit 0 or exit 2.  Any other exception escapes (exit 1)."""
+    try:
+        return parse_session(text)
+    except RingGraphError as e:  # SessionSyntaxError is one
+        return e
+
+
+class TestParserFuzz:
+    """No input text makes the parser raise outside the error taxonomy."""
+
+    @given(st.text(max_size=200))
+    def test_arbitrary_text(self, text):
+        assert isinstance(parse_outcome(text), (SessionFile, RingGraphError))
+
+    @given(st.text(max_size=120))
+    def test_arbitrary_text_after_a_header(self, text):
+        header = "field Q;\nring R = [x, y];\n"
+        assert isinstance(parse_outcome(header + text), (SessionFile, RingGraphError))
+
+    @given(st.lists(st.sampled_from(VOCABULARY), max_size=40))
+    def test_token_soup(self, tokens):
+        text = "field Q; " + " ".join(tokens)
+        assert isinstance(parse_outcome(text), (SessionFile, RingGraphError))
+
+    @given(
+        st.sampled_from(sorted(BUNDLED_TOKENS)),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["delete", "duplicate", "replace", "swap"]),
+                st.integers(min_value=0),
+                st.integers(min_value=0),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_token_mutants_of_bundled_sessions(self, name, edits):
+        tokens = list(BUNDLED_TOKENS[name])
+        for op, i, j in edits:
+            i %= len(tokens)
+            if op == "delete" and len(tokens) > 1:
+                del tokens[i]
+            elif op == "duplicate":
+                tokens.insert(i, tokens[i])
+            elif op == "replace":
+                tokens[i] = VOCABULARY[j % len(VOCABULARY)]
+            elif op == "swap":
+                j %= len(tokens)
+                tokens[i], tokens[j] = tokens[j], tokens[i]
+        assert isinstance(parse_outcome(" ".join(tokens)), (SessionFile, RingGraphError))
