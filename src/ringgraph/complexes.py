@@ -3,8 +3,10 @@ randomized connectedness harness built on them.
 
 A complex is stored by its facets (pairwise incomparable, vertices
 numbered from 1).  The face ring lives in one variable per vertex; its
-defining ideal is generated by the minimal non-faces, its minimal
-primes are the variable complements of the facets, and for pure
+defining ideal is generated by the minimal non-faces, which by
+Alexander duality are the minimal transversals of the facet complements
+(one bitmask routine, shared with the monomial prime strategy), its
+minimal primes are the variable complements of the facets, and for pure
 complexes the minimal-prime graph has an edge exactly when two facets
 share a codimension-one face.  The harness samples pure complexes with
 a connected graph, adjoins few enough monomial elements, and checks the
@@ -28,7 +30,7 @@ from .gamma import (
     punctured_spectrum_connected,
 )
 from .ideals import Ideal, PresentedRing
-from .minprimes import MinimalPrimeSet, PrimeCertificate, is_equidimensional
+from .minprimes import MinimalPrimeSet, PrimeCertificate, is_equidimensional, minimal_transversals
 from .polynomials import PolyRing
 
 COMPLEX_VERTEX_CAP = 16
@@ -89,22 +91,24 @@ def face_ring_ambient(cplx: SimplicialComplex, field: Field = QQ) -> PolyRing:
 
 def sr_ideal(cplx: SimplicialComplex, ring: PolyRing | None = None) -> Ideal:
     """The defining ideal of the face ring: one squarefree monomial per
-    minimal non-face."""
+    minimal non-face, the minimal transversals of the facet complements
+    (Alexander duality).  The void complex has no face, not even the
+    empty one, so its ideal is the unit ideal."""
     if ring is None:
         ring = face_ring_ambient(cplx)
     if ring.nvars != cplx.n_vertices:
         raise StructuralError("ambient ring has the wrong number of variables")
     n = cplx.n_vertices
-    gens = []
-    for size in range(1, n + 1):
-        for combo in combinations(range(1, n + 1), size):
-            s = frozenset(combo)
-            if cplx.is_face(s):
-                continue
-            if all(cplx.is_face(s - {v}) for v in s):
-                mono = tuple(1 if i + 1 in s else 0 for i in range(n))
-                gens.append(ring.monomial(mono))
-    return Ideal(ring, tuple(gens))
+    covers = minimal_transversals((1 << n) - 1 - sum(1 << (v - 1) for v in f) for f in cplx.facets)
+    return Ideal(ring, tuple(ring.monomial(tuple(m >> i & 1 for i in range(n))) for m in covers))
+
+
+def _prime_order(cplx: SimplicialComplex) -> list:
+    """(facet, complement) pairs in the canonical-key order of the
+    complements' variable primes: by the complement's vertices, negated."""
+    vertices = range(1, cplx.n_vertices + 1)
+    pairs = [(f, [v for v in vertices if v not in f]) for f in cplx.facets]
+    return sorted(pairs, key=lambda fc: [-v for v in fc[1]])
 
 
 def facet_min_primes(cplx: SimplicialComplex, ring: PolyRing | None = None) -> MinimalPrimeSet:
@@ -113,15 +117,11 @@ def facet_min_primes(cplx: SimplicialComplex, ring: PolyRing | None = None) -> M
     ideal as its single prime."""
     if ring is None:
         ring = face_ring_ambient(cplx)
-    ideal_j = sr_ideal(cplx, ring)
-    n = cplx.n_vertices
-    primes = []
-    for f in sorted(cplx.facets, key=lambda f: tuple(sorted(f))):
-        complement = [i for i in range(1, n + 1) if i not in f]
-        p = Ideal(ring, tuple(ring.var(i - 1) for i in complement))
-        primes.append((p, PrimeCertificate("monomial-variable-prime")))
-    primes.sort(key=lambda pc: pc[0].canonical_key())
-    return MinimalPrimeSet(ideal_j, tuple(primes), "computed-monomial")
+    cert = PrimeCertificate("monomial-variable-prime")
+    primes = tuple(
+        (Ideal(ring, tuple(ring.var(v - 1) for v in comp)), cert) for _, comp in _prime_order(cplx)
+    )
+    return MinimalPrimeSet(sr_ideal(cplx, ring), primes, "computed-monomial")
 
 
 def face_ring(cplx: SimplicialComplex, field: Field = QQ) -> PresentedRing:
@@ -138,28 +138,15 @@ def face_ring(cplx: SimplicialComplex, field: Field = QQ) -> PresentedRing:
 
 def facet_adjacency_graph(cplx: SimplicialComplex) -> PrimeGraph:
     """Combinatorial shortcut for pure complexes: facets adjacent when
-    they share all but one vertex.  Must agree with the computed
-    minimal-prime graph; the tests pin that equivalence."""
+    they share all but one vertex, listed in the order of their primes.
+    Must agree with the computed minimal-prime graph; tests pin that."""
     if not is_pure(cplx):
         raise PreconditionError("facet adjacency shortcut needs a pure complex")
-    facets = sorted(cplx.facets, key=lambda f: tuple(sorted(f)))
-    ring = face_ring_ambient(cplx)
-    n = cplx.n_vertices
-    order = []
-    for f in facets:
-        complement = [i for i in range(1, n + 1) if i not in f]
-        p = Ideal(ring, tuple(ring.var(i - 1) for i in complement))
-        order.append((p.canonical_key(), f))
-    order.sort(key=lambda t: t[0])
-    facets = [f for _, f in order]
-    labels = tuple(tuple(sorted(f)) for f in facets)
-    edges = set()
+    facets = [f for f, _ in _prime_order(cplx)]
     size = len(facets[0]) if facets else 0
-    for i in range(len(facets)):
-        for j in range(i + 1, len(facets)):
-            if len(facets[i] & facets[j]) == size - 1:
-                edges.add((i, j))
-    return PrimeGraph(labels, frozenset(edges))
+    pairs = combinations(range(len(facets)), 2)
+    edges = frozenset((i, j) for i, j in pairs if len(facets[i] & facets[j]) == size - 1)
+    return PrimeGraph(tuple(tuple(sorted(f)) for f in facets), edges)
 
 
 def join(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialComplex:

@@ -1,10 +1,12 @@
 """Minimal primes with certificates, equidimensionality, and the
 largest small-dimensional ideal of a reduced presentation.
 
-Two computing strategies are provided.  Monomial ideals branch on the
-variables of the first uncovered generator and prune to the minimal
-covers.  The split strategy factors generators within the certified
-reach of :mod:`ringgraph.factor` and branches: for a generator g1*g2
+Two computing strategies are provided.  A monomial ideal's minimal
+primes are the variable sets of the minimal transversals of its
+generator supports, enumerated on bitmasks by
+:func:`minimal_transversals` (face rings read their minimal non-faces
+from it too).  The split strategy factors generators within the
+certified reach of :mod:`ringgraph.factor` and branches: for g1*g2
 the components split as V(I + g1) together with V((I + g2) : g1^inf);
 the one-sided saturation keeps the second branch away from components
 already inside V(g1) while never losing a prime (a two-sided saturation
@@ -31,7 +33,7 @@ from .ideals import (
     ring_map_kernel,
     saturation,
 )
-from .polynomials import mono_support
+from .polynomials import mono_mask, mono_support
 
 CERTIFICATE_KINDS = (
     "monomial-variable-prime",
@@ -159,41 +161,50 @@ def verify_decomposition(a: Ideal, primes) -> DecompositionReport:
 # monomial strategy
 
 
+def _bits(mask: int) -> tuple:
+    """The set bits of a mask, lowest first."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def minimal_transversals(masks) -> list:
+    """The inclusion-minimal masks meeting every mask of the family,
+    sorted by (popcount, set bits).
+
+    MMCS (Murakami & Uno, 2014): branch on the candidates of an
+    uncovered member with fewest of them, and keep a branch only while
+    every chosen vertex is still the sole cover of some member, so each
+    minimal transversal is reached exactly once.  The empty family has
+    the single transversal 0; a family holding 0 has none.
+    """
+
+    def mmcs(chosen, cand, uncov, crit):  # crit[u]: members u alone covers
+        if not uncov:
+            yield chosen
+            return
+        branch = cand & min(uncov, key=lambda e: (e & cand).bit_count())
+        cand &= ~branch
+        while branch:
+            v = branch & -branch
+            branch ^= v
+            kept = {u: [e for e in es if not e & v] for u, es in crit.items()}
+            if all(kept.values()):
+                kept[v] = [e for e in uncov if e & v]
+                yield from mmcs(chosen | v, cand, [e for e in uncov if not e & v], kept)
+            cand |= v
+
+    found = mmcs(0, -1, list(set(masks)), {})  # -1: every vertex is a candidate
+    return sorted(found, key=lambda m: (m.bit_count(), _bits(m)))
+
+
 def monomial_minimal_primes(a: Ideal) -> MinimalPrimeSet:
-    """Minimal primes of a monomial ideal: minimal covers of the
-    generator supports, found by branching on the first uncovered
-    generator and pruning non-minimal covers."""
-    supports = []
-    for g in a.gens:
-        if g.is_zero():
-            continue
-        if not g.is_monomial():
-            raise StructuralError("monomial strategy requires monomial generators")
-        supports.append(frozenset(mono_support(next(iter(g.terms)))))
-    ring = a.ring
-
-    covers: set = set()
-
-    def branch(chosen: frozenset):
-        for supp in supports:
-            if not (supp & chosen):
-                if not supp:  # a unit generator: no cover exists
-                    return
-                for v in sorted(supp):
-                    branch(chosen | {v})
-                return
-        covers.add(chosen)
-
-    branch(frozenset())
-    minimal = [c for c in covers if not any(o < c for o in covers)]
-    minimal.sort(key=lambda c: (len(c), tuple(sorted(c))))
-    primes = tuple(
-        (
-            Ideal(ring, tuple(ring.var(i) for i in sorted(c))),
-            PrimeCertificate("monomial-variable-prime"),
-        )
-        for c in minimal
-    )
+    """Minimal primes of a monomial ideal: one variable prime per
+    minimal transversal of the generator supports."""
+    gens = [g for g in a.gens if not g.is_zero()]
+    if not all(g.is_monomial() for g in gens):
+        raise StructuralError("monomial strategy requires monomial generators")
+    covers = minimal_transversals(mono_mask(next(iter(g.terms))) for g in gens)
+    cert = PrimeCertificate("monomial-variable-prime")
+    primes = tuple((Ideal(a.ring, tuple(a.ring.var(i) for i in _bits(c))), cert) for c in covers)
     return MinimalPrimeSet(a, primes, "computed-monomial")
 
 

@@ -4,6 +4,7 @@ and the randomized punctured-connectedness harness."""
 import json
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -12,6 +13,7 @@ from ringgraph import (
     Ideal,
     RingGraphError,
     SimplicialComplex,
+    StructuralError,
     build_gamma,
     complex_from_lists,
     face_ring,
@@ -28,6 +30,12 @@ from ringgraph import complexes as complexes_module
 from ringgraph.complexes import default_generator_count, random_pure_complex
 
 from oracles import minimal_nonface_supports
+
+
+def random_impure_complex(rng, n):
+    """Facets of mixed sizes on n vertices, reduced to an antichain."""
+    drawn = {frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(rng.randint(1, 8))}
+    return SimplicialComplex(n, tuple(f for f in drawn if not any(f < g for g in drawn)))
 
 
 def four_cycle():
@@ -75,17 +83,28 @@ class TestFaceRing:
         assert "x3" in {str(g) for g in sr_ideal(c).gens}
 
     def test_sr_ideal_matches_oracle(self, rng):
+        complexes = []
         for _ in range(30):
-            n = rng.randint(2, 5)
+            n = rng.randint(2, 8)
             size = rng.randint(1, n)
             pool = list(combinations(range(1, n + 1), size))
-            count = rng.randint(1, len(pool))
-            c = random_pure_complex(rng, n, size, count)
+            count = rng.randint(1, min(len(pool), 12))
+            complexes.append(random_pure_complex(rng, n, size, count))
+            complexes.append(random_impure_complex(rng, n))
+        # the vertex cap: 300 facets of size 8 on 16 vertices
+        complexes.append(random_pure_complex(random.Random(16), 16, 8, 300))
+        for c in complexes:
             got = set()
             for g in sr_ideal(c).gens:
                 mono = next(iter(g.terms))
                 got.add(frozenset(i for i, e in enumerate(mono) if e))
-            assert got == minimal_nonface_supports(n, [set(f) for f in c.facets])
+            assert got == minimal_nonface_supports(c.n_vertices, [set(f) for f in c.facets])
+
+    def test_void_complex_has_unit_ideal(self):
+        void = SimplicialComplex(3, (), allow_void=True)
+        assert sr_ideal(void).is_unit()
+        with pytest.raises(StructuralError, match="defining ideal is the unit ideal"):
+            face_ring(void)
 
     def test_facet_primes_are_complements(self):
         mps = facet_min_primes(four_cycle())
@@ -98,6 +117,37 @@ class TestFaceRing:
         assert pres.reduced == (True, "certified")
         assert pres.equidimensional == (True, "certified")
         assert pres.min_primes.provenance == "computed-monomial"
+
+
+class TestFacetOrder:
+    """facet_min_primes and facet_adjacency_graph list facets in one order,
+    the canonical-key order of the facets' variable primes."""
+
+    def complexes(self, rng):
+        out = [complex_from_lists(n, [range(1, n + 1)]) for n in (1, 4)]  # full simplices
+        for _ in range(40):
+            n = rng.randint(2, 7)
+            size = rng.randint(1, n)
+            count = rng.randint(1, min(comb(n, size), 8))
+            out.append(random_pure_complex(rng, n, size, count))
+            out.append(random_impure_complex(rng, n))
+        return out
+
+    def test_primes_in_canonical_key_order(self, rng):
+        for c in self.complexes(rng):
+            keys = [p.canonical_key() for p in facet_min_primes(c).ideals()]
+            assert keys == sorted(keys)
+
+    def test_adjacency_labels_are_the_facets_of_the_primes(self, rng):
+        for c in self.complexes(rng):
+            if not is_pure(c):
+                continue
+            primes = facet_min_primes(c).ideals()
+            labels = facet_adjacency_graph(c).labels
+            assert len(labels) == len(primes)
+            for label, p in zip(labels, primes):
+                complement = {f"x{v}" for v in range(1, c.n_vertices + 1) if v not in label}
+                assert set(p.min_gen_strings()) == complement
 
 
 class TestFacetAdjacency:

@@ -26,6 +26,7 @@ from ringgraph import (
     top_dimensional_primes,
     verify_decomposition,
 )
+from ringgraph.minprimes import minimal_transversals
 
 from oracles import brute_minimal_covers
 
@@ -83,6 +84,58 @@ class TestMonomialRoute:
     def test_rejects_non_monomial(self):
         with pytest.raises(RingGraphError):
             monomial_minimal_primes(I(X + Y ** 2))
+
+
+def mask_of(indices):
+    return sum(1 << i for i in indices)
+
+
+def bits_of(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+class TestMinimalTransversals:
+    def test_empty_family_has_the_empty_transversal(self):
+        assert minimal_transversals([]) == [0]
+
+    def test_family_holding_zero_has_none(self):
+        assert minimal_transversals([0]) == []
+        assert minimal_transversals([0b011, 0, 0b100]) == []
+
+    def test_repeated_and_non_minimal_members(self):
+        # {0,1} repeated and its superset {0,1,2} change nothing
+        plain = minimal_transversals([0b0011, 0b1100])
+        assert plain == [0b0101, 0b1001, 0b0110, 0b1010]  # {0,2} {0,3} {1,2} {1,3}
+        assert minimal_transversals([0b0011, 0b0011, 0b0111, 0b1100, 0b1111]) == plain
+
+    def test_against_brute_force_oracle(self):
+        rng = random.Random(443)
+        for _ in range(400):
+            n = rng.randint(1, 7)
+            family = [
+                mask_of(rng.sample(range(n), rng.randint(0 if rng.random() < 0.05 else 1, n)))
+                for _ in range(rng.randint(0, 9))
+            ]
+            family += rng.sample(family, min(len(family), rng.randint(0, 2)))  # repeats
+            got = minimal_transversals(family)
+            assert len(got) == len(set(got))
+            assert got == sorted(got, key=lambda m: (bin(m).count("1"), bits_of(m)))
+            expected = brute_minimal_covers(n, [set(bits_of(m)) for m in family])
+            assert {frozenset(bits_of(m)) for m in got} == expected
+
+    def test_prime_order_is_size_then_indices(self):
+        rng = random.Random(444)
+        ring = PolyRing(QQ, tuple(f"x{i}" for i in range(1, 7)))
+        for _ in range(40):
+            gens = [
+                ring.monomial(tuple(1 if i in supp else 0 for i in range(6)))
+                for supp in (set(rng.sample(range(6), rng.randint(1, 4))) for _ in range(rng.randint(1, 6)))
+            ]
+            printed = [
+                tuple(sorted(ring.names.index(v) for v in p.min_gen_strings()))
+                for p in monomial_minimal_primes(Ideal(ring, tuple(gens))).ideals()
+            ]
+            assert printed == sorted(printed, key=lambda c: (len(c), c))
 
 
 class TestSplitRoute:
