@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ringgraph import faltings_harness
+from ringgraph import RingGraphError, faltings_harness
 
 
 def main() -> int:
@@ -23,12 +23,16 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=None, help="write the JSON report here")
     args = parser.parse_args()
 
-    report = faltings_harness(
-        trials=args.trials,
-        seed=args.seed,
-        max_vertices=args.max_vertices,
-        max_facet_size=args.max_facet_size,
-    )
+    try:
+        report = faltings_harness(
+            trials=args.trials,
+            seed=args.seed,
+            max_vertices=args.max_vertices,
+            max_facet_size=args.max_facet_size,
+        )
+    except RingGraphError as e:
+        print(f"refused: {e}", file=sys.stderr)
+        return 2
     if args.out is not None:
         args.out.write_text(report.to_json())
         print(f"report written to {args.out}")

@@ -263,8 +263,10 @@ def faltings_harness(
     that the punctured spectrum of the quotient stays connected.  Any disconnected trial is a
     failure and its reproduction data is recorded.
     """
-    if max_vertices < 2 or max_vertices > 12:
-        raise PreconditionError("vertex bound must lie in 2..12")
+    if max_vertices < 3 or max_vertices > 12:
+        raise PreconditionError("vertex bound must lie in 3..12")
+    if max_facet_size < 2:
+        raise PreconditionError("facet-size bound must be at least 2")
     rng = random.Random(seed)
     report = HarnessReport(trials=trials, seed=seed, passed=0, failed=0)
     for idx in range(trials):

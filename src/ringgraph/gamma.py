@@ -266,18 +266,19 @@ def disconnection_exists(ring: PresentedRing) -> ConnectivityReport:
     if k <= 1:
         return ConnectivityReport("connected", True, (tuple(range(k)),), labels, provenance=prov)
 
+    near = [0] * k  # near[i]: the primes whose sum with prime i has height below two
+    for (i, j), h in heights.items():
+        if h < 2:
+            near[i] |= 1 << j
+            near[j] |= 1 << i
     for mask in range(2 ** (k - 1) - 1):
-        side_a = [0] + [i + 1 for i in range(k - 1) if mask >> i & 1]
-        side_b = [i for i in range(k) if i not in side_a]
-        ok = True
-        for i in side_a:
-            for j in side_b:
-                if heights[(min(i, j), max(i, j))] < 2:
-                    ok = False
-                    break
-            if not ok:
+        side = 1 | mask << 1  # prime 0 is always on side a
+        for i in range(k):
+            if side >> i & 1 and near[i] & ~side:
                 break
-        if ok:
+        else:
+            side_a = [i for i in range(k) if side >> i & 1]
+            side_b = [i for i in range(k) if not side >> i & 1]
             inter_a = ideal_intersection(*(primes[i] for i in side_a))
             inter_b = ideal_intersection(*(primes[j] for j in side_b))
             witness = {
@@ -292,7 +293,7 @@ def disconnection_exists(ring: PresentedRing) -> ConnectivityReport:
                 ],
                 "partition_count_searched": mask + 1,
             }
-            comps = (tuple(sorted(side_a)), tuple(sorted(side_b)))
+            comps = (tuple(side_a), tuple(side_b))
             return ConnectivityReport(
                 "disconnected", False, comps, labels, witness, provenance=prov
             )

@@ -242,6 +242,12 @@ def dimension(a: Ideal) -> int:
         masks = {mono_mask(m) for g in a.gens for m in g.terms}
     else:
         masks = {mono_mask(g.leading_monomial(GREVLEX)) for g in a.groebner().generators}
+    return _support_dimension(n, masks)
+
+
+def _support_dimension(n: int, masks) -> int:
+    """Dimension of the quotient by the monomial ideal whose generator
+    supports are ``masks``; -1 for the unit ideal."""
     if 0 in masks:  # a constant: the unit ideal
         return -1
     # Only the minimal supports matter: drop those meeting a single
@@ -311,10 +317,11 @@ class PresentedRing:
     provenance taints every downstream report.  ``gamma`` holds the
     minimal-prime graph once :func:`ringgraph.gamma.build_gamma` has
     built it, and ``core`` the equidimensional core once
-    :func:`ringgraph.s2.s2_local_decision` has built it.
+    :func:`ringgraph.s2.s2_local_decision` has built it.  ``_masks``
+    holds a monomial defining ideal's support masks, and None otherwise.
     """
 
-    __slots__ = ("ambient", "defining", "_dim", "_reduced", "_equidim", "_min_primes", "gamma", "core")
+    __slots__ = ("ambient", "defining", "_dim", "_reduced", "_equidim", "_min_primes", "gamma", "core", "_masks")
 
     def __init__(self, ambient: PolyRing, defining: Ideal):
         if defining.ring != ambient:
@@ -329,13 +336,11 @@ class PresentedRing:
         self._min_primes = None
         self.gamma = None
         self.core = None
-        self._auto_certify_reduced()
-
-    def _auto_certify_reduced(self):
-        gens = self.defining.groebner().generators
+        self._masks = None
+        gens = defining.groebner().generators
         if all(g.is_monomial() for g in gens):
-            squarefree = all(e <= 1 for g in gens for e in next(iter(g.terms)))
-            self.certify_reduced(squarefree)
+            self._masks = frozenset(mono_mask(next(iter(g.terms))) for g in gens)
+            self.certify_reduced(all(e <= 1 for g in gens for e in next(iter(g.terms))))
 
     def dim(self) -> int:
         if self._dim is None:
@@ -414,7 +419,8 @@ def height_in_quotient(ring: PresentedRing, a: Ideal) -> int | float:
 
     Valid for equidimensional presentations only, via the difference of
     dimensions; refuses when equidimensionality is neither certified
-    nor asserted.  The unit image gets the +infinity sentinel.
+    nor asserted.  The unit image gets the +infinity sentinel.  A sum of
+    monomial ideals has its dimension read off their support masks.
     """
     flag = ring.equidimensional
     if flag is None:
@@ -425,10 +431,17 @@ def height_in_quotient(ring: PresentedRing, a: Ideal) -> int | float:
         raise PreconditionError(
             "height via dimension difference requires an equidimensional presentation"
         )
-    d = dimension(ideal_sum(ring.defining, a))
+    if a.ring != ring.ambient:
+        raise StructuralError("sum of ideals in different rings")
+    top = ring.dim()  # also refuses rings beyond the variable cap
+    if ring._masks is not None and all(len(g.terms) <= 1 for g in a.gens):
+        masks = ring._masks.union(mono_mask(m) for g in a.gens for m in g.terms)
+        d = _support_dimension(a.ring.nvars, masks)
+    else:
+        d = dimension(ideal_sum(ring.defining, a))
     if d == -1:
         return HEIGHT_INFINITY
-    return ring.dim() - d
+    return top - d
 
 
 # ---------------------------------------------------------------------------

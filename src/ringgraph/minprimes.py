@@ -134,13 +134,21 @@ class DecompositionReport:
 
 
 def verify_decomposition(a: Ideal, primes) -> DecompositionReport:
-    """Structured containment/radical/incomparability check."""
+    """Structured containment/radical/incomparability check: on support
+    masks (:func:`_verify_on_masks`) for a monomial ideal and primes
+    generated by variables, through Groebner bases otherwise."""
     primes = list(primes)
     failures = []
     if not primes:
         if not a.is_unit():
             failures.append("no primes supplied for a proper ideal")
         return DecompositionReport(not failures, failures)
+    if any(p.ring != a.ring for p in primes):
+        raise StructuralError("primes and ideal live in different rings")
+    monos = [[m for g in p.gens for m in g.terms] for p in primes]
+    if all(sum(m) == 1 for ms in monos for m in ms) and all(len(g.terms) <= 1 for g in a.gens):
+        # a variable has a one-bit mask, so the sum of the distinct ones is their union
+        return _verify_on_masks(a, [sum(set(map(mono_mask, ms))) for ms in monos])
     for idx, p in enumerate(primes):
         if p.is_unit():
             failures.append(f"prime #{idx} is the unit ideal")
@@ -154,6 +162,40 @@ def verify_decomposition(a: Ideal, primes) -> DecompositionReport:
         for j in range(len(primes)):
             if i != j and primes[i].contains_ideal(primes[j]):
                 failures.append(f"prime #{i} contains prime #{j}; not minimal")
+    return DecompositionReport(not failures, failures)
+
+
+def _verify_on_masks(a: Ideal, prime_masks: list) -> DecompositionReport:
+    """:func:`verify_decomposition` for a monomial ideal and the variable
+    sets of its primes.  A monomial lies in a variable prime when its
+    support meets it, and in Rad(a) when its support contains a
+    generator's; the primes' intersection is the lcm fold of
+    :func:`ringgraph.ideals.ideal_intersection`, on masks."""
+    gens = {mono_mask(m) for g in a.gens for m in g.terms}
+    failures = [
+        f"prime #{idx} does not contain the ideal"
+        for idx, p in enumerate(prime_masks)
+        if not all(g & p for g in gens)
+    ]
+    inter = [0]  # supports of the minimal generators, from the unit ideal
+    for p in prime_masks:
+        kept = [f for f in inter if f & p]  # f | v is f for v in f & p
+        lcms = {f | 1 << v for f in inter if not f & p for v in _bits(p)}
+        for c in sorted(lcms, key=int.bit_count):
+            if all(k & ~c for k in kept):
+                kept.append(c)
+        inter = kept
+    for m in inter:
+        if all(g & ~m for g in gens):
+            mono = a.ring.monomial(tuple(m >> i & 1 for i in range(a.ring.nvars)))
+            failures.append(f"intersection generator {mono} escapes the radical")
+            break
+    failures += [
+        f"prime #{i} contains prime #{j}; not minimal"
+        for i, p in enumerate(prime_masks)
+        for j, q in enumerate(prime_masks)
+        if i != j and not q & ~p
+    ]
     return DecompositionReport(not failures, failures)
 
 

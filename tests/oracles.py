@@ -3,12 +3,17 @@
 Everything here is deliberately written against plain Python data
 (integer indices, sets, edge lists) rather than the package's own
 abstractions, so that agreement between an oracle and the production
-code is evidence and not circularity.
+code is evidence and not circularity.  The one exception is
+:func:`groebner_verify_decomposition`, the decomposition check through
+Groebner bases, kept here as the reference for the support-mask lane.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from ringgraph.ideals import ideal_intersection, radical_membership
+from ringgraph.minprimes import DecompositionReport
 
 
 def brute_minimal_covers(n: int, supports: list) -> set:
@@ -91,3 +96,53 @@ def minimal_nonface_supports(n: int, facets: list) -> set:
             if all(is_face(s - {v}) for v in s):
                 nonfaces.append(frozenset(v - 1 for v in s))
     return set(nonfaces)
+
+
+def groebner_verify_decomposition(a, primes) -> DecompositionReport:
+    """verify_decomposition through Groebner bases alone: containment,
+    radical and incomparability by ideal membership."""
+    primes = list(primes)
+    failures = []
+    if not primes:
+        if not a.is_unit():
+            failures.append("no primes supplied for a proper ideal")
+        return DecompositionReport(not failures, failures)
+    for idx, p in enumerate(primes):
+        if p.is_unit():
+            failures.append(f"prime #{idx} is the unit ideal")
+        elif not p.contains_ideal(a):
+            failures.append(f"prime #{idx} does not contain the ideal")
+    for g in ideal_intersection(*primes).canonical_gens():
+        if not radical_membership(g, a):
+            failures.append(f"intersection generator {g} escapes the radical")
+            break
+    for i in range(len(primes)):
+        for j in range(len(primes)):
+            if i != j and primes[i].contains_ideal(primes[j]):
+                failures.append(f"prime #{i} contains prime #{j}; not minimal")
+    return DecompositionReport(not failures, failures)
+
+
+def first_disconnecting_partition(k: int, heights: dict) -> tuple:
+    """The first bipartition of range(k), with 0 on side a, whose cross
+    pairs all have height at least two, searched in the order of the
+    bits of a counter over the other k - 1 vertices, by list scans.
+
+    Returns (side_a, side_b, partitions searched); both sides are None
+    when every bipartition is crossed by a pair of height below two.
+    ``heights`` maps each pair (i, j), i < j, to its height.
+    """
+    for mask in range(2 ** (k - 1) - 1):
+        side_a = [0] + [i + 1 for i in range(k - 1) if mask >> i & 1]
+        side_b = [i for i in range(k) if i not in side_a]
+        ok = True
+        for i in side_a:
+            for j in side_b:
+                if heights[(min(i, j), max(i, j))] < 2:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return side_a, side_b, mask + 1
+    return None, None, 2 ** (k - 1) - 1

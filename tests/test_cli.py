@@ -233,6 +233,20 @@ class TestCommands:
         assert code == 2
         assert "positive" in err
 
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            ("--max-vertices", "2"),
+            ("--max-vertices", "13"),
+            ("--max-facet-size", "1"),
+            ("--max-facet-size", "0"),
+        ],
+    )
+    def test_faltings_refuses_bounds_outside_the_harness_range(self, capsys, bound):
+        code, _, err = run(capsys, "faltings", "--trials", "3", "--seed", "1", *bound)
+        assert code == 2
+        assert err.startswith("refused:")
+
 
 class TestStoredGraphs:
     def write_gamma(self, capsys, tmp_path, session, name, fmt):

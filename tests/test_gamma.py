@@ -4,11 +4,13 @@ spectra, the top-cohomology criterion, and graph products."""
 import json
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from ringgraph import (
     QQ,
+    ConnectivityReport,
     Ideal,
     PolyRing,
     PreconditionError,
@@ -22,6 +24,7 @@ from ringgraph import (
     gamma_product,
     graph_from_text,
     hl_nonvanishing,
+    ideal_intersection,
     is_connected,
     is_m_primary,
     minimal_primes,
@@ -31,9 +34,10 @@ from ringgraph import (
     s2_local_decision,
 )
 from ringgraph import gamma as gamma_module
+from ringgraph.complexes import random_pure_complex
 
 from conftest import random_nonzero_polynomial
-from oracles import bfs_components, bfs_connected, canonical_graph
+from oracles import bfs_components, bfs_connected, canonical_graph, first_disconnecting_partition
 
 R4 = PolyRing(QQ, ("x", "y", "z", "w"))
 X, Y, Z, W = R4.gens()
@@ -184,6 +188,49 @@ class TestConnectivityRoutes:
         rep = disconnection_exists(four_cycle_ring())
         assert rep.status == "connected"
         assert rep.witness["partition_count_searched"] == 2 ** 3 - 1
+
+
+def list_route_report(ring) -> ConnectivityReport:
+    """disconnection_exists's report rebuilt from the list-scan oracle."""
+    graph = build_gamma(ring)
+    k, labels, heights, prov = graph.n, graph.labels, graph.evidence_dict(), graph.provenance
+    if k <= 1:
+        return ConnectivityReport("connected", True, (tuple(range(k)),), labels, provenance=prov)
+    side_a, side_b, count = first_disconnecting_partition(k, heights)
+    if side_a is None:
+        witness = {"partition_count_searched": count}
+        return ConnectivityReport("connected", True, (tuple(range(k)),), labels, witness, provenance=prov)
+    witness = {
+        "side_a": [list(labels[i]) for i in side_a],
+        "side_b": [list(labels[j]) for j in side_b],
+        "side_a_intersection": ideal_intersection(*(graph.payloads[i] for i in side_a)).min_gen_strings(),
+        "side_b_intersection": ideal_intersection(*(graph.payloads[j] for j in side_b)).min_gen_strings(),
+        "cross_heights": [
+            [i, j, "inf" if h == float("inf") else h]
+            for i in side_a
+            for j in side_b
+            for h in [heights[(min(i, j), max(i, j))]]
+        ],
+        "partition_count_searched": count,
+    }
+    comps = (tuple(side_a), tuple(side_b))
+    return ConnectivityReport("disconnected", False, comps, labels, witness, provenance=prov)
+
+
+class TestBipartitionSearch:
+    def test_matches_list_scan_oracle(self):
+        rng = random.Random(515)
+        statuses = []
+        for _ in range(60):
+            n = rng.randint(4, 7)
+            size = rng.randint(2, min(4, n - 1))
+            count = rng.randint(1, min(12, comb(n, size)))
+            ring = face_ring(random_pure_complex(rng, n, size, count))
+            report = disconnection_exists(ring)
+            assert report == list_route_report(ring)
+            statuses.append((report.status, len(ring.min_primes.primes)))
+        assert {s for s, _ in statuses} == {"connected", "disconnected"}
+        assert max(k for _, k in statuses) == 12
 
 
 class TestPuncturedSpectrum:

@@ -32,6 +32,7 @@ from ringgraph import (
     ring_map_kernel,
     saturation,
 )
+from ringgraph import ideals as ideals_module
 from ringgraph.ideals import Flag, provenance
 from ringgraph.polynomials import embed, strip_first
 
@@ -330,6 +331,36 @@ class TestPresentedRing:
         assert height_in_quotient(pres, I(X, Y, Z)) == 2
         assert height_in_quotient(pres, I(X + 1)) == 1  # V(x+1, xy) is the line x=-1, y=0
         assert height_in_quotient(pres, I(X, X + 1)) == HEIGHT_INFINITY
+
+    def test_height_matches_dimension_difference(self, monkeypatch):
+        """A monomial ring and a monomial ideal take the support-mask
+        lane, which calls no ``dimension``; anything else calls it once."""
+        rng = random.Random(77)
+        ring4 = PolyRing(QQ, ("x1", "x2", "x3", "x4"))
+        x1, x2, _, _ = ring4.gens()
+        cases = []
+        for _ in range(120):
+            pres = PresentedRing(ring4, random_monomial_ideal(rng, ring4))
+            gens = random_monomial_ideal(rng, ring4, max_exp=1).gens
+            if rng.random() < 0.2:
+                gens += (ring4.const(rng.choice([0, 3])),)
+            cases.append((pres, Ideal(ring4, gens), 0))
+        curve = PresentedRing(ring4, Ideal(ring4, (x1 ** 2 - x2 ** 2,)))
+        cases += [(curve, Ideal(ring4, (x1 - x2,)), 1), (curve, Ideal(ring4, (x1 * x2,)), 1)]
+        cases.append((cases[0][0], Ideal(ring4, (x1 + x2,)), 1))
+        cases.append((cases[0][0], Ideal(ring4, (ring4.one(),)), 0))
+        expected = []
+        for pres, a, _ in cases:
+            pres.assert_equidimensional()  # the flag only gates the dimension difference
+            top, d = pres.dim(), dimension(ideal_sum(pres.defining, a))
+            expected.append(HEIGHT_INFINITY if d == -1 else top - d)
+        assert HEIGHT_INFINITY in expected
+        calls = []
+        monkeypatch.setattr(ideals_module, "dimension", lambda a: calls.append(a) or dimension(a))
+        for (pres, a, dimension_calls), want in zip(cases, expected):
+            del calls[:]
+            assert height_in_quotient(pres, a) == want, a
+            assert len(calls) == dimension_calls, a
 
     def test_image_gens_drop_zero(self):
         pres = PresentedRing(R3, I(X * Y))

@@ -3,9 +3,13 @@ splitting route, certificates, and the equidimensionality machinery."""
 
 import inspect
 import random
+import re
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import ringgraph
 from ringgraph import (
@@ -14,8 +18,11 @@ from ringgraph import (
     PolyRing,
     PresentedRing,
     PrimeCertificate,
+    PrimeField,
     RingGraphError,
     RingMap,
+    StructuralError,
+    face_ring,
     image_domain_presentation,
     is_equidimensional,
     j_ideal,
@@ -26,12 +33,14 @@ from ringgraph import (
     top_dimensional_primes,
     verify_decomposition,
 )
+from ringgraph.complexes import facet_min_primes, random_pure_complex
 from ringgraph.minprimes import minimal_transversals
 
-from oracles import brute_minimal_covers
+from oracles import brute_minimal_covers, groebner_verify_decomposition
 
 R3 = PolyRing(QQ, ("x", "y", "z"))
 X, Y, Z = R3.gens()
+R4 = PolyRing(QQ, ("x1", "x2", "x3", "x4"))
 
 
 def I(*gens):
@@ -189,6 +198,91 @@ class TestVerification:
         good = minimal_primes(I(X * Y), asserted=[I(X), I(Y)])
         assert good.provenance == "asserted"
         assert good.is_asserted()
+
+    def test_primes_from_another_ring_refused(self):
+        other = PolyRing(PrimeField(7), ("x", "y", "z"))
+        x, y, _ = other.gens()
+        with pytest.raises(StructuralError):
+            verify_decomposition(I(X * Y), [Ideal(other, (x,)), Ideal(other, (y,))])
+        with pytest.raises(StructuralError):
+            verify_decomposition(I(X ** 2 - Y ** 2), [Ideal(other, (x - y,)), Ideal(other, (x + y,))])
+
+    def test_face_ring_makes_no_containment_call(self, monkeypatch):
+        calls = []
+        original = Ideal.contains_ideal
+
+        def counted(self, other):
+            calls.append(other)
+            return original(self, other)
+
+        monkeypatch.setattr(Ideal, "contains_ideal", counted)
+        ring = face_ring(random_pure_complex(random.Random(3), 10, 4, 20))
+        assert len(ring.min_primes.primes) == 20
+        assert calls == []
+
+    @given(
+        gens=st.lists(
+            st.one_of(
+                st.tuples(st.tuples(*[st.integers(0, 2)] * 4), st.sampled_from([1, -2, 3])),
+                st.just(((0, 0, 0, 0), 5)),  # a constant: the unit ideal
+                st.just(None),  # the zero polynomial
+            ),
+            max_size=5,
+        ),
+        pick=st.integers(0, 11),
+        arbitrary=st.lists(st.frozensets(st.integers(0, 3)), max_size=5),
+    )
+    def test_mask_lane_matches_groebner_route(self, gens, pick, arbitrary):
+        """Monomial ideals (squarefree or not, with zero and constant
+        generators) against their true primes, four corruptions of them,
+        and an arbitrary list of variable primes."""
+        a = Ideal(R4, [R4.zero() if g is None else R4.monomial(*g) for g in gens])
+        supports = [{i for i in range(4) if g[0][i]} for g in gens if g is not None]
+        covers = sorted(brute_minimal_covers(4, supports), key=sorted)
+        primes = [variable_ideal(R4, c) for c in covers]
+        assert verify_decomposition(a, primes).ok
+
+        def corrupted(extra):
+            out = list(primes)
+            out.insert(pick % (len(out) + 1), extra)
+            return out
+
+        candidates = [primes, corrupted(Ideal(R4, ())), [variable_ideal(R4, c) for c in arbitrary]]
+        if primes:
+            drop = pick % len(primes)
+            candidates.append(primes[:drop] + primes[drop + 1:])
+        for c in covers:
+            outside = sorted(set(range(4)) - c)
+            if outside:  # a prime strictly above a minimal one
+                candidates.append(corrupted(variable_ideal(R4, c | {outside[pick % len(outside)]})))
+                break
+        if supports:  # the variables off one generator's support miss it
+            candidates.append(corrupted(variable_ideal(R4, set(range(4)) - supports[0])))
+
+        def unnamed(report):
+            return {re.sub(r"generator .* escapes", "generator escapes", f) for f in report.failures}
+
+        for cand in candidates:
+            fast = verify_decomposition(a, cand)
+            slow = groebner_verify_decomposition(a, cand)
+            assert fast.ok == slow.ok, cand
+            assert unnamed(fast) == unnamed(slow), cand
+
+    def test_mask_lane_matches_groebner_route_on_face_rings(self):
+        """Facet primes of random complexes, each one dropped in turn:
+        the escaping generators are then the dropped facets' monomials."""
+        rng = random.Random(8)
+        for _ in range(30):
+            n = rng.randint(5, 7)
+            size = rng.randint(2, 4)
+            count = rng.randint(2, min(8, comb(n, size)))
+            mps = facet_min_primes(random_pure_complex(rng, n, size, count))
+            a, primes = mps.for_ideal, list(mps.ideals())
+            for drop in range(len(primes)):
+                cand = primes[:drop] + primes[drop + 1:]
+                fast = verify_decomposition(a, cand)
+                slow = groebner_verify_decomposition(a, cand)
+                assert (fast.ok, len(fast.failures)) == (slow.ok, len(slow.failures)) == (False, 1)
 
     def test_certificate_kinds_checked(self):
         with pytest.raises(RingGraphError):

@@ -1,5 +1,6 @@
 """Smoke runs of the command-line scripts under scripts/."""
 
+import json
 import os
 import subprocess
 import sys
@@ -25,3 +26,23 @@ def test_sweep_dual_routes_small_bounds():
     assert proc.returncode == 0, proc.stderr
     assert "disagreements=0" in proc.stdout
     assert "checked=0" not in proc.stdout
+
+
+def test_run_harness_writes_a_report(tmp_path):
+    out = tmp_path / "harness.json"
+    proc = run_script("run_harness.py", "--trials", "3", "--seed", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "ok=True" in proc.stdout
+    assert json.loads(out.read_text())["trials"] == 3
+
+
+def test_run_harness_refuses_bounds_without_a_traceback():
+    proc = run_script("run_harness.py", "--max-vertices", "2")
+    assert proc.returncode != 0
+    assert proc.stderr.startswith("refused:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_worked_example_runs():
+    proc = run_script("worked_example.py")
+    assert proc.returncode == 0, proc.stderr
