@@ -146,7 +146,9 @@ def verify_decomposition(a: Ideal, primes) -> DecompositionReport:
     if any(p.ring != a.ring for p in primes):
         raise StructuralError("primes and ideal live in different rings")
     monos = [[m for g in p.gens for m in g.terms] for p in primes]
-    if all(sum(m) == 1 for ms in monos for m in ms) and all(len(g.terms) <= 1 for g in a.gens):
+    # one term per generator: (x + y) has terms of degree one but is not (x, y)
+    one_term = all(len(g.terms) <= 1 for f in (a, *primes) for g in f.gens)
+    if one_term and all(sum(m) == 1 for ms in monos for m in ms):
         # a variable has a one-bit mask, so the sum of the distinct ones is their union
         return _verify_on_masks(a, [sum(set(map(mono_mask, ms))) for ms in monos])
     for idx, p in enumerate(primes):

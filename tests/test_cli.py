@@ -57,6 +57,17 @@ class TestExitCodes:
         assert code == 2
         assert "refused" in err
 
+    def test_asserted_linear_prime_missing_the_ideal_is_refused(self, tmp_path, capsys):
+        session = tmp_path / "linear_prime.rg"
+        session.write_text(
+            "field Q;\nring A = [x, y];\nideal I = (x, y);\n"
+            "ideal P = (x + y);\nassert minprimes I = [P];\n"
+        )
+        code, out, err = run(capsys, "minprimes", "--session", str(session), "I")
+        assert code == 2
+        assert out == ""
+        assert "prime #0 does not contain the ideal" in err
+
     def test_zerodivisor_denominator_is_refused(self, capsys):
         code, _, err = run(capsys, "s2member", "--session", NODAL, "R", "x / (x - y)")
         assert code == 2

@@ -207,6 +207,24 @@ class TestVerification:
         with pytest.raises(StructuralError):
             verify_decomposition(I(X ** 2 - Y ** 2), [Ideal(other, (x - y,)), Ideal(other, (x + y,))])
 
+    def test_terms_are_not_read_as_generators(self):
+        """(x + y) has generators of degree one but is not (x, y), and
+        x*y - x = x*(y - 1) does not lie in the radical of (x)."""
+        assert verify_decomposition(I(X * Y - X), [I(X)]).failures == [
+            "intersection generator x escapes the radical"
+        ]
+        report = verify_decomposition(I(X, Y), [I(X + Y)])
+        assert report.failures == ["prime #0 does not contain the ideal"]
+        mixed = verify_decomposition(I(X * Y), [I(X), I(X - Y, Z)])
+        assert mixed.failures[0] == "prime #1 does not contain the ideal"
+        assert mixed == groebner_verify_decomposition(I(X * Y), [I(X), I(X - Y, Z)])
+        assert verify_decomposition(I(X * Y), [I(X), I(Y), I(Y, X + Y)]).failures == [
+            "prime #2 contains prime #0; not minimal",
+            "prime #2 contains prime #1; not minimal",
+        ]
+        with pytest.raises(RingGraphError):
+            minimal_primes(I(X, Y), asserted=[I(X + Y)]).verify()
+
     def test_face_ring_makes_no_containment_call(self, monkeypatch):
         calls = []
         original = Ideal.contains_ideal
@@ -235,7 +253,8 @@ class TestVerification:
     def test_mask_lane_matches_groebner_route(self, gens, pick, arbitrary):
         """Monomial ideals (squarefree or not, with zero and constant
         generators) against their true primes, four corruptions of them,
-        and an arbitrary list of variable primes."""
+        an arbitrary list of variable primes, and primes with generators
+        that are linear but not monomial."""
         a = Ideal(R4, [R4.zero() if g is None else R4.monomial(*g) for g in gens])
         supports = [{i for i in range(4) if g[0][i]} for g in gens if g is not None]
         covers = sorted(brute_minimal_covers(4, supports), key=sorted)
@@ -258,6 +277,13 @@ class TestVerification:
                 break
         if supports:  # the variables off one generator's support miss it
             candidates.append(corrupted(variable_ideal(R4, set(range(4)) - supports[0])))
+        x1, x2, x3, _ = R4.gens()
+        for linear in (Ideal(R4, (x1 + x2,)), Ideal(R4, (x1 - x2, x3)), Ideal(R4, (x1, x1 + x2))):
+            candidates += [[linear], corrupted(linear)]  # linear primes take the Groebner route
+        if primes and len(covers[0]) > 1:  # a true prime written with a linear generator
+            first, *rest = sorted(covers[0])
+            rewritten = Ideal(R4, (R4.var(first),) + tuple(R4.var(first) + R4.var(i) for i in rest))
+            candidates.append([rewritten] + primes[1:])
 
         def unnamed(report):
             return {re.sub(r"generator .* escapes", "generator escapes", f) for f in report.failures}
