@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .complexes import faltings_harness
@@ -68,10 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Connectedness machinery for finitely presented rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, *, needs_session: bool, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--session", type=Path, required=needs_session, help="session file")
+    for name, (_, summary, *arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--session", type=Path, required=name not in SESSIONLESS, help="session file")
         p.add_argument(
             "--format",
             choices=("json", "text", "dot"),
@@ -79,75 +79,23 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (default json)",
         )
         p.add_argument("--timing", action="store_true", help="attach wall-clock timing")
-        return p
-
-    p = add("gb", needs_session=True, help="reduced basis of an ideal")
-    p.add_argument("ideal")
-    p.add_argument("order", help="lex | grevlex | elim:<k>")
-
-    p = add("dim", needs_session=True, help="dimension of a quotient by an ideal")
-    p.add_argument("ideal")
-
-    p = add("minprimes", needs_session=True, help="minimal primes over an ideal")
-    p.add_argument("ideal")
-    p.add_argument(
-        "--strategy",
-        choices=("auto", "monomial", "split", "asserted"),
-        default="auto",
-    )
-
-    p = add("kernel", needs_session=True, help="kernel of a ring map")
-    p.add_argument("map")
-
-    p = add("contract", needs_session=True, help="contraction of an ideal along a map")
-    p.add_argument("ideal")
-    p.add_argument("map")
-
-    p = add("gamma", needs_session=True, help="minimal-prime graph of a ring")
-    p.add_argument("ring")
-
-    p = add("connected", needs_session=True, help="connectivity of the minimal-prime graph")
-    p.add_argument("ring")
-
-    p = add("disconnection", needs_session=True, help="exhaustive disconnecting-partition search")
-    p.add_argument("ring")
-
-    p = add("punctured", needs_session=True, help="connectivity of the punctured spectrum mod an ideal")
-    p.add_argument("ring")
-    p.add_argument("ideal")
-
-    p = add("hl", needs_session=True, help="top local cohomology nonvanishing at an ideal")
-    p.add_argument("ring")
-    p.add_argument("ideal")
-
-    p = add("s2member", needs_session=True, help="membership of a fraction in the S2-ification")
-    p.add_argument("ring")
-    p.add_argument("fraction", help="u / v in the ring's variables")
-
-    p = add("s2local", needs_session=True, help="is the S2-ification local?")
-    p.add_argument("ring")
-
-    p = add("faltings", needs_session=False, help="randomized punctured-connectedness harness")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, default=8)
-    p.add_argument("--max-facet-size", type=int, default=5)
-
-    p = add("product-gamma", needs_session=False, help="product of two stored graphs")
-    p.add_argument("graph1", type=Path)
-    p.add_argument("graph2", type=Path)
-
+        for arg in arguments:
+            flag, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(flag, **options)
     return parser
+
+
+def _read(path: Path, what: str) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise PreconditionError(f"cannot read {what} file: {e}") from e
 
 
 def _load_session(args) -> SessionFile:
     if args.session is None:
         raise PreconditionError("this command needs --session")
-    try:
-        text = args.session.read_text(encoding="utf-8")
-    except OSError as e:
-        raise PreconditionError(f"cannot read session file: {e}") from e
-    return parse_session(text)
+    return parse_session(_read(args.session, "session"))
 
 
 def _parse_order(text: str) -> MonomialOrder:
@@ -168,7 +116,7 @@ def _dispatch(args) -> tuple:
     """Run the command's handler: the report, plus the graph behind it
     for graph commands (``None`` otherwise)."""
     report = ReportDocument(command=args.command)
-    graph = COMMANDS[args.command](args, report)
+    graph = COMMANDS[args.command][0](args, report)
     return report, graph
 
 
@@ -342,12 +290,7 @@ def _s2local(args, report):
 def _faltings(args, report):
     if args.trials < 1:
         raise PreconditionError("--trials must be positive")
-    report.inputs = {
-        "trials": args.trials,
-        "seed": args.seed,
-        "max_vertices": args.max_vertices,
-        "max_facet_size": args.max_facet_size,
-    }
+    report.inputs = {k: vars(args)[k] for k in ("trials", "seed", "max_vertices", "max_facet_size")}
     harness = faltings_harness(**report.inputs)
     _set_verdicts(
         report,
@@ -356,12 +299,13 @@ def _faltings(args, report):
     )
     report.witnesses = {
         "failures": harness.failures,
-        "records": [r.to_json_dict() for r in harness.records],
+        "records": [asdict(r) for r in harness.records],
     }
 
 
 def _product_gamma(args, report):
-    graph = gamma_product(_load_graph(args.graph1), _load_graph(args.graph2))
+    g1, g2 = (graph_from_text(_read(path, "graph")) for path in (args.graph1, args.graph2))
+    graph = gamma_product(g1, g2)
     report.inputs = {"graph1": str(args.graph1), "graph2": str(args.graph2)}
     verdicts = _graph_verdicts(graph)
     verdicts["connected"] = is_connected(graph).connected
@@ -369,30 +313,52 @@ def _product_gamma(args, report):
     return graph
 
 
+# Each command: its handler, its help line, then its own arguments, each
+# a name or a (flag, add_argument options) pair.  Every command also
+# takes --session (required unless in SESSIONLESS), --format and --timing.
 COMMANDS = {
-    "gb": _gb,
-    "dim": _dim,
-    "minprimes": _minprimes,
-    "kernel": _kernel,
-    "contract": _contract,
-    "gamma": _gamma,
-    "connected": _connected,
-    "disconnection": _disconnection,
-    "punctured": _punctured,
-    "hl": _hl,
-    "s2member": _s2member,
-    "s2local": _s2local,
-    "faltings": _faltings,
-    "product-gamma": _product_gamma,
+    "gb": (
+        _gb, "reduced basis of an ideal", "ideal", ("order", {"help": "lex | grevlex | elim:<k>"})
+    ),
+    "dim": (_dim, "dimension of a quotient by an ideal", "ideal"),
+    "minprimes": (
+        _minprimes,
+        "minimal primes over an ideal",
+        "ideal",
+        ("--strategy", {"choices": ("auto", "monomial", "split", "asserted"), "default": "auto"}),
+    ),
+    "kernel": (_kernel, "kernel of a ring map", "map"),
+    "contract": (_contract, "contraction of an ideal along a map", "ideal", "map"),
+    "gamma": (_gamma, "minimal-prime graph of a ring", "ring"),
+    "connected": (_connected, "connectivity of the minimal-prime graph", "ring"),
+    "disconnection": (_disconnection, "exhaustive disconnecting-partition search", "ring"),
+    "punctured": (
+        _punctured, "connectivity of the punctured spectrum mod an ideal", "ring", "ideal"
+    ),
+    "hl": (_hl, "top local cohomology nonvanishing at an ideal", "ring", "ideal"),
+    "s2member": (
+        _s2member,
+        "membership of a fraction in the S2-ification",
+        "ring",
+        ("fraction", {"help": "u / v in the ring's variables"}),
+    ),
+    "s2local": (_s2local, "is the S2-ification local?", "ring"),
+    "faltings": (
+        _faltings,
+        "randomized punctured-connectedness harness",
+        ("--trials", {"type": int, "required": True}),
+        ("--seed", {"type": int, "required": True}),
+        ("--max-vertices", {"type": int, "default": 8}),
+        ("--max-facet-size", {"type": int, "default": 5}),
+    ),
+    "product-gamma": (
+        _product_gamma,
+        "product of two stored graphs",
+        ("graph1", {"type": Path}),
+        ("graph2", {"type": Path}),
+    ),
 }
-
-
-def _load_graph(path: Path) -> PrimeGraph:
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise PreconditionError(f"cannot read graph file: {e}") from e
-    return graph_from_text(text)
+SESSIONLESS = ("faltings", "product-gamma")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from itertools import combinations
 from math import comb
 
@@ -204,17 +204,6 @@ class HarnessTrial:
     status: str
     connected: bool | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "n_vertices": self.n_vertices,
-            "facet_size": self.facet_size,
-            "facets": self.facets,
-            "adjoined": self.adjoined,
-            "status": self.status,
-            "connected": self.connected,
-        }
-
 
 @dataclass
 class HarnessReport:
@@ -229,19 +218,8 @@ class HarnessReport:
     def ok(self) -> bool:
         return self.failed == 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "passed": self.passed,
-            "failed": self.failed,
-            "ok": self.ok,
-            "records": [r.to_json_dict() for r in self.records],
-            "failures": self.failures,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return json.dumps({**asdict(self), "ok": self.ok}, sort_keys=True)
 
 
 def default_generator_count(dim: int) -> int:
@@ -300,7 +278,7 @@ def faltings_harness(
             report.failed += 1
             report.failures.append(
                 {
-                    "trial": trial.to_json_dict(),
+                    "trial": asdict(trial),
                     "witness": result.witness,
                     "reproduce": {
                         "seed": seed,

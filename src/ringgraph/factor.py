@@ -45,13 +45,8 @@ def _sqrt_scalar(field, c):
         if rn * rn == n and rd * rd == d:
             return Fraction(rn, rd)
         return None
-    p = field.p
-    if p > FP_SCAN_CAP:
-        return None
-    for r in range(p):
-        if r * r % p == c:
-            return r
-    return None
+    roots = _fp_roots([-c % field.p, 0, 1], field.p)
+    return roots[0] if roots else None
 
 
 def poly_sqrt(h: Polynomial):
@@ -282,7 +277,7 @@ def factor_once(f: Polynomial):
         return verdict
 
     for i in occurring:
-        if f.degree_in(i) == 1 and _coeff_of_linear(f, i).is_constant():
+        if f.degree_in(i) == 1 and _coeff_of_degree(f, i, 1).is_constant():
             return "irreducible", None
 
     return "unknown", None
@@ -295,16 +290,6 @@ def certify_irreducible(f: Polynomial) -> bool:
 def _is_homogeneous(f: Polynomial) -> bool:
     degs = {sum(m) for m in f.terms}
     return len(degs) == 1
-
-
-def _coeff_of_linear(f: Polynomial, i: int) -> Polynomial:
-    ring = f.ring
-    out = {}
-    for m, c in f.terms.items():
-        if m[i] == 1:
-            mm = tuple(0 if j == i else e for j, e in enumerate(m))
-            out[mm] = c
-    return Polynomial(ring, out)
 
 
 def _bivariate_homogeneous(f: Polynomial, occurring: tuple):

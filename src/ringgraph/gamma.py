@@ -94,8 +94,13 @@ class PrimeGraph:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "PrimeGraph":
-        labels = tuple(_label_from_json(v) for v in doc["vertices"])
-        edges = frozenset((min(a, b), max(a, b)) for a, b in doc["edges"])
+        vertices, edges = doc.get("vertices"), doc.get("edges")
+        if not isinstance(vertices, list) or not isinstance(edges, list):
+            raise StructuralError("a graph needs 'vertices' and 'edges' lists")
+        if not all(isinstance(e, list) and [type(v) for v in e] == [int, int] for e in edges):
+            raise StructuralError("every edge must be a pair of integer vertex indices")
+        labels = tuple(_label_from_json(v) for v in vertices)
+        edges = frozenset((min(a, b), max(a, b)) for a, b in edges)
         for a, b in edges:
             if not (0 <= a < len(labels)) or not (0 <= b < len(labels)) or a == b:
                 raise StructuralError("edge endpoints out of range")
@@ -141,7 +146,7 @@ def graph_from_text(text: str) -> PrimeGraph:
     :meth:`PrimeGraph.to_dot` (via its embedded JSON comment)."""
     stripped = text.strip()
     if stripped.startswith("{"):
-        doc = json.loads(stripped)
+        doc = _json_object(stripped)
         for _ in range(3):
             if "vertices" in doc and "edges" in doc:
                 return PrimeGraph.from_json_dict(doc)
@@ -155,8 +160,17 @@ def graph_from_text(text: str) -> PrimeGraph:
     for line in stripped.splitlines():
         line = line.strip()
         if line.startswith("// json: "):
-            return PrimeGraph.from_json_dict(json.loads(line[len("// json: "):]))
+            return PrimeGraph.from_json_dict(_json_object(line[len("// json: "):]))
     raise StructuralError("no graph payload found in input")
+
+
+def _json_object(text: str) -> dict:
+    """The JSON object in ``text``; any other JSON value reads as {}."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise StructuralError(f"graph payload is not valid JSON: {e}") from e
+    return doc if isinstance(doc, dict) else {}
 
 
 @dataclass

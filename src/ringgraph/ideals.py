@@ -145,8 +145,6 @@ def ideal_intersection(a: Ideal, *others: Ideal) -> Ideal:
 
 
 def _intersect_two(a: Ideal, b: Ideal) -> Ideal:
-    if a.is_monomial() and b.is_monomial():
-        return _monomial_intersection(a, b)
     ring = a.ring
     (tname,) = fresh_names(ring, "~t", 1)
     ext = ring.extended((tname,), front=True)
@@ -488,22 +486,6 @@ class RingMap:
             return self.target_ambient.const(next(iter(f.terms.values()))) if f.terms else self.target_ambient.zero()
         return f.compose(list(self.images))
 
-    def _combined(self):
-        tgt = self.target_ambient
-        src = self.source
-        names = list(tgt.names)
-        used = set(names)
-        for nm in src.names:
-            cand = nm
-            while cand in used:
-                cand = cand + "'"
-            names.append(cand)
-            used.add(cand)
-        comb = PolyRing(src.field, names)
-        tgt_map = tuple(range(tgt.nvars))
-        src_map = tuple(tgt.nvars + i for i in range(src.nvars))
-        return comb, tgt_map, src_map
-
 
 def ring_map_kernel(phi: RingMap) -> Ideal:
     """Kernel of phi as an ideal of the source ring: the contraction of
@@ -515,12 +497,13 @@ def contract(q: Ideal, phi: RingMap) -> Ideal:
     """phi^{-1}(q) in the source ring, for q in the target ambient."""
     if q.ring != phi.target_ambient:
         raise StructuralError("contracting an ideal outside the target ambient")
-    comb, tgt_map, src_map = phi._combined()
     tgt = phi.target_ambient
     src = phi.source
+    comb = tgt.extended(fresh_names(tgt, "~s", src.nvars), front=False)
+    tgt_map = tuple(range(tgt.nvars))
     gens = []
     for i, img in enumerate(phi.images):
-        gens.append(comb.var(src_map[i]) - embed(img, comb, tgt_map))
+        gens.append(comb.var(tgt.nvars + i) - embed(img, comb, tgt_map))
     for g in phi.target_defining:
         gens.append(embed(g, comb, tgt_map))
     for g in q.gens:

@@ -326,17 +326,12 @@ def _prune_to_minimal(pairs) -> list:
     for p, cert in pairs:
         by_key.setdefault(p.canonical_key(), (p, cert))
     items = list(by_key.values())
-    keep = []
-    for i, (p, cert) in enumerate(items):
-        redundant = False
-        for j, (q, _) in enumerate(items):
-            if i != j and p.contains_ideal(q):
-                if q.contains_ideal(p) and i < j:
-                    continue  # equal ideals: keep the first
-                redundant = True
-                break
-        if not redundant:
-            keep.append((p, cert))
+    # One ideal per reduced basis, so no two items are equal.
+    keep = [
+        (p, cert)
+        for i, (p, cert) in enumerate(items)
+        if not any(i != j and p.contains_ideal(q) for j, (q, _) in enumerate(items))
+    ]
     keep.sort(key=lambda pc: pc[0].canonical_key())
     return keep
 

@@ -10,7 +10,7 @@ requested, so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 PROVENANCE_LABELS = ("computed", "asserted", "by-equivalence")
 
@@ -24,18 +24,8 @@ class ReportDocument:
     provenance: dict = dc_field(default_factory=dict)
     timing_ms: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "verdicts": self.verdicts,
-            "witnesses": self.witnesses,
-            "provenance": self.provenance,
-            "timing_ms": self.timing_ms,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]

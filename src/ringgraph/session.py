@@ -74,9 +74,9 @@ def tokenize(text: str) -> list:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -165,9 +165,7 @@ def _ast_names(node, out: set):
     elif kind in ("add", "sub", "mul", "div"):
         _ast_names(node[1], out)
         _ast_names(node[2], out)
-    elif kind in ("neg",):
-        _ast_names(node[1], out)
-    elif kind == "pow":
+    elif kind in ("neg", "pow"):
         _ast_names(node[1], out)
     return out
 

@@ -68,6 +68,11 @@ class TestExitCodes:
         assert out == ""
         assert "prime #0 does not contain the ideal" in err
 
+    def test_non_ascii_digit_is_refused(self, capsys):
+        code, out, err = run(capsys, "s2member", "--session", NODAL, "R", "x^\u00b2 / (x + 2*y)")
+        assert (code, out) == (2, "")
+        assert "unexpected character '\u00b2'" in err
+
     def test_zerodivisor_denominator_is_refused(self, capsys):
         code, _, err = run(capsys, "s2member", "--session", NODAL, "R", "x / (x - y)")
         assert code == 2
@@ -290,6 +295,25 @@ class TestStoredGraphs:
         doc = run_json(capsys, "product-gamma", g1, g2)
         assert doc["verdicts"]["connected"] is False
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("open_brace.json", "{"),
+            ("scalar_fields.json", '{"vertices": 1, "edges": 2}'),
+            ("short_edge.json", '{"vertices": ["a", "b"], "edges": [[0]]}'),
+            ("float_endpoint.json", '{"vertices": ["a", "b"], "edges": [[0, 1.5]]}'),
+            ("bool_endpoint.json", '{"vertices": ["a", "b"], "edges": [[0, true]]}'),
+            ("truncated.dot", 'graph g {\n  // json: {"edges": [[0, 1]], "vert\n}\n'),
+            ("array.dot", "graph g {\n  // json: [0, 1]\n}\n"),
+        ],
+    )
+    def test_malformed_graph_file_refused(self, tmp_path, capsys, name, text):
+        g1 = self.write_gamma(capsys, tmp_path, NODAL, "k2.json", "json")
+        (tmp_path / name).write_text(text)
+        code, out, err = run(capsys, "product-gamma", g1, str(tmp_path / name))
+        assert (code, out) == (2, "")
+        assert err.startswith("refused:")
+
     def test_missing_graph_file_refused(self, tmp_path, capsys):
         g1 = self.write_gamma(capsys, tmp_path, NODAL, "k2.json", "json")
         code, _, err = run(capsys, "product-gamma", g1, str(tmp_path / "gone.json"))
@@ -406,3 +430,17 @@ class TestCommandTable:
             for span in re.findall(r"`([^`]+)`", row.split("|")[1]):
                 named.add(span.split()[0])
         assert named == set(cli.COMMANDS)
+
+
+class TestHelpText:
+    """``--help`` for the top level and every subcommand prints exactly
+    the recorded text (tests/cli_help.json, recorded at 80 columns)."""
+
+    def test_help_matches_recording(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        recorded = json.loads((ROOT / "tests" / "cli_help.json").read_text())
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        helps = {"": parser.format_help()}
+        helps.update((name, p.format_help()) for name, p in sub.choices.items())
+        assert helps == recorded

@@ -74,6 +74,25 @@ class TestBasicParsing:
             parse_session("field Q;\nring R = [x];\nideal I = (q);")
         assert "q" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text, line, column",
+        [
+            ("field Q;\nring R = [x];\nideal I = (x^\u00b2);", 3, 14),
+            ("field Fp \u00b2;", 1, 10),
+            ("field Q;\ncomplex D = { {\u00b9} };", 2, 16),
+            ("field Q;\nring R = [x];\nideal I = (\u2460*x);", 3, 12),
+        ],
+    )
+    def test_digits_that_are_not_decimal_refused(self, text, line, column):
+        with pytest.raises(SessionSyntaxError) as exc:
+            parse_session(text)
+        assert exc.value.bare_message.startswith("unexpected character")
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+    def test_decimal_digits_of_any_script_parse(self):
+        s = parse_session("field Q;\nring R = [x];\nideal I = (x^\u0663);")
+        assert s.ideal("I").gens[0] == s.presented("R").ambient.var(0) ** 3
+
     def test_duplicate_names_refused(self):
         with pytest.raises(SessionSyntaxError):
             parse_session("field Q;\nring R = [x];\nring R = [y];")
@@ -371,4 +390,16 @@ class TestParserFuzz:
             elif op == "swap":
                 j %= len(tokens)
                 tokens[i], tokens[j] = tokens[j], tokens[i]
+        assert isinstance(parse_outcome(" ".join(tokens)), (SessionFile, RingGraphError))
+
+    @given(
+        st.sampled_from(sorted(BUNDLED_TOKENS)),
+        st.integers(min_value=0),
+        st.characters(categories=["No", "Nd"]),
+    )
+    def test_digit_like_characters_in_bundled_sessions(self, name, at, ch):
+        """Characters of the number categories that are not decimal
+        digits (superscripts, circled digits) are refused, not crashed on."""
+        tokens = list(BUNDLED_TOKENS[name])
+        tokens.insert(at % (len(tokens) + 1), ch)
         assert isinstance(parse_outcome(" ".join(tokens)), (SessionFile, RingGraphError))
