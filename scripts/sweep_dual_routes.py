@@ -2,8 +2,8 @@
 """Cross-check the two connectivity routes over pure monomial quotients.
 
 For every pure simplicial complex in the configured range, the
-minimal-prime graph's connectivity (union-find over height-one edges)
-is compared against the exhaustive disconnecting-partition search.
+minimal-prime graph's connectivity (graph search over height-one
+edges) is compared against the exhaustive disconnecting-partition search.
 The two routes must agree everywhere; any disagreement is printed
 with the complex that produced it.
 """

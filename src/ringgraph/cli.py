@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _read(path: Path, what: str) -> str:
     try:
         return path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise PreconditionError(f"cannot read {what} file: {e}") from e
 
 

@@ -17,44 +17,20 @@ from .errors import PreconditionError, StructuralError
 from .ideals import (
     Ideal,
     PresentedRing,
-    dimension,
     height_in_quotient,
     ideal_intersection,
     ideal_sum,
     m_primary_status,
     provenance,
 )
-from .minprimes import ensure_min_primes, minimal_primes, require_equidimensional
+from .minprimes import (
+    ensure_min_primes,
+    minimal_primes,
+    require_equidimensional,
+    top_dimensional_primes,
+)
 
 PARTITION_VERTEX_CAP = 20
-
-
-class UnionFind:
-    """Disjoint sets over range(n) with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-
-    def components(self) -> tuple:
-        groups: dict = {}
-        for i in range(len(self.parent)):
-            groups.setdefault(self.find(i), []).append(i)
-        comps = [tuple(v) for v in groups.values()]
-        comps.sort(key=lambda c: c[0])
-        return tuple(comps)
 
 
 @dataclass(frozen=True)
@@ -190,12 +166,22 @@ class ConnectivityReport:
 # building the graph
 
 
-def _sorted_primes(mps) -> list:
-    return sorted(mps.ideals(), key=lambda p: p.canonical_key())
-
-
 def prime_label(p: Ideal) -> tuple:
     return tuple(p.min_gen_strings()) or ("0",)
+
+
+def _pair_graph(mps, relation, is_edge, prov: str) -> PrimeGraph:
+    """The graph on the primes of ``mps`` in canonical-key order: each
+    pair's evidence is ``relation`` of the pair's sum, and the pair is
+    an edge where that evidence equals ``is_edge``."""
+    primes = sorted(mps.ideals(), key=lambda p: p.canonical_key())
+    evidence = tuple(
+        ((i, j), relation(ideal_sum(primes[i], primes[j])))
+        for i in range(len(primes))
+        for j in range(i + 1, len(primes))
+    )  # generated in sorted pair order
+    edges = frozenset(pair for pair, value in evidence if value == is_edge)
+    return PrimeGraph(tuple(prime_label(p) for p in primes), edges, tuple(primes), evidence, prov)
 
 
 def build_gamma(ring: PresentedRing) -> PrimeGraph:
@@ -209,33 +195,34 @@ def build_gamma(ring: PresentedRing) -> PrimeGraph:
     """
     mps = ensure_min_primes(ring)
     flag = require_equidimensional(ring, "the minimal-prime graph")
-    if ring.gamma is None:
-        primes = _sorted_primes(mps)
-        heights = {
-            (i, j): height_in_quotient(ring, ideal_sum(primes[i], primes[j]))
-            for i in range(len(primes))
-            for j in range(i + 1, len(primes))
-        }
-        ring.gamma = PrimeGraph(
-            labels=tuple(prime_label(p) for p in primes),
-            edges=frozenset(pair for pair, h in heights.items() if h == 1),
-            payloads=tuple(primes),
-            evidence=tuple(sorted(heights.items())),
-            provenance=provenance(mps, flag),
-        )
+    if ring.gamma is None:  # heights through the module global, looked up on each call
+        ring.gamma = _pair_graph(mps, lambda a: height_in_quotient(ring, a), 1, provenance(mps, flag))
     return ring.gamma
 
 
 def is_connected(graph: PrimeGraph) -> ConnectivityReport:
-    """Union-find connectivity with a split witness when disconnected;
-    the report carries the graph's provenance."""
+    """Components by graph search from each least unvisited vertex,
+    with a split witness when disconnected; the report carries the
+    graph's provenance."""
     prov = graph.provenance
     if graph.n == 0:
         return ConnectivityReport("empty", None, (), (), provenance=prov)
-    uf = UnionFind(graph.n)
+    adjacent = [[] for _ in range(graph.n)]
     for a, b in graph.edges:
-        uf.union(a, b)
-    comps = uf.components()
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen, comps = [False] * graph.n, []
+    for start in range(graph.n):
+        if not seen[start]:
+            seen[start] = True
+            comp = [start]
+            for v in comp:  # comp grows while it is read
+                for w in adjacent[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+            comps.append(tuple(sorted(comp)))
+    comps = tuple(comps)
     if len(comps) == 1:
         return ConnectivityReport("connected", True, comps, graph.labels, provenance=prov)
     side_a = comps[0]
@@ -344,26 +331,13 @@ def punctured_spectrum_connected(ring: PresentedRing, a: Ideal) -> ConnectivityR
     their sum is not primary to it.  An a primary to the maximal ideal
     leaves nothing after puncturing: status ``empty``.
     """
-    if a.ring != ring.ambient:
-        raise StructuralError("ideal lives outside the ring's ambient")
-    total = ideal_sum(ring.defining, a)
     status = m_primary_status(a, ring)
     if status == "unit-ideal":
         raise PreconditionError("the ideal is the unit ideal in the quotient; nothing to puncture")
     if status == "m-primary":
         return ConnectivityReport("empty", None, (), (), witness={"reason": "m-primary"})
-    mps = minimal_primes(total)
-    primes = _sorted_primes(mps)
-    labels = tuple(prime_label(p) for p in primes)
-    statuses = {
-        (i, j): m_primary_status(ideal_sum(primes[i], primes[j]), ring)
-        for i in range(len(primes))
-        for j in range(i + 1, len(primes))
-    }
-    edges = frozenset(p for p, s in statuses.items() if s == "not-m-primary")
-    graph = PrimeGraph(
-        labels, edges, tuple(primes), tuple(sorted(statuses.items())), provenance(mps)
-    )
+    mps = minimal_primes(ideal_sum(ring.defining, a))
+    graph = _pair_graph(mps, lambda b: m_primary_status(b, ring), "not-m-primary", provenance(mps))
     return is_connected(graph)
 
 
@@ -379,12 +353,8 @@ def hl_nonvanishing(ring: PresentedRing, a: Ideal) -> bool:
     for g in a.gens:
         if zero_mono in g.terms:
             raise PreconditionError("the supporting ideal must sit inside the irrelevant maximal ideal")
-    mps = ensure_min_primes(ring)
-    d = ring.dim()
-    for p in _sorted_primes(mps):
-        if dimension(p) == d and m_primary_status(ideal_sum(p, a), ring) == "m-primary":
-            return True
-    return False
+    tops = top_dimensional_primes(ring)
+    return any(m_primary_status(ideal_sum(p, a), ring) == "m-primary" for p, _ in tops)
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,6 @@ class Ideal:
         return [str(g) for g in self.canonical_gens()]
 
 
-def ideal(ring: PolyRing, *gens) -> Ideal:
-    return Ideal(ring, gens)
-
-
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise StructuralError("sum of ideals in different rings")
@@ -231,16 +227,21 @@ def dimension(a: Ideal) -> int:
     are read without a Groebner basis.  Capped at 16 variables; beyond
     that the subset search refuses.
     """
-    n = a.ring.nvars
-    if n > DIMENSION_VARIABLE_CAP:
-        raise PreconditionError(
-            f"dimension search supports at most {DIMENSION_VARIABLE_CAP} variables, got {n}"
-        )
+    n = _capped_nvars(a.ring)
     if all(len(g.terms) <= 1 for g in a.gens):
         masks = {mono_mask(m) for g in a.gens for m in g.terms}
     else:
         masks = {mono_mask(g.leading_monomial(GREVLEX)) for g in a.groebner().generators}
     return _support_dimension(n, masks)
+
+
+def _capped_nvars(ring: PolyRing) -> int:
+    """The ring's number of variables, refused beyond the subset search's cap."""
+    if ring.nvars > DIMENSION_VARIABLE_CAP:
+        raise PreconditionError(
+            f"dimension search supports at most {DIMENSION_VARIABLE_CAP} variables, got {ring.nvars}"
+        )
+    return ring.nvars
 
 
 def _support_dimension(n: int, masks) -> int:
@@ -397,11 +398,21 @@ def polynomial_quotient(ambient: PolyRing) -> PresentedRing:
     return PresentedRing(ambient, Ideal(ambient, ()))
 
 
-def m_primary_status(a: Ideal, ring: PresentedRing) -> str:
-    """One of 'm-primary', 'not-m-primary', 'unit-ideal' for a in ring."""
+def _quotient_dimension(ring: PresentedRing, a: Ideal) -> int:
+    """dim ring/a, -1 when a is the unit ideal there: the one quantity
+    behind heights and m-primary statuses.  A monomial ring and an ideal
+    of single terms have it read off their support masks."""
     if a.ring != ring.ambient:
         raise StructuralError("ideal lives outside the ring's ambient")
-    d = dimension(ideal_sum(ring.defining, a))
+    if ring._masks is None or any(len(g.terms) > 1 for g in a.gens):
+        return dimension(ideal_sum(ring.defining, a))
+    masks = ring._masks.union(mono_mask(m) for g in a.gens for m in g.terms)
+    return _support_dimension(_capped_nvars(a.ring), masks)
+
+
+def m_primary_status(a: Ideal, ring: PresentedRing) -> str:
+    """One of 'm-primary', 'not-m-primary', 'unit-ideal' for a in ring."""
+    d = _quotient_dimension(ring, a)
     if d == -1:
         return "unit-ideal"
     return "m-primary" if d == 0 else "not-m-primary"
@@ -417,8 +428,7 @@ def height_in_quotient(ring: PresentedRing, a: Ideal) -> int | float:
 
     Valid for equidimensional presentations only, via the difference of
     dimensions; refuses when equidimensionality is neither certified
-    nor asserted.  The unit image gets the +infinity sentinel.  A sum of
-    monomial ideals has its dimension read off their support masks.
+    nor asserted.  The unit image gets the +infinity sentinel.
     """
     flag = ring.equidimensional
     if flag is None:
@@ -429,17 +439,8 @@ def height_in_quotient(ring: PresentedRing, a: Ideal) -> int | float:
         raise PreconditionError(
             "height via dimension difference requires an equidimensional presentation"
         )
-    if a.ring != ring.ambient:
-        raise StructuralError("sum of ideals in different rings")
-    top = ring.dim()  # also refuses rings beyond the variable cap
-    if ring._masks is not None and all(len(g.terms) <= 1 for g in a.gens):
-        masks = ring._masks.union(mono_mask(m) for g in a.gens for m in g.terms)
-        d = _support_dimension(a.ring.nvars, masks)
-    else:
-        d = dimension(ideal_sum(ring.defining, a))
-    if d == -1:
-        return HEIGHT_INFINITY
-    return top - d
+    d = _quotient_dimension(ring, a)
+    return HEIGHT_INFINITY if d == -1 else ring.dim() - d
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +451,7 @@ class RingMap:
     """A field-fixing map from a polynomial ring into a (quotient) ring,
     given by one image polynomial per source variable."""
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ("source", "target", "images", "target_ambient")
 
     def __init__(self, source: PolyRing, target, images: Iterable[Polynomial]):
         images = tuple(images)
@@ -467,10 +468,7 @@ class RingMap:
         self.source = source
         self.target = target
         self.images = images
-
-    @property
-    def target_ambient(self) -> PolyRing:
-        return self.target.ambient if isinstance(self.target, PresentedRing) else self.target
+        self.target_ambient = target_ambient
 
     @property
     def target_defining(self) -> tuple:

@@ -393,9 +393,7 @@ def is_equidimensional(ring: PresentedRing) -> bool:
     flag = ring.equidimensional
     if flag is not None and not flag.is_asserted():
         return flag.value
-    mps = ensure_min_primes(ring)
-    d = ring.dim()
-    value = all(dimension(p) == d for p in mps.ideals())
+    value = len(top_dimensional_primes(ring)) == len(ensure_min_primes(ring).primes)
     ring.certify_equidimensional(value)
     return value
 

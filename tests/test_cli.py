@@ -44,6 +44,18 @@ class TestExitCodes:
         assert code == 2
         assert "refused" in err
 
+    def test_non_utf8_files_are_refused(self, tmp_path, capsys):
+        bad = tmp_path / "bad.rg"
+        bad.write_bytes(b"\xff\xfe{")
+        for argv, what in (
+            (("dim", "--session", str(bad), "I"), "session"),
+            (("product-gamma", str(bad), str(bad)), "graph"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, err
+            assert out == ""
+            assert f"cannot read {what} file" in err
+
     def test_session_syntax_error_is_refused(self, tmp_path, capsys):
         bad = tmp_path / "bad.rg"
         bad.write_text("field Q;\nring R = [x, y];\nideal I = (x+*y);\n")

@@ -3,6 +3,7 @@
 import random
 
 from ringgraph import QQ, PolyRing, PrimeField, certify_irreducible, exact_divide, factor_once
+from ringgraph import factor as factor_module
 from ringgraph.factor import poly_sqrt
 
 from conftest import random_nonzero_polynomial
@@ -117,3 +118,42 @@ class TestFactorOnce:
         verdict, pair = factor_once(f)
         assert verdict == "factored"
         assert pair[0] * pair[1] == f
+
+
+class TestPrimeFieldSplits:
+    """The quadratic-divisor scan of rootless quartics over small GF(p),
+    and square roots of scalars over GF(p)."""
+
+    @staticmethod
+    def univariate(p):
+        ring = PolyRing(PrimeField(p), ("x",))
+        return ring, ring.var(0)
+
+    def test_quartic_with_quadratic_factors_over_f3(self):
+        ring, x = self.univariate(3)
+        f = x ** 4 + 1
+        verdict, (g, h) = factor_once(f)
+        assert verdict == "factored"
+        assert (g, h) == (x ** 2 + x + ring.const(2), x ** 2 + x.scale(2) + ring.const(2))
+        assert g * h == f
+
+    def test_rootless_quartics_without_quadratic_factors(self):
+        ring3, x3 = self.univariate(3)
+        ring2, x2 = self.univariate(2)
+        assert factor_once(x3 ** 4 + x3 ** 2 + ring3.const(2)) == ("irreducible", None)
+        assert factor_once(x2 ** 4 + x2 + ring2.one()) == ("irreducible", None)
+
+    def test_quartic_beyond_the_scan_is_unknown(self):
+        ring, x = self.univariate(37)
+        assert factor_once(x ** 4 + 1) == ("unknown", None)  # rootless, and 37 > 31
+
+    def test_quadratic_with_nonsquare_discriminant_reads_a_scalar_root(self, monkeypatch):
+        ring = PolyRing(PrimeField(7), ("x", "y"))
+        x, y = ring.gens()
+        calls = []
+        original = factor_module._sqrt_scalar
+        monkeypatch.setattr(
+            factor_module, "_sqrt_scalar", lambda field, c: calls.append(c) or original(field, c)
+        )
+        assert factor_once(x ** 2 + x - 4 * y ** 2) == ("irreducible", None)
+        assert calls

@@ -51,6 +51,14 @@ class TestPrimeField:
             with pytest.raises(RingGraphError):
                 PrimeField(bad)
 
+    def test_miller_rabin_rounds_decide_past_trial_division(self):
+        for p in (32003, 2 ** 61 - 1, 2 ** 63 - 25):
+            assert PrimeField(p).p == p
+        # 41 * 43, and a strong pseudoprime to the bases 2, 3, 5 and 7
+        for bad in (1763, 3215031751):
+            with pytest.raises(RingGraphError, match="not prime"):
+                PrimeField(bad)
+
     def test_axioms_exhaustive_f7(self):
         f = PrimeField(7)
         elements = [f.from_int(i) for i in range(7)]

@@ -21,6 +21,7 @@ from ringgraph import (
     complex_from_lists,
     disconnection_exists,
     face_ring,
+    facet_adjacency_graph,
     gamma_product,
     graph_from_text,
     hl_nonvanishing,
@@ -146,19 +147,32 @@ class TestSharedHeightEvidence:
 
 class TestConnectivityRoutes:
     def test_is_connected_matches_bfs(self, rng):
-        for _ in range(60):
-            n = rng.randint(1, 7)
+        graphs = []
+        for _ in range(120):
+            n = rng.choice([rng.randint(1, 7), rng.randint(8, 64)])
+            density = rng.choice([0.02, 0.05, 0.1, 0.35])
             labels = tuple(f"v{i}" for i in range(n))
             edges = frozenset(
                 (i, j)
                 for i in range(n)
                 for j in range(i + 1, n)
-                if rng.random() < 0.35
+                if rng.random() < density
             )
-            graph = PrimeGraph(labels, edges)
+            graphs.append(PrimeGraph(labels, edges))
+        # products of two 20-facet graphs: 400 vertices each
+        for size in (4, 3):
+            factors = [
+                facet_adjacency_graph(random_pure_complex(rng, 10, size, 20)) for _ in range(2)
+            ]
+            graphs.append(gamma_product(*factors))
+        assert max(g.n for g in graphs) == 400
+        outcomes = set()
+        for graph in graphs:
             rep = is_connected(graph)
-            assert rep.connected == bfs_connected(n, edges)
-            assert [list(c) for c in rep.components] == bfs_components(n, edges)
+            assert rep.connected == bfs_connected(graph.n, graph.edges)
+            assert [list(c) for c in rep.components] == bfs_components(graph.n, graph.edges)
+            outcomes.add((graph.n > 7, rep.connected))
+        assert outcomes == {(False, True), (False, False), (True, True), (True, False)}
 
     def test_empty_graph(self):
         rep = is_connected(PrimeGraph((), frozenset()))

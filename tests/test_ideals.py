@@ -333,11 +333,13 @@ class TestPresentedRing:
         assert height_in_quotient(pres, I(X, X + 1)) == HEIGHT_INFINITY
 
     def test_height_matches_dimension_difference(self, monkeypatch):
-        """A monomial ring and a monomial ideal take the support-mask
-        lane, which calls no ``dimension``; anything else calls it once."""
+        """Heights and m-primary statuses both read d = dim of the
+        quotient.  A monomial ring and a monomial ideal take the
+        support-mask lane, which calls no ``dimension``; anything else
+        calls it once."""
         rng = random.Random(77)
         ring4 = PolyRing(QQ, ("x1", "x2", "x3", "x4"))
-        x1, x2, _, _ = ring4.gens()
+        x1, x2, x3, x4 = ring4.gens()
         cases = []
         for _ in range(120):
             pres = PresentedRing(ring4, random_monomial_ideal(rng, ring4))
@@ -349,18 +351,38 @@ class TestPresentedRing:
         cases += [(curve, Ideal(ring4, (x1 - x2,)), 1), (curve, Ideal(ring4, (x1 * x2,)), 1)]
         cases.append((cases[0][0], Ideal(ring4, (x1 + x2,)), 1))
         cases.append((cases[0][0], Ideal(ring4, (ring4.one(),)), 0))
+        cases.append((cases[0][0], Ideal(ring4, ring4.gens()), 0))
+        cases.append((curve, Ideal(ring4, (x1, x3, x4)), 1))
         expected = []
         for pres, a, _ in cases:
             pres.assert_equidimensional()  # the flag only gates the dimension difference
             top, d = pres.dim(), dimension(ideal_sum(pres.defining, a))
-            expected.append(HEIGHT_INFINITY if d == -1 else top - d)
-        assert HEIGHT_INFINITY in expected
+            status = {-1: "unit-ideal", 0: "m-primary"}.get(d, "not-m-primary")
+            expected.append((HEIGHT_INFINITY if d == -1 else top - d, status))
+        assert HEIGHT_INFINITY in {h for h, _ in expected}
+        assert {s for _, s in expected} == {"unit-ideal", "m-primary", "not-m-primary"}
         calls = []
         monkeypatch.setattr(ideals_module, "dimension", lambda a: calls.append(a) or dimension(a))
-        for (pres, a, dimension_calls), want in zip(cases, expected):
+        for (pres, a, dimension_calls), (height, status) in zip(cases, expected):
             del calls[:]
-            assert height_in_quotient(pres, a) == want, a
+            assert height_in_quotient(pres, a) == height, a
             assert len(calls) == dimension_calls, a
+            del calls[:]
+            assert m_primary_status(a, pres) == status, a
+            assert len(calls) == dimension_calls, a
+
+    def test_variable_cap_refuses_on_the_mask_lane(self):
+        ring17 = PolyRing(QQ, tuple(f"x{i}" for i in range(17)))
+        xs = ring17.gens()
+        pres = PresentedRing(ring17, Ideal(ring17, (xs[0] * xs[1],)))
+        assert pres._masks is not None
+        pres.assert_equidimensional()
+        for decide in (
+            lambda a: m_primary_status(a, pres),
+            lambda a: height_in_quotient(pres, a),
+        ):
+            with pytest.raises(PreconditionError, match="at most 16"):
+                decide(Ideal(ring17, (xs[2],)))
 
     def test_image_gens_drop_zero(self):
         pres = PresentedRing(R3, I(X * Y))

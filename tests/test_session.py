@@ -34,6 +34,12 @@ class TestBasicParsing:
         with pytest.raises(SessionSyntaxError):
             parse_session("field R;")
 
+    def test_strong_pseudoprime_modulus_located(self):
+        with pytest.raises(SessionSyntaxError) as exc:
+            parse_session("field Fp 3215031751;")
+        assert exc.value.bare_message == "modulus 3215031751 is not prime"
+        assert (exc.value.line, exc.value.column) == (1, 10)
+
     def test_polynomial_ring(self):
         s = parse_session("field Q;\nring R = [x, y, z];")
         pres = s.presented("R")
