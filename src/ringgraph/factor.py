@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import StructuralError
-from .groebner import _primitive, normal_form_with_quotients
+from .groebner import normal_form_with_quotients
 from .polynomials import GREVLEX, Polynomial, mono_div, mono_divides
 
 FP_SCAN_CAP = 4096  # exhaustive root scans in GF(p) stay below this
@@ -346,10 +346,6 @@ def _quadratic_in_variable(f: Polynomial):
                 q = exact_divide(f, cand)
                 if q is not None and not q.is_constant():
                     return "factored", (cand, q)
-                scaled = _primitive(cand)
-                q = exact_divide(f, scaled)
-                if q is not None and not q.is_constant():
-                    return "factored", (scaled, q)
             if a.is_constant():
                 # A x^2 + B x + C = A (x - r1)(x - r2); division must work
                 raise StructuralError("constant-lead quadratic failed to split; arithmetic bug")

@@ -1,18 +1,31 @@
 """Buchberger's algorithm and deterministic polynomial reduction.
 
-The engine is deliberately plain: normal selection strategy on the pair
-queue, the two classical pair-elimination criteria, and a final
-inter-reduction pass so the returned basis is the reduced one (unique
-for a given ideal and order).  Reduction is deterministic: the greatest
-reducible monomial is rewritten by the first matching divisor in list
-order, so repeated runs produce identical output.
+The engine works on plain coefficient dicts (monomial -> coefficient) and
+builds ``Polynomial`` and ``Fraction`` objects only for its results.  Over
+GF(p) coefficients are ints in [0, p) and a step subtracts c / lc times the
+divisor.  Over Q they are ints and reduction is fraction-free: to cancel
+c*m by a divisor with lead coefficient lc, the work, remainder and
+quotients are multiplied by lc / gcd(c, lc), whose running product is the
+``scale`` (it may be negative).  Scaling never changes which terms cancel,
+so both lanes take the steps that division over the field would.
+
+Selection does not depend on the lane: normal selection (least lcm, ties
+by index) from a heap keyed by the order, the coprime and chain criteria,
+and a final minimalize / inter-reduce / monic pass, so the result is the
+reduced basis.  Each step rewrites the greatest remaining monomial by the
+first matching divisor in list order, so repeated runs agree exactly.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
 from .errors import StructuralError
+from .fields import PrimeField
 from .polynomials import (
     GREVLEX,
     MonomialOrder,
@@ -49,13 +62,90 @@ class GroebnerBasis:
         return tuple(g.key() for g in self.generators)
 
 
-def _divisor_table(gens, order):
-    table = []
-    for g in gens:
-        if isinstance(g, Polynomial) and not g.is_zero():
-            lm, lc = g.leading_term(order)
-            table.append((lm, lc, g))
-    return table
+def _modulus(ring: PolyRing) -> int:
+    """p over GF(p); 0 over Q, which selects the fraction-free lane."""
+    return ring.field.p if isinstance(ring.field, PrimeField) else 0
+
+
+def _integral(terms: dict) -> tuple:
+    """(k, k * terms) for the least k > 0 that makes every coefficient an
+    integer and their gcd 1.  k is positive, so every sign is kept."""
+    den = reduce(lcm, (c.denominator for c in terms.values()), 1)
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    content = reduce(gcd, ints.values(), 0) or 1
+    return Fraction(den, content), {m: c // content for m, c in ints.items()}
+
+
+def _divisor(terms: dict, keyfn, p: int, index: int) -> tuple:
+    """(lead monomial, lc, tail terms, index) as ``_reduce`` reads it; lc
+    is the lead coefficient over Q and its inverse over GF(p)."""
+    lm = max(terms, key=keyfn)
+    lc = pow(terms[lm], -1, p) if p else terms[lm]
+    return lm, lc, [(m, c) for m, c in terms.items() if m != lm], index
+
+
+def _subtract(work: dict, c: int, u: tuple, tail: list, p: int):
+    """work -= c * u * tail, in place, dropping the terms that cancel."""
+    for m, gc in tail:
+        mm = mono_mul(u, m)
+        s = work.get(mm, 0) - c * gc
+        if p:
+            s %= p
+        if s:
+            work[mm] = s
+        else:
+            work.pop(mm, None)
+
+
+def _reduce(work: dict, divisors: list, keyfn, p: int, quotients=None) -> tuple:
+    """Fully reduce the dict ``work`` (consumed) by ``divisors``.
+
+    Returns (remainder, scale) with scale * work == sum q_i g_i + remainder,
+    where g_i is the divisor with index i and q_i the dict ``quotients[i]``,
+    filled in when given (not reduced mod p); scale is 1 over GF(p).
+    """
+    remainder = {}
+    scale = 1
+    while work:
+        m = max(work, key=keyfn)
+        c = work.pop(m)
+        for lm, lc, tail, index in divisors:
+            if mono_divides(lm, m):
+                break
+        else:
+            remainder[m] = c
+            continue
+        if p:
+            qc = c * lc % p
+        else:
+            g = gcd(c, lc)
+            qc, a = c // g, lc // g
+            if a != 1:
+                scale *= a
+                for d in (work, remainder, *(quotients or ())):
+                    for k in d:
+                        d[k] *= a
+        q = mono_div(m, lm)
+        if quotients is not None:
+            quotients[index][q] = quotients[index].get(q, 0) + qc
+        _subtract(work, qc, q, tail, p)
+    return remainder, scale
+
+
+def _s_pair(f: tuple, g: tuple, p: int) -> dict:
+    """A nonzero multiple of the S-polynomial of two ``_divisor`` tuples."""
+    lf, cf, tf, _ = f
+    lg, cg, tg, _ = g
+    if p:
+        a, b = cf, cg  # the inverses of the lead coefficients
+    else:
+        d = gcd(cf, cg)
+        a, b = cg // d, cf // d
+    lcm_fg = mono_lcm(lf, lg)
+    s = {}
+    _subtract(s, -a, mono_div(lcm_fg, lf), tf, p)
+    _subtract(s, b, mono_div(lcm_fg, lg), tg, p)
+    return s
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder | None = None) -> Polynomial:
@@ -65,8 +155,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder | None = None) -> Pol
     polynomials with an explicit order.  Against a Groebner basis the
     remainder is the canonical normal form; membership is remainder 0.
     """
-    r, _ = normal_form_with_quotients(f, basis, order)
-    return r
+    return _divide(f, basis, order, False)[0]
 
 
 def normal_form_with_quotients(f: Polynomial, basis, order: MonomialOrder | None = None):
@@ -75,6 +164,10 @@ def normal_form_with_quotients(f: Polynomial, basis, order: MonomialOrder | None
     f == sum(q_i * g_i) + remainder holds exactly, and no remainder
     monomial is divisible by any leading monomial of the divisors.
     """
+    return _divide(f, basis, order, True)
+
+
+def _divide(f: Polynomial, basis, order, with_quotients: bool):
     if isinstance(basis, GroebnerBasis):
         gens = basis.generators
         order = basis.order
@@ -86,37 +179,20 @@ def normal_form_with_quotients(f: Polynomial, basis, order: MonomialOrder | None
     for g in gens:
         if g.ring != ring:
             raise StructuralError("divisor in a different ring")
-    field = ring.field
-    table = _divisor_table(gens, order)
-    quotients = [dict() for _ in gens]
-    index_of = {id(g): i for i, g in enumerate(gens)}
     keyfn = order.key()
+    p = _modulus(ring)
+    # Over Q, k_f * f is divided by the k_i * g_i, all with integer terms.
+    k_f, work = (1, dict(f.terms)) if p else _integral(f.terms)
+    scaled = [(1, g.terms) if p or g.is_zero() else _integral(g.terms) for g in gens]
+    divisors = [_divisor(terms, keyfn, p, i) for i, (_, terms) in enumerate(scaled) if terms]
+    quotients = [{} for _ in gens] if with_quotients else None
+    remainder, scale = _reduce(work, divisors, keyfn, p, quotients)
+    k = k_f * scale
 
-    work = dict(f.terms)
-    remainder = {}
-    while work:
-        m = max(work, key=keyfn)
-        c = work.pop(m)
-        for lm, lc, g in table:
-            if mono_divides(lm, m):
-                q = mono_div(m, lm)
-                qc = field.div(c, lc)
-                qd = quotients[index_of[id(g)]]
-                qd[q] = field.add(qd.get(q, field.zero), qc)
-                for gm, gc in g.terms.items():
-                    if gm == lm:
-                        continue
-                    mm = mono_mul(q, gm)
-                    s = field.sub(work.get(mm, field.zero), field.mul(qc, gc))
-                    if s == field.zero:
-                        work.pop(mm, None)
-                    else:
-                        work[mm] = s
-                break
-        else:
-            remainder[m] = c
-    quots = [Polynomial(ring, qd) for qd in quotients]
-    return Polynomial(ring, remainder), quots
+    def back(terms, k_i=1):  # undo the integer scaling, or reduce mod p
+        return Polynomial(ring, {m: c % p if p else c * k_i / k for m, c in terms.items()})
+
+    return back(remainder), [back(q, k_i) for q, (k_i, _) in zip(quotients or (), scaled)]
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -127,25 +203,6 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     mf = f.ring.monomial(mono_div(lcm, lf), field.div(field.one, cf))
     mg = f.ring.monomial(mono_div(lcm, lg), field.div(field.one, cg))
     return mf * f - mg * g
-
-
-def _primitive(p: Polynomial) -> Polynomial:
-    # Over Q, rescale to content-free integer coefficients to keep the
-    # Fraction arithmetic small; other fields just pass through.
-    if p.is_zero() or p.ring.field.name != "Q":
-        return p
-    from fractions import Fraction
-    from math import gcd, lcm
-
-    den = 1
-    for c in p.terms.values():
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in p.terms.values():
-        num = gcd(num, c.numerator * den)
-    if num in (0, 1) and den == 1:
-        return p
-    return p.scale(Fraction(den, num))
 
 
 def _minimal_monomial_set(monos):
@@ -176,71 +233,55 @@ def buchberger(gens, order: MonomialOrder = GREVLEX, ring: PolyRing | None = Non
     if not gens:
         return GroebnerBasis(ring, order, ())
 
+    keyfn = order.key()
     if all(g.is_monomial() for g in gens):
         monos = _minimal_monomial_set([next(iter(g.terms)) for g in gens])
-        keyfn = order.key()
         basis = tuple(
             ring.monomial(m) for m in sorted(monos, key=keyfn, reverse=True)
         )
         return GroebnerBasis(ring, order, basis)
 
-    basis = []
-    for g in gens:
-        basis.append(_primitive(g))
+    p = _modulus(ring)
+    divisors = [_divisor(g.terms if p else _integral(g.terms)[1], keyfn, p, i) for i, g in enumerate(gens)]
+    lead = [d[0] for d in divisors]
+    heap = [(keyfn(mono_lcm(lead[j], lead[i])), j, i) for i in range(len(lead)) for j in range(i)]
+    heapq.heapify(heap)
+    live = {(j, i) for _, j, i in heap}  # the pairs still on the heap
 
-    lead = [g.leading_monomial(order) for g in basis]
-    keyfn = order.key()
-    pairs = {}
-    for i in range(len(basis)):
-        for j in range(i):
-            pairs[(j, i)] = mono_lcm(lead[j], lead[i])
-
-    while pairs:
-        (i, j) = min(pairs, key=lambda p: (keyfn(pairs[p]), p))
-        lcm_ij = pairs.pop((i, j))
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        live.discard((i, j))
         if mono_coprime(lead[i], lead[j]):
             continue  # first criterion: coprime leads reduce to zero
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if not mono_divides(lead[k], lcm_ij):
-                continue
-            a, b = (min(i, k), max(i, k)), (min(j, k), max(j, k))
-            if a not in pairs and b not in pairs:
-                skip = True  # second criterion: both flanking pairs handled
-                break
-        if skip:
+        lcm_ij = mono_lcm(lead[i], lead[j])
+        if any(
+            k != i and k != j and mono_divides(lead[k], lcm_ij)
+            and (min(i, k), max(i, k)) not in live and (min(j, k), max(j, k)) not in live
+            for k in range(len(lead))
+        ):
+            continue  # second criterion: both flanking pairs handled
+        h, _ = _reduce(_s_pair(divisors[i], divisors[j], p), divisors, keyfn, p)
+        if not h:
             continue
-        s = s_polynomial(basis[i], basis[j], order)
-        h = normal_form(s, basis, order)
-        if h.is_zero():
-            continue
-        h = _primitive(h)
-        basis.append(h)
-        lead.append(h.leading_monomial(order))
-        t = len(basis) - 1
+        t = len(lead)
+        divisors.append(_divisor(h if p else _integral(h)[1], keyfn, p, t))
+        lead.append(divisors[t][0])
         for k in range(t):
-            pairs[(k, t)] = mono_lcm(lead[k], lead[t])
+            heapq.heappush(heap, (keyfn(mono_lcm(lead[k], lead[t])), k, t))
+            live.add((k, t))
 
-    return GroebnerBasis(ring, order, _reduce_basis(basis, order))
-
-
-def _reduce_basis(basis, order) -> tuple:
-    """Minimalize, fully inter-reduce, normalize to monic, sort."""
-    keyfn = order.key()
-    basis = [g for g in basis if not g.is_zero()]
-    basis.sort(key=lambda g: keyfn(g.leading_monomial(order)))
-    minimal = []
-    for g in basis:
-        lm = g.leading_monomial(order)
-        if not any(mono_divides(h.leading_monomial(order), lm) for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        r = normal_form(g, others, order) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: keyfn(g.leading_monomial(order)), reverse=True)
-    return tuple(reduced)
+    minimal = []  # ascending leads, none dividing another
+    for d in sorted(divisors, key=lambda d: keyfn(d[0])):
+        if not any(mono_divides(k[0], d[0]) for k in minimal):
+            minimal.append(d)
+    reduced = []  # inter-reduced and monic, still ascending
+    for d in minimal:
+        lm, lc, tail, _ = d
+        # No other lead divides lm, so only the tail is rewritten.
+        r, scale = _reduce(dict(tail), [k for k in minimal if k is not d], keyfn, p)
+        if p:
+            monic = {lm: 1, **{m: c * lc % p for m, c in r.items()}}
+        else:
+            monic = {lm: Fraction(1), **{m: Fraction(c, scale * lc) for m, c in r.items()}}
+        reduced.append(Polynomial(ring, monic))
+    return GroebnerBasis(ring, order, tuple(reversed(reduced)))

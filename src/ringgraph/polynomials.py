@@ -107,10 +107,12 @@ class MonomialOrder:
         return f"elim({self.block})" if self.kind == "elim" else self.kind
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _grevlex_key(m: Mono) -> tuple:
     # Total degree first; ties broken by the smallest exponent on the
     # last variable where they differ, hence the negated reversal.
-    return (sum(m), tuple(-e for e in reversed(m)))
+    # Cached: reduction and pair selection key the same monomials often.
+    return (sum(m), tuple(map(operator.neg, m[::-1])))
 
 
 LEX = MonomialOrder("lex")

@@ -3,17 +3,23 @@
 Everything here is deliberately written against plain Python data
 (integer indices, sets, edge lists) rather than the package's own
 abstractions, so that agreement between an oracle and the production
-code is evidence and not circularity.  The one exception is
+code is evidence and not circularity.  Two exceptions are kept as
+references for faster lanes of the package:
 :func:`groebner_verify_decomposition`, the decomposition check through
-Groebner bases, kept here as the reference for the support-mask lane.
+Groebner bases, for the support-mask lane, and
+:func:`field_normal_form_with_quotients`, division with field arithmetic
+term by term, for the fraction-free dict core of ``groebner``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from ringgraph.errors import StructuralError
+from ringgraph.groebner import GroebnerBasis
 from ringgraph.ideals import ideal_intersection, radical_membership
 from ringgraph.minprimes import DecompositionReport
+from ringgraph.polynomials import MonomialOrder, Polynomial, mono_div, mono_divides, mono_mul
 
 
 def brute_minimal_covers(n: int, supports: list) -> set:
@@ -146,3 +152,63 @@ def first_disconnecting_partition(k: int, heights: dict) -> tuple:
         if ok:
             return side_a, side_b, mask + 1
     return None, None, 2 ** (k - 1) - 1
+
+
+def _divisor_table(gens, order):
+    table = []
+    for g in gens:
+        if isinstance(g, Polynomial) and not g.is_zero():
+            lm, lc = g.leading_term(order)
+            table.append((lm, lc, g))
+    return table
+
+
+def field_normal_form_with_quotients(f: Polynomial, basis, order: MonomialOrder | None = None):
+    """Full reduction returning (remainder, quotients), computed with the
+    field's own operations on every step.
+
+    f == sum(q_i * g_i) + remainder holds exactly, and no remainder
+    monomial is divisible by any leading monomial of the divisors.
+    """
+    if isinstance(basis, GroebnerBasis):
+        gens = basis.generators
+        order = basis.order
+    else:
+        gens = list(basis)
+        if order is None:
+            raise StructuralError("an explicit order is required for raw divisor lists")
+    ring = f.ring
+    for g in gens:
+        if g.ring != ring:
+            raise StructuralError("divisor in a different ring")
+    field = ring.field
+    table = _divisor_table(gens, order)
+    quotients = [dict() for _ in gens]
+    index_of = {id(g): i for i, g in enumerate(gens)}
+    keyfn = order.key()
+
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        m = max(work, key=keyfn)
+        c = work.pop(m)
+        for lm, lc, g in table:
+            if mono_divides(lm, m):
+                q = mono_div(m, lm)
+                qc = field.div(c, lc)
+                qd = quotients[index_of[id(g)]]
+                qd[q] = field.add(qd.get(q, field.zero), qc)
+                for gm, gc in g.terms.items():
+                    if gm == lm:
+                        continue
+                    mm = mono_mul(q, gm)
+                    s = field.sub(work.get(mm, field.zero), field.mul(qc, gc))
+                    if s == field.zero:
+                        work.pop(mm, None)
+                    else:
+                        work[mm] = s
+                break
+        else:
+            remainder[m] = c
+    quots = [Polynomial(ring, qd) for qd in quotients]
+    return Polynomial(ring, remainder), quots

@@ -1,6 +1,8 @@
 """Reduced bases, normal forms, and the membership contract."""
 
 import random
+from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,11 @@ from ringgraph import (
     normal_form,
     s_polynomial,
 )
-from ringgraph.groebner import _minimal_monomial_set, normal_form_with_quotients
-from ringgraph.polynomials import mono_mul
+from ringgraph.groebner import _integral, _minimal_monomial_set, normal_form_with_quotients
+from ringgraph.polynomials import elimination_order, mono_mul
 
 from conftest import random_nonzero_polynomial
+from oracles import field_normal_form_with_quotients
 
 R2 = PolyRing(QQ, ("x", "y"))
 R3 = PolyRing(QQ, ("x", "y", "z"))
@@ -61,6 +64,18 @@ class TestKnownBases:
             assert g.leading_term(GREVLEX)[1] == QQ.one
         # x + y reduced against y + z leaves leading monomials distinct
         assert [str(g) for g in gb.generators] == ["x - z", "y + z"]
+
+
+def cyclic(ring):
+    """The cyclic-n system in all n variables of ``ring``."""
+    xs, n = ring.gens(), ring.nvars
+    gens = []
+    for d in range(1, n):
+        total = ring.zero()
+        for i in range(n):
+            total = total + prod(xs[(i + k) % n] for k in range(d))
+        gens.append(total)
+    return gens + [prod(xs) - 1]
 
 
 class TestBuchbergerContract:
@@ -156,6 +171,69 @@ class TestNormalForm:
         assert normal_form(X, [X + Y], GREVLEX) == -Y
 
 
+class TestIntegerCoefficients:
+    def test_denominators_cleared_and_content_removed(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        cases = [
+            (X2 * half + Y2 * third, 3 * X2 + 2 * Y2),
+            (X2 * Fraction(2, 3) + Fraction(4, 3), X2 + 2),
+            (-X2 * half + third, -3 * X2 + 2),  # the lead's sign is kept
+        ]
+        for p, expected in cases:
+            k, ints = _integral(p.terms)
+            assert ints == expected.terms
+            assert all(type(c) is int for c in ints.values())
+            assert p.scale(k) == expected
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestSympyOracle:
+    """Reduced bases equal sympy's, compared as sets of term dicts."""
+
+    @staticmethod
+    def ours(gens, ring, order):
+        return {frozenset(g.terms.items()) for g in buchberger(gens, order, ring).generators}
+
+    @staticmethod
+    def theirs(sympy, gens, ring, order):
+        syms = sympy.symbols(ring.names)
+        p = getattr(ring.field, "p", 0)
+        exprs = []
+        for g in gens:
+            expr = sympy.Integer(0)
+            for m, c in g.terms.items():
+                coeff = sympy.Integer(c) if p else sympy.Rational(c.numerator, c.denominator)
+                expr += coeff * sympy.Mul(*(s**e for s, e in zip(syms, m)))
+            exprs.append(expr)
+        options = {"modulus": p} if p else {"domain": sympy.QQ}
+        out = set()
+        for g in sympy.groebner(exprs, *syms, order=order.kind, **options).polys:
+            terms = {m: int(c) % p if p else Fraction(int(c.p), int(c.q)) for m, c in g.terms()}
+            out.add(frozenset(terms.items()))
+        return out
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    def test_random_ideals(self, sympy, field, order):
+        rng = random.Random(418)
+        scales = [Fraction(1), Fraction(-1, 2), Fraction(2, 3), Fraction(5)]
+        for _ in range(30):
+            ring = PolyRing(field, ("x", "y", "z", "w")[: rng.randint(2, 4)])
+            gens = [g.scale(rng.choice(scales)) for g in random_ideal_gens(rng, ring)]
+            assert self.ours(gens, ring, order) == self.theirs(sympy, gens, ring, order)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["Q", "F32003"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_cyclic(self, sympy, field, n):
+        ring = PolyRing(field, tuple(f"x{i}" for i in range(n)))
+        gens = cyclic(ring)
+        assert self.ours(gens, ring, GREVLEX) == self.theirs(sympy, gens, ring, GREVLEX)
+
+
 class TestPrimeFieldBases:
     def test_shuffle_invariance_f5(self):
         ring = PolyRing(PrimeField(5), ("x", "y", "z"))
@@ -231,3 +309,38 @@ class TestMonomialFastPaths:
             key=lambda t: (sum(t), t),
         )
         assert _minimal_monomial_set(monos) == expected
+
+
+SIGNED_TERMS = st.lists(
+    st.tuples(EXPONENTS, st.integers(-3, 3), st.sampled_from([1, 2, 3, 5])), max_size=5
+)
+
+
+def poly_from(ring, terms):
+    """Zero numerators drop out, so empty and zero divisors both occur."""
+    return ring.poly({m: ring.coerce_scalar(Fraction(n, d)) for m, n, d in terms})
+
+
+class TestDivisionOracle:
+    """The dict core divides exactly as field arithmetic term by term does."""
+
+    @given(
+        st.sampled_from([QQ, PrimeField(7)]),
+        st.sampled_from([GREVLEX, LEX, elimination_order(2)]),
+        SIGNED_TERMS,
+        st.lists(SIGNED_TERMS, max_size=4),
+    )
+    @settings(max_examples=400)
+    def test_matches_field_division(self, field, order, f_terms, divisor_terms):
+        ring = PolyRing(field, ("x", "y", "z"))
+        f = poly_from(ring, f_terms)
+        divisors = [poly_from(ring, t) for t in divisor_terms]
+        r, quots = normal_form_with_quotients(f, divisors, order)
+        expected_r, expected_quots = field_normal_form_with_quotients(f, divisors, order)
+        assert r.terms == expected_r.terms
+        assert [q.terms for q in quots] == [q.terms for q in expected_quots]
+        assert normal_form(f, divisors, order) == r
+        rebuilt = r
+        for q, g in zip(quots, divisors):
+            rebuilt = rebuilt + q * g
+        assert rebuilt == f

@@ -58,3 +58,34 @@ def test_no_unreferenced_private_functions():
                     defined.append((name, node.name))
             used |= refs
     assert [f"{m}: {f}" for m, f in defined if f not in used] == []
+
+
+def _is_int_expression(node) -> bool:
+    """A constant integer expression such as ``4096`` or ``1 << 16``."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    if isinstance(node, ast.BinOp):
+        return _is_int_expression(node.left) and _is_int_expression(node.right)
+    return isinstance(node, ast.UnaryOp) and _is_int_expression(node.operand)
+
+
+def test_caches_are_bounded():
+    """Every ``lru_cache`` is called with an integer maxsize; nothing uses
+    the unbounded ``functools.cache``."""
+    unbounded = []
+    for name, tree in MODULES.items():
+        bounded_refs = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                maxsize = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+                if maxsize and _is_int_expression(maxsize[0]):
+                    bounded_refs.add(id(node.func))
+        for node in ast.walk(tree):
+            ref = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded += [f"{name}: import {a.name}" for a in node.names if a.name == "cache"]
+            elif ref == "cache" and getattr(node, "value", None) and getattr(node.value, "id", None) == "functools":
+                unbounded.append(f"{name}:{node.lineno}: functools.cache")
+            elif ref == "lru_cache" and id(node) not in bounded_refs:
+                unbounded.append(f"{name}:{node.lineno}: lru_cache without an integer maxsize")
+    assert unbounded == []
