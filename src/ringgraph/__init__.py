@@ -10,6 +10,8 @@ harness checking punctured connectedness over face rings of simplicial
 complexes.  Everything is exact, deterministic, and certificate-backed.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     PreconditionError,
     RingGraphError,
@@ -95,92 +97,5 @@ from .reports import ReportDocument
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QQ",
-    "GREVLEX",
-    "LEX",
-    "HEIGHT_INFINITY",
-    "ConductorResult",
-    "ConnectivityReport",
-    "Field",
-    "Flag",
-    "Fraction",
-    "GroebnerBasis",
-    "HarnessReport",
-    "Ideal",
-    "MinimalPrimeSet",
-    "MonomialOrder",
-    "Polynomial",
-    "PolyRing",
-    "PreconditionError",
-    "PresentedRing",
-    "PrimeCertificate",
-    "PrimeField",
-    "PrimeGraph",
-    "RationalField",
-    "ReportDocument",
-    "RingGraphError",
-    "RingMap",
-    "SessionFile",
-    "SessionSyntaxError",
-    "SimplicialComplex",
-    "StructuralError",
-    "UndecidedComponentError",
-    "ZerodivisorError",
-    "buchberger",
-    "build_gamma",
-    "certify_irreducible",
-    "certify_reduced_from_decomposition",
-    "complex_from_lists",
-    "conductor",
-    "contract",
-    "dimension",
-    "disconnection_exists",
-    "eliminate",
-    "elimination_order",
-    "ensure_min_primes",
-    "exact_divide",
-    "face_ring",
-    "facet_adjacency_graph",
-    "facet_min_primes",
-    "factor_once",
-    "faltings_harness",
-    "field_by_name",
-    "gamma_product",
-    "graph_from_text",
-    "height_in_quotient",
-    "hl_nonvanishing",
-    "ideal_colon",
-    "ideal_intersection",
-    "ideal_product",
-    "ideal_sum",
-    "image_domain_presentation",
-    "is_connected",
-    "is_equidimensional",
-    "is_m_primary",
-    "is_pure",
-    "j_ideal",
-    "j_ideal_is_zero",
-    "join",
-    "m_primary_status",
-    "minimal_primes",
-    "monomial_minimal_primes",
-    "normal_form",
-    "parse_fraction",
-    "parse_polynomial",
-    "parse_session",
-    "polynomial_quotient",
-    "print_session",
-    "punctured_spectrum_connected",
-    "radical_membership",
-    "random_pure_connected_complex",
-    "ring_map_kernel",
-    "s2_local_decision",
-    "s2_membership",
-    "s_polynomial",
-    "saturation",
-    "split_minimal_primes",
-    "sr_ideal",
-    "top_dimensional_primes",
-    "verify_decomposition",
-]
+# the public names are exactly the ones imported above
+__all__ = sorted(n for n, obj in globals().items() if n[0] != "_" and not isinstance(obj, _ModuleType))

@@ -2,13 +2,14 @@
 randomized connectedness harness built on them.
 
 A complex is stored by its facets (pairwise incomparable, vertices
-numbered from 1).  The face ring lives in one variable per vertex; its
-defining ideal is generated by the minimal non-faces, which by
-Alexander duality are the minimal transversals of the facet complements
-(one bitmask routine, shared with the monomial prime strategy), its
-minimal primes are the variable complements of the facets, and for pure
-complexes the minimal-prime graph has an edge exactly when two facets
-share a codimension-one face.  The harness samples pure complexes with
+numbered from 1), each a bitmask in which vertex v is bit v - 1, as is
+its variable in the face ring.  The defining ideal is generated by the
+minimal non-faces, which by Alexander duality are the minimal
+transversals of the facet complements (one bitmask routine, shared with
+the monomial prime strategy), its minimal primes are the variable
+primes of the facet complements, and for pure complexes the
+minimal-prime graph has an edge exactly when two facets share a
+codimension-one face.  The harness samples pure complexes with
 a connected graph, adjoins few enough monomial elements, and checks the
 punctured spectrum modulo them stays connected.
 """
@@ -31,7 +32,7 @@ from .gamma import (
 )
 from .ideals import Ideal, PresentedRing
 from .minprimes import MinimalPrimeSet, PrimeCertificate, is_equidimensional, minimal_transversals
-from .polynomials import PolyRing
+from .polynomials import PolyRing, mask_bits
 
 COMPLEX_VERTEX_CAP = 16
 
@@ -40,12 +41,13 @@ COMPLEX_VERTEX_CAP = 16
 class SimplicialComplex:
     """Facet description of a finite simplicial complex.
 
-    Facets must be pairwise incomparable and use vertices 1..n; the
-    void complex (no facets) needs the explicit flag.
+    Facets are vertex masks (vertex v is bit v - 1); they must be
+    pairwise incomparable and use vertices 1..n.  The void complex (no
+    facets) needs the explicit flag.
     """
 
     n_vertices: int
-    facets: tuple  # of frozensets
+    facets: tuple  # of int masks
     allow_void: bool = False
 
     def __post_init__(self):
@@ -55,33 +57,46 @@ class SimplicialComplex:
             )
         if not self.facets and not self.allow_void:
             raise StructuralError("no facets; pass allow_void for the void complex")
-        seen = []
         for f in self.facets:
-            if not isinstance(f, frozenset):
-                raise StructuralError("facets must be frozensets")
+            if type(f) is not int:
+                raise StructuralError("facets must be vertex masks")
             if not f:
                 raise StructuralError("empty facet; use the void flag instead")
-            if any(v < 1 or v > self.n_vertices for v in f):
+            if f < 0 or f >> self.n_vertices:
                 raise StructuralError("facet vertex out of range")
-            seen.append(f)
-        for i, f in enumerate(seen):
-            for j, g in enumerate(seen):
-                if i != j and f <= g:
-                    raise StructuralError("facets must be pairwise incomparable")
+        if any(i != j and not f & ~g for i, f in enumerate(self.facets) for j, g in enumerate(self.facets)):
+            raise StructuralError("facets must be pairwise incomparable")
 
-    def is_face(self, s: frozenset) -> bool:
-        return any(s <= f for f in self.facets)
+    def is_face(self, s) -> bool:
+        """Whether the vertex set ``s`` lies in some facet."""
+        if any(v < 1 or v > self.n_vertices for v in s):
+            return False  # a vertex outside the complex
+        mask = _vertex_mask(self.n_vertices, s)
+        return any(not mask & ~f for f in self.facets)
 
     def canonical_facets(self) -> tuple:
-        return tuple(sorted((tuple(sorted(f)) for f in self.facets)))
+        """The facets as sorted vertex tuples, in sorted order."""
+        return tuple(sorted(_vertices(f) for f in self.facets))
+
+
+def _vertex_mask(n: int, vertices) -> int:
+    vertices = set(vertices)
+    if any(v < 1 or v > n for v in vertices):
+        raise StructuralError("facet vertex out of range")
+    return sum(1 << (v - 1) for v in vertices)
+
+
+def _vertices(mask: int) -> tuple:
+    return tuple(i + 1 for i in mask_bits(mask))
 
 
 def complex_from_lists(n: int, facets) -> SimplicialComplex:
-    return SimplicialComplex(n, tuple(frozenset(f) for f in facets))
+    """The complex on vertices 1..n whose facets are the given vertex collections."""
+    return SimplicialComplex(n, tuple(_vertex_mask(n, f) for f in facets))
 
 
 def is_pure(cplx: SimplicialComplex) -> bool:
-    sizes = {len(f) for f in cplx.facets}
+    sizes = {f.bit_count() for f in cplx.facets}
     return len(sizes) <= 1
 
 
@@ -99,16 +114,18 @@ def sr_ideal(cplx: SimplicialComplex, ring: PolyRing | None = None) -> Ideal:
     if ring.nvars != cplx.n_vertices:
         raise StructuralError("ambient ring has the wrong number of variables")
     n = cplx.n_vertices
-    covers = minimal_transversals((1 << n) - 1 - sum(1 << (v - 1) for v in f) for f in cplx.facets)
+    covers = minimal_transversals(_complement(cplx, f) for f in cplx.facets)
     return Ideal(ring, tuple(ring.monomial(tuple(m >> i & 1 for i in range(n))) for m in covers))
 
 
+def _complement(cplx: SimplicialComplex, facet: int) -> int:
+    return (1 << cplx.n_vertices) - 1 ^ facet
+
+
 def _prime_order(cplx: SimplicialComplex) -> list:
-    """(facet, complement) pairs in the canonical-key order of the
-    complements' variable primes: by the complement's vertices, negated."""
-    vertices = range(1, cplx.n_vertices + 1)
-    pairs = [(f, [v for v in vertices if v not in f]) for f in cplx.facets]
-    return sorted(pairs, key=lambda fc: [-v for v in fc[1]])
+    """The facets in the canonical-key order of their complements'
+    variable primes: by the complement's set bits, negated."""
+    return sorted(cplx.facets, key=lambda f: [-i for i in mask_bits(_complement(cplx, f))])
 
 
 def facet_min_primes(cplx: SimplicialComplex, ring: PolyRing | None = None) -> MinimalPrimeSet:
@@ -118,9 +135,7 @@ def facet_min_primes(cplx: SimplicialComplex, ring: PolyRing | None = None) -> M
     if ring is None:
         ring = face_ring_ambient(cplx)
     cert = PrimeCertificate("monomial-variable-prime")
-    primes = tuple(
-        (Ideal(ring, tuple(ring.var(v - 1) for v in comp)), cert) for _, comp in _prime_order(cplx)
-    )
+    primes = tuple((Ideal.of_variables(ring, _complement(cplx, f)), cert) for f in _prime_order(cplx))
     return MinimalPrimeSet(sr_ideal(cplx, ring), primes, "computed-monomial")
 
 
@@ -142,22 +157,18 @@ def facet_adjacency_graph(cplx: SimplicialComplex) -> PrimeGraph:
     Must agree with the computed minimal-prime graph; tests pin that."""
     if not is_pure(cplx):
         raise PreconditionError("facet adjacency shortcut needs a pure complex")
-    facets = [f for f, _ in _prime_order(cplx)]
-    size = len(facets[0]) if facets else 0
+    facets = _prime_order(cplx)
+    size = facets[0].bit_count() if facets else 0
     pairs = combinations(range(len(facets)), 2)
-    edges = frozenset((i, j) for i, j in pairs if len(facets[i] & facets[j]) == size - 1)
-    return PrimeGraph(tuple(tuple(sorted(f)) for f in facets), edges)
+    edges = frozenset((i, j) for i, j in pairs if (facets[i] & facets[j]).bit_count() == size - 1)
+    return PrimeGraph(tuple(_vertices(f) for f in facets), edges)
 
 
 def join(c1: SimplicialComplex, c2: SimplicialComplex) -> SimplicialComplex:
     """Simplicial join: every facet of one unioned with every facet of
     the other, on the disjoint union of the vertex sets."""
     n = c1.n_vertices + c2.n_vertices
-    facets = []
-    for f in c1.facets:
-        for g in c2.facets:
-            facets.append(frozenset(f | {v + c1.n_vertices for v in g}))
-    return SimplicialComplex(n, tuple(facets))
+    return SimplicialComplex(n, tuple(f | g << c1.n_vertices for f in c1.facets for g in c2.facets))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +179,7 @@ def random_pure_complex(rng: random.Random, n: int, size: int, count: int) -> Si
     pool = list(combinations(range(1, n + 1), size))
     if count > len(pool):
         raise PreconditionError("more facets requested than exist at that size")
-    chosen = rng.sample(pool, count)
-    return SimplicialComplex(n, tuple(frozenset(f) for f in chosen))
+    return complex_from_lists(n, rng.sample(pool, count))
 
 
 def random_pure_connected_complex(
@@ -256,7 +266,7 @@ def faltings_harness(
         try:
             cplx = random_pure_connected_complex(n, size, count, sub_seed)
         except PreconditionError:
-            cplx = SimplicialComplex(n, (frozenset(range(1, size + 1)),))
+            cplx = complex_from_lists(n, [range(1, size + 1)])
         pres = face_ring(cplx)
         gens = _random_monomials(rng, pres.ambient, default_generator_count(pres.dim()))
         a = Ideal(pres.ambient, tuple(gens))

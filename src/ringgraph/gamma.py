@@ -246,8 +246,9 @@ def is_connected(graph: PrimeGraph) -> ConnectivityReport:
 
 
 def disconnection_exists(ring: PresentedRing) -> ConnectivityReport:
-    """Search all 2^(k-1) - 1 bipartitions of the minimal primes for one
-    whose cross sums all have height at least two.
+    """Search the 2^(k-1) - 1 bipartitions of the minimal primes for one
+    whose cross sums all have height at least two.  A counter numbers
+    them, and only those whose side a holds prime 0's neighbours are read.
 
     Returns a disconnected report carrying the first such partition and
     the intersection ideals of its two sides, or a connected report
@@ -272,12 +273,11 @@ def disconnection_exists(ring: PresentedRing) -> ConnectivityReport:
         if h < 2:
             near[i] |= 1 << j
             near[j] |= 1 << i
-    for mask in range(2 ** (k - 1) - 1):
+    required = near[0] >> 1  # the mask bits of prime 0's neighbours, always on side a
+    mask = required
+    while mask < 2 ** (k - 1) - 1:
         side = 1 | mask << 1  # prime 0 is always on side a
-        for i in range(k):
-            if side >> i & 1 and near[i] & ~side:
-                break
-        else:
+        if not any(side >> i & 1 and near[i] & ~side for i in range(1, k)):
             side_a = [i for i in range(k) if side >> i & 1]
             side_b = [i for i in range(k) if not side >> i & 1]
             inter_a = ideal_intersection(*(primes[i] for i in side_a))
@@ -298,6 +298,7 @@ def disconnection_exists(ring: PresentedRing) -> ConnectivityReport:
             return ConnectivityReport(
                 "disconnected", False, comps, labels, witness, provenance=prov
             )
+        mask = (mask + 1) | required  # the next mask that holds ``required``
     return ConnectivityReport(
         "connected",
         True,
@@ -331,12 +332,13 @@ def punctured_spectrum_connected(ring: PresentedRing, a: Ideal) -> ConnectivityR
     their sum is not primary to it.  An a primary to the maximal ideal
     leaves nothing after puncturing: status ``empty``.
     """
-    status = m_primary_status(a, ring)
+    total = ideal_sum(ring.defining, a)
+    status = m_primary_status(a, ring, total)
     if status == "unit-ideal":
         raise PreconditionError("the ideal is the unit ideal in the quotient; nothing to puncture")
     if status == "m-primary":
         return ConnectivityReport("empty", None, (), (), witness={"reason": "m-primary"})
-    mps = minimal_primes(ideal_sum(ring.defining, a))
+    mps = minimal_primes(total)
     graph = _pair_graph(mps, lambda b: m_primary_status(b, ring), "not-m-primary", provenance(mps))
     return is_connected(graph)
 

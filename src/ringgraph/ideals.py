@@ -7,6 +7,8 @@ contractions through graph ideals under elimination orders, dimension
 through independent variable sets modulo the leading-term ideal.
 Monomial data takes certified combinatorial shortcuts with identical
 contracts; the test suite pins those against the general routes.
+Ideals whose reduced basis is known (variable primes, eliminations) are
+built with it, and a monomial ring keeps its reduced support data.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .polynomials import (
     elimination_order,
     embed,
     fresh_names,
+    mask_bits,
+    mono_divides,
     mono_lcm,
     mono_mask,
     strip_first,
@@ -46,10 +50,11 @@ class Ideal:
 
     Equality of objects is structural; use :meth:`equals` for equality
     of the ideals themselves (via reduced bases).  Groebner bases are
-    cached per order on the instance.
+    cached per order on the instance.  ``var_mask``, when set, holds
+    the bits of the variables that generate the ideal.
     """
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "var_mask")
 
     def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
         gens = tuple(gens)
@@ -59,6 +64,22 @@ class Ideal:
         self.ring = ring
         self.gens = gens
         self._gb = {}
+        self.var_mask = None
+
+    @classmethod
+    def of_variables(cls, ring: PolyRing, mask: int) -> "Ideal":
+        """The ideal of the variables whose bits ``mask`` sets: in index
+        order they are its reduced basis under every order."""
+        ideal = cls.of_basis(GroebnerBasis(ring, GREVLEX, tuple(ring.var(i) for i in mask_bits(mask))))
+        ideal.var_mask = mask
+        return ideal
+
+    @classmethod
+    def of_basis(cls, basis: GroebnerBasis) -> "Ideal":
+        """The ideal generated by ``basis``, a reduced basis known already."""
+        ideal = cls(basis.ring, basis.generators)
+        ideal._gb[(basis.order.kind, basis.order.block)] = basis
+        return ideal
 
     def __repr__(self):
         inner = ", ".join(str(g) for g in self.gens) if self.gens else "0"
@@ -68,7 +89,10 @@ class Ideal:
         key = (order.kind, order.block)
         gb = self._gb.get(key)
         if gb is None:
-            gb = buchberger(self.gens, order, ring=self.ring)
+            if self.var_mask is None:
+                gb = buchberger(self.gens, order, ring=self.ring)
+            else:
+                gb = GroebnerBasis(self.ring, order, tuple(self.ring.var(i) for i in mask_bits(self.var_mask)))
             self._gb[key] = gb
         return gb
 
@@ -101,13 +125,18 @@ class Ideal:
         return self.groebner().key()
 
     def min_gen_strings(self) -> list:
+        if self.var_mask is not None:  # a variable prints as its name
+            return [self.ring.names[i] for i in mask_bits(self.var_mask)]
         return [str(g) for g in self.canonical_gens()]
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise StructuralError("sum of ideals in different rings")
-    return Ideal(a.ring, a.gens + b.gens)
+    total = Ideal(a.ring, a.gens + b.gens)
+    if a.var_mask is not None and b.var_mask is not None:
+        total.var_mask = a.var_mask | b.var_mask
+    return total
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
@@ -119,10 +148,14 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 
 
 def _monomial_intersection(a: Ideal, *others: Ideal) -> Ideal:
+    """The lcm fold.  A folded generator that the next ideal contains is
+    kept as it is; only the other generators' lcms are minimalized."""
     monos = [m for g in a.groebner().generators for m in g.terms]
     for b in others:
         gens = [m for g in b.groebner().generators for m in g.terms]
-        monos = _minimal_monomial_set({mono_lcm(f, m) for f in monos for m in gens})
+        kept = [f for f in monos if any(mono_divides(m, f) for m in gens)]
+        rest = set(monos).difference(kept)
+        monos = _minimal_monomial_set({mono_lcm(f, m) for f in rest for m in gens}, kept)
     return Ideal(a.ring, tuple(a.ring.monomial(m) for m in monos))
 
 
@@ -149,8 +182,7 @@ def _intersect_two(a: Ideal, b: Ideal) -> Ideal:
     gens = [t * embed(f, ext, shift) for f in a.gens]
     one_minus_t = ext.one() - t
     gens += [one_minus_t * embed(g, ext, shift) for g in b.gens]
-    elim = eliminate(Ideal(ext, gens), 1)
-    return Ideal(ring, tuple(strip_first(p, 1, ring) for p in elim.gens))
+    return _eliminate_into(Ideal(ext, gens), 1, ring)
 
 
 def ideal_colon(a: Ideal, b: Ideal) -> Ideal:
@@ -189,10 +221,18 @@ def eliminate(a: Ideal, k: int) -> Ideal:
     if k < 0 or k > a.ring.nvars:
         raise StructuralError("elimination block out of range")
     if k == 0:
-        return Ideal(a.ring, a.groebner().generators)
+        return Ideal.of_basis(a.groebner())
     gb = a.groebner(elimination_order(k))
     kept = tuple(g for g in gb.generators if all(not any(m[:k]) for m in g.terms))
-    return Ideal(a.ring, kept)
+    # the order is grevlex on these, so they are their own reduced grevlex basis
+    return Ideal.of_basis(GroebnerBasis(a.ring, GREVLEX, kept))
+
+
+def _eliminate_into(a: Ideal, k: int, ring: PolyRing) -> Ideal:
+    """a ∩ K[x_{k+1}, ...] in ``ring``, the ring of those variables.
+    Dropping variables that no term uses keeps the reduced basis."""
+    kept = eliminate(a, k).gens
+    return Ideal.of_basis(GroebnerBasis(ring, GREVLEX, tuple(strip_first(p, k, ring) for p in kept)))
 
 
 def radical_membership(f: Polynomial, a: Ideal) -> bool:
@@ -232,7 +272,8 @@ def dimension(a: Ideal) -> int:
         masks = {mono_mask(m) for g in a.gens for m in g.terms}
     else:
         masks = {mono_mask(g.leading_monomial(GREVLEX)) for g in a.groebner().generators}
-    return _support_dimension(n, masks)
+    supports = _supports(masks)
+    return -1 if supports is None else _max_independent(n, *supports)
 
 
 def _capped_nvars(ring: PolyRing) -> int:
@@ -244,19 +285,24 @@ def _capped_nvars(ring: PolyRing) -> int:
     return ring.nvars
 
 
-def _support_dimension(n: int, masks) -> int:
-    """Dimension of the quotient by the monomial ideal whose generator
-    supports are ``masks``; -1 for the unit ideal."""
+def _supports(masks, singles: int = 0, minimal: tuple = ()) -> tuple | None:
+    """(singles, minimal) for the monomial ideal of the supports ``masks``
+    plus the one with (singles, minimal): the union of its one-variable
+    supports and its other minimal supports; None for the unit ideal."""
+    masks = set(masks)
     if 0 in masks:  # a constant: the unit ideal
-        return -1
-    # Only the minimal supports matter: drop those meeting a single
-    # variable support, then those containing a smaller one.
-    singles = sum(m for m in masks if not m & (m - 1))
-    minimal = []
+        return None
+    for m in masks:
+        if not m & (m - 1):
+            singles |= m
+    # drop the supports meeting a single variable, then those containing a smaller one
+    kept, fresh = [k for k in minimal if not k & singles], []
     for m in sorted(sorted(m for m in masks if not m & singles), key=int.bit_count):
-        if all(k & ~m for k in minimal):
-            minimal.append(m)
-    return _max_independent(n, singles, tuple(minimal))
+        if all(k & ~m for k in kept) and all(k & ~m for k in fresh):
+            fresh.append(m)
+    if fresh:  # drop the kept supports containing a fresh one
+        kept = [k for k in kept if all(m & ~k for m in fresh)]
+    return singles, tuple(kept + fresh)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -317,7 +363,7 @@ class PresentedRing:
     minimal-prime graph once :func:`ringgraph.gamma.build_gamma` has
     built it, and ``core`` the equidimensional core once
     :func:`ringgraph.s2.s2_local_decision` has built it.  ``_masks``
-    holds a monomial defining ideal's support masks, and None otherwise.
+    holds a monomial defining ideal's :func:`_supports`, and None otherwise.
     """
 
     __slots__ = ("ambient", "defining", "_dim", "_reduced", "_equidim", "_min_primes", "gamma", "core", "_masks")
@@ -338,7 +384,7 @@ class PresentedRing:
         self._masks = None
         gens = defining.groebner().generators
         if all(g.is_monomial() for g in gens):
-            self._masks = frozenset(mono_mask(next(iter(g.terms))) for g in gens)
+            self._masks = _supports(mono_mask(next(iter(g.terms))) for g in gens)
             self.certify_reduced(all(e <= 1 for g in gens for e in next(iter(g.terms))))
 
     def dim(self) -> int:
@@ -398,21 +444,28 @@ def polynomial_quotient(ambient: PolyRing) -> PresentedRing:
     return PresentedRing(ambient, Ideal(ambient, ()))
 
 
-def _quotient_dimension(ring: PresentedRing, a: Ideal) -> int:
+def _quotient_dimension(ring: PresentedRing, a: Ideal, total: Ideal | None = None) -> int:
     """dim ring/a, -1 when a is the unit ideal there: the one quantity
     behind heights and m-primary statuses.  A monomial ring and an ideal
-    of single terms have it read off their support masks."""
+    of single terms have it folded from support masks; otherwise it is
+    dim of ``total``, the defining ideal plus a, unless the caller has it."""
     if a.ring != ring.ambient:
         raise StructuralError("ideal lives outside the ring's ambient")
-    if ring._masks is None or any(len(g.terms) > 1 for g in a.gens):
-        return dimension(ideal_sum(ring.defining, a))
-    masks = ring._masks.union(mono_mask(m) for g in a.gens for m in g.terms)
-    return _support_dimension(_capped_nvars(a.ring), masks)
+    if ring._masks is None or (a.var_mask is None and any(len(g.terms) > 1 for g in a.gens)):
+        return dimension(ideal_sum(ring.defining, a) if total is None else total)
+    singles, minimal = ring._masks
+    if a.var_mask is None:
+        supports = _supports({mono_mask(m) for g in a.gens for m in g.terms}, singles, minimal)
+    else:  # a's supports are single variables
+        supports = _supports((), singles | a.var_mask, minimal)
+    n = _capped_nvars(a.ring)
+    return -1 if supports is None else _max_independent(n, *supports)
 
 
-def m_primary_status(a: Ideal, ring: PresentedRing) -> str:
-    """One of 'm-primary', 'not-m-primary', 'unit-ideal' for a in ring."""
-    d = _quotient_dimension(ring, a)
+def m_primary_status(a: Ideal, ring: PresentedRing, total: Ideal | None = None) -> str:
+    """One of 'm-primary', 'not-m-primary', 'unit-ideal' for a in ring;
+    ``total`` is the sum of the defining ideal and a, when already built."""
+    d = _quotient_dimension(ring, a, total)
     if d == -1:
         return "unit-ideal"
     return "m-primary" if d == 0 else "not-m-primary"
@@ -506,5 +559,4 @@ def contract(q: Ideal, phi: RingMap) -> Ideal:
         gens.append(embed(g, comb, tgt_map))
     for g in q.gens:
         gens.append(embed(g, comb, tgt_map))
-    elim = eliminate(Ideal(comb, tuple(gens)), tgt.nvars)
-    return Ideal(src, tuple(strip_first(p, tgt.nvars, src) for p in elim.gens))
+    return _eliminate_into(Ideal(comb, tuple(gens)), tgt.nvars, src)

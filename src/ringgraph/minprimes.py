@@ -33,7 +33,7 @@ from .ideals import (
     ring_map_kernel,
     saturation,
 )
-from .polynomials import mono_mask, mono_support
+from .polynomials import mask_bits, mono_mask, mono_support
 
 CERTIFICATE_KINDS = (
     "monomial-variable-prime",
@@ -182,7 +182,7 @@ def _verify_on_masks(a: Ideal, prime_masks: list) -> DecompositionReport:
     inter = [0]  # supports of the minimal generators, from the unit ideal
     for p in prime_masks:
         kept = [f for f in inter if f & p]  # f | v is f for v in f & p
-        lcms = {f | 1 << v for f in inter if not f & p for v in _bits(p)}
+        lcms = {f | 1 << v for f in inter if not f & p for v in mask_bits(p)}
         for c in sorted(lcms, key=int.bit_count):
             if all(k & ~c for k in kept):
                 kept.append(c)
@@ -203,11 +203,6 @@ def _verify_on_masks(a: Ideal, prime_masks: list) -> DecompositionReport:
 
 # ---------------------------------------------------------------------------
 # monomial strategy
-
-
-def _bits(mask: int) -> tuple:
-    """The set bits of a mask, lowest first."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def minimal_transversals(masks) -> list:
@@ -237,7 +232,7 @@ def minimal_transversals(masks) -> list:
             cand |= v
 
     found = mmcs(0, -1, list(set(masks)), {})  # -1: every vertex is a candidate
-    return sorted(found, key=lambda m: (m.bit_count(), _bits(m)))
+    return sorted(found, key=lambda m: (m.bit_count(), mask_bits(m)))
 
 
 def monomial_minimal_primes(a: Ideal) -> MinimalPrimeSet:
@@ -248,7 +243,7 @@ def monomial_minimal_primes(a: Ideal) -> MinimalPrimeSet:
         raise StructuralError("monomial strategy requires monomial generators")
     covers = minimal_transversals(mono_mask(next(iter(g.terms))) for g in gens)
     cert = PrimeCertificate("monomial-variable-prime")
-    primes = tuple((Ideal(a.ring, tuple(a.ring.var(i) for i in _bits(c))), cert) for c in covers)
+    primes = tuple((Ideal.of_variables(a.ring, c), cert) for c in covers)
     return MinimalPrimeSet(a, primes, "computed-monomial")
 
 
@@ -294,7 +289,7 @@ def split_minimal_primes(a: Ideal) -> MinimalPrimeSet:
         seen.add(key)
         if gb.is_unit():
             continue
-        work = Ideal(ring, gb.generators)
+        work = Ideal.of_basis(gb)
         split = None
         for g in gb.generators:
             verdict, payload = factor_once(g)
@@ -361,7 +356,7 @@ def minimal_primes(a: Ideal, strategy: str = "auto", asserted=None) -> MinimalPr
     if strategy != "auto":
         raise StructuralError(f"unknown strategy {strategy!r}")
     if all(g.is_monomial() for g in a.groebner().generators):
-        return monomial_minimal_primes(Ideal(a.ring, a.groebner().generators))
+        return monomial_minimal_primes(Ideal.of_basis(a.groebner()))
     return split_minimal_primes(a)
 
 
@@ -451,7 +446,7 @@ def j_ideal(ring: PresentedRing) -> Ideal:
     if not tops:
         raise StructuralError("no top-dimensional primes; broken decomposition")
     inter = ideal_intersection(*(p for p, _ in tops))
-    return Ideal(ring.ambient, inter.canonical_gens())
+    return Ideal.of_basis(inter.groebner())
 
 
 def j_ideal_is_zero(ring: PresentedRing, j: Ideal) -> bool:

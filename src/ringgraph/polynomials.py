@@ -61,6 +61,11 @@ def mono_mask(a: Mono) -> int:
     return sum(1 << i for i, e in enumerate(a) if e)
 
 
+def mask_bits(mask: int) -> tuple:
+    """The set bits of a mask, lowest first."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 

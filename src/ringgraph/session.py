@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .complexes import SimplicialComplex, face_ring
+from .complexes import complex_from_lists, face_ring
 from .errors import RingGraphError, SessionSyntaxError, StructuralError
 from .fields import QQ, Field, PrimeField
 from .ideals import (
@@ -557,7 +557,7 @@ def _parse_complex(stream: _TokenStream, session: SessionFile) -> str:
     stream.expect(";")
     n = max(max(f) for f in facets)
     try:
-        cplx = SimplicialComplex(n, tuple(facets))
+        cplx = complex_from_lists(n, facets)
     except RingGraphError as e:
         raise SessionSyntaxError(str(e), name_tok.line, name_tok.column) from e
     session.complexes[name_tok.text] = cplx

@@ -129,6 +129,21 @@ def groebner_verify_decomposition(a, primes) -> DecompositionReport:
     return DecompositionReport(not failures, failures)
 
 
+def lcm_fold_intersection(generator_lists: list) -> list:
+    """The intersection of monomial ideals, each given by the exponent
+    tuples of its minimal generators, folded from the left: every lcm of
+    a folded generator with a generator of the next ideal, then only the
+    lcms no other one divides.  Sorted by (degree, exponents)."""
+    folded = list(generator_lists[0])
+    for gens in generator_lists[1:]:
+        lcms = {tuple(map(max, f, m)) for f in folded for m in gens}
+        folded = [
+            m for m in lcms
+            if not any(k != m and all(x <= y for x, y in zip(k, m)) for k in lcms)
+        ]
+    return sorted(folded, key=lambda m: (sum(m), m))
+
+
 def first_disconnecting_partition(k: int, heights: dict) -> tuple:
     """The first bipartition of range(k), with 0 on side a, whose cross
     pairs all have height at least two, searched in the order of the

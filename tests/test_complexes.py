@@ -35,7 +35,7 @@ from oracles import minimal_nonface_supports
 def random_impure_complex(rng, n):
     """Facets of mixed sizes on n vertices, reduced to an antichain."""
     drawn = {frozenset(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(rng.randint(1, 8))}
-    return SimplicialComplex(n, tuple(f for f in drawn if not any(f < g for g in drawn)))
+    return complex_from_lists(n, [f for f in drawn if not any(f < g for g in drawn)])
 
 
 def four_cycle():
@@ -48,8 +48,9 @@ class TestComplexValidation:
             complex_from_lists(3, [(1, 2), (1, 2, 3)])
 
     def test_vertex_out_of_range(self):
-        with pytest.raises(RingGraphError):
-            complex_from_lists(2, [(1, 3)])
+        for facet in [(1, 3), (0, 1), (-1,)]:
+            with pytest.raises(RingGraphError):
+                complex_from_lists(2, [facet])
 
     def test_void_needs_flag(self):
         with pytest.raises(RingGraphError):
@@ -65,6 +66,8 @@ class TestComplexValidation:
         assert c.is_face(frozenset({1, 2}))
         assert c.is_face(frozenset({3}))
         assert not c.is_face(frozenset({1, 3}))
+        assert not c.is_face(frozenset({2, 5}))  # vertex 5 is outside the complex
+        assert c.is_face(frozenset())
 
 
 class TestFaceRing:
@@ -98,7 +101,7 @@ class TestFaceRing:
             for g in sr_ideal(c).gens:
                 mono = next(iter(g.terms))
                 got.add(frozenset(i for i, e in enumerate(mono) if e))
-            assert got == minimal_nonface_supports(c.n_vertices, [set(f) for f in c.facets])
+            assert got == minimal_nonface_supports(c.n_vertices, c.canonical_facets())
 
     def test_void_complex_has_unit_ideal(self):
         void = SimplicialComplex(3, (), allow_void=True)

@@ -1,8 +1,10 @@
 """The minimal-prime graph, its two connectivity routes, punctured
 spectra, the top-cohomology criterion, and graph products."""
 
+import dataclasses
 import json
 import random
+import sys
 from itertools import combinations
 from math import comb
 
@@ -35,6 +37,7 @@ from ringgraph import (
     s2_local_decision,
 )
 from ringgraph import gamma as gamma_module
+from ringgraph import groebner as groebner_module
 from ringgraph.complexes import random_pure_complex
 
 from conftest import random_nonzero_polynomial
@@ -113,6 +116,47 @@ def count_height_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(gamma_module, "height_in_quotient", counted)
     return calls
+
+
+def count_buchberger_calls(monkeypatch) -> list:
+    """Route ``buchberger`` through a counter in every package module that
+    binds it; each call appends (its generators, its basis key)."""
+    calls = []
+    original = groebner_module.buchberger
+
+    def counted(gens, *args, **kwargs):
+        basis = original(gens, *args, **kwargs)
+        calls.append((tuple(gens), basis.key()))
+        return basis
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "ringgraph" and getattr(module, "buchberger", None) is original:
+            monkeypatch.setattr(module, "buchberger", counted)
+    return calls
+
+
+class TestSavedGroebnerWork:
+    def test_face_ring_graph_computes_only_the_defining_basis(self, monkeypatch):
+        # variable primes know their bases and pair heights fold masks
+        cplx = random_pure_complex(random.Random(120), 10, 4, 120)
+        calls = count_buchberger_calls(monkeypatch)
+        ring = face_ring(cplx)
+        assert build_gamma(ring).n == 120
+        assert [gens for gens, _ in calls] == [ring.defining.gens]
+
+    def test_punctured_sums_the_defining_ideal_once(self, monkeypatch):
+        # Q[x,y,z]/(xy - z^2) modulo (x - z): the m-primary status and the
+        # minimal primes read one J + a, whose basis is computed once.
+        ring3 = PolyRing(QQ, ("x", "y", "z"))
+        x, y, z = ring3.gens()
+        pres = PresentedRing(ring3, Ideal(ring3, (x * y - z ** 2,)))
+        j_plus_a = Ideal(ring3, (y * z - z ** 2, x - z)).groebner().key()
+        calls = count_buchberger_calls(monkeypatch)
+        report = punctured_spectrum_connected(pres, Ideal(ring3, (x - z,)))
+        assert report.status == "disconnected"
+        assert report.labels == (("x", "z"), ("x - z", "y - z"))
+        assert [key for _, key in calls].count(j_plus_a) == 1
+        assert len(calls) == 9
 
 
 class TestSharedHeightEvidence:
@@ -245,6 +289,30 @@ class TestBipartitionSearch:
             statuses.append((report.status, len(ring.min_primes.primes)))
         assert {s for s, _ in statuses} == {"connected", "disconnected"}
         assert max(k for _, k in statuses) == 12
+
+    def test_superset_search_matches_list_scan_on_random_heights(self):
+        """Only the partitions holding prime 0's neighbours are read; the
+        first one found and its counter must be the full scan's, also for
+        heights drawn at random on the primes of a face ring."""
+        rng = random.Random(516)
+        found = []
+        for _ in range(40):
+            n = rng.randint(5, 7)
+            size = rng.randint(2, n - 2)
+            ring = face_ring(random_pure_complex(rng, n, size, rng.randint(2, min(11, comb(n, size)))))
+            graph = build_gamma(ring)
+            k, low = graph.n, rng.random() * 0.6
+            evidence = tuple(
+                ((i, j), 1 if rng.random() < low else rng.choice([2, 3, float("inf")]))
+                for i in range(k)
+                for j in range(i + 1, k)
+            )
+            edges = frozenset(pair for pair, h in evidence if h == 1)
+            ring.gamma = dataclasses.replace(graph, edges=edges, evidence=evidence)
+            report = disconnection_exists(ring)
+            assert report == list_route_report(ring)
+            found.append(report.witness["partition_count_searched"])
+        assert len(set(found)) > 10
 
 
 class TestPuncturedSpectrum:

@@ -1,5 +1,6 @@
 """Ideal arithmetic, dimension, presented rings, and ring maps."""
 
+import pickle
 import random
 from itertools import combinations
 
@@ -10,16 +11,20 @@ from hypothesis import strategies as st
 from ringgraph import (
     GREVLEX,
     HEIGHT_INFINITY,
+    LEX,
     QQ,
     Ideal,
     PolyRing,
+    PrimeField,
     PresentedRing,
     PreconditionError,
     RingGraphError,
     RingMap,
+    buchberger,
     contract,
     dimension,
     eliminate,
+    elimination_order,
     height_in_quotient,
     ideal_colon,
     ideal_intersection,
@@ -37,6 +42,7 @@ from ringgraph.ideals import Flag, provenance
 from ringgraph.polynomials import embed, strip_first
 
 from conftest import random_nonzero_polynomial
+from oracles import lcm_fold_intersection
 
 R3 = PolyRing(QQ, ("x", "y", "z"))
 X, Y, Z = R3.gens()
@@ -76,6 +82,38 @@ class TestIdealBasics:
         assert I(X, X + 1).is_unit()
         assert I().is_zero_ideal()
         assert not I(X).is_zero_ideal()
+
+
+class TestVariablePrimes:
+    """An ideal built from a variable mask carries its reduced basis: it
+    must be the one Buchberger's algorithm gives for its generators."""
+
+    def test_known_basis_is_the_computed_one(self):
+        for field in (QQ, PrimeField(7)):
+            for n in range(1, 7):
+                ring = PolyRing(field, tuple(f"x{i}" for i in range(n)))
+                orders = [GREVLEX, LEX] + [elimination_order(k) for k in range(1, n + 1)]
+                for mask in range(1 << n):
+                    prime = Ideal.of_variables(ring, mask)
+                    for order in orders:
+                        known = prime.groebner(order)
+                        computed = buchberger(prime.gens, order, ring=ring)
+                        assert known.key() == computed.key(), (mask, order)
+                        assert pickle.dumps(known) == pickle.dumps(computed), (mask, order)
+                    strings = [str(g) for g in buchberger(prime.gens, ring=ring).generators]
+                    assert prime.min_gen_strings() == strings
+
+    def test_sums_keep_the_mask(self):
+        rng = random.Random(426)
+        ring = PolyRing(QQ, tuple(f"x{i}" for i in range(6)))
+        for _ in range(100):
+            p, q = (Ideal.of_variables(ring, rng.randrange(64)) for _ in range(2))
+            total = ideal_sum(p, q)
+            assert total.var_mask == p.var_mask | q.var_mask
+            for order in (GREVLEX, LEX, elimination_order(2)):
+                computed = buchberger(total.gens, order, ring=ring)
+                assert pickle.dumps(total.groebner(order)) == pickle.dumps(computed)
+        assert ideal_sum(Ideal.of_variables(ring, 1), Ideal(ring, ring.gens()[:1])).var_mask is None
 
 
 class TestIdealOperations:
@@ -123,6 +161,42 @@ class TestIdealOperations:
         for _ in range(10):
             a, b, c = (random_monomial_ideal(rng, R3) for _ in range(3))
             assert ideal_intersection(a, b, c).equals(eliminated(eliminated(a, b), c))
+
+    def test_monomial_fold_matches_plain_lcm_fold(self):
+        """The fold keeps aside the generators the next ideal contains; the
+        result, order included, is the plain fold's."""
+        rng = random.Random(424)
+        ring = PolyRing(QQ, ("a", "b", "c", "d", "e"))
+        for _ in range(200):
+            ideals = [
+                Ideal.of_variables(ring, rng.randrange(1, 32))
+                if rng.random() < 0.3
+                else random_monomial_ideal(rng, ring, max_gens=4, max_exp=rng.choice([1, 2]))
+                for _ in range(rng.randint(2, 5))
+            ]
+            got = [next(iter(g.terms)) for g in ideal_intersection(*ideals).gens]
+            lists = [[next(iter(g.terms)) for g in b.groebner().generators] for b in ideals]
+            assert got == lcm_fold_intersection(lists)
+
+    def test_eliminations_carry_the_computed_basis(self):
+        """Eliminations, intersections and contractions are built with the
+        grevlex basis their elimination already gave; it must be the one
+        Buchberger's algorithm gives for their generators."""
+        rng = random.Random(427)
+        for field in (QQ, PrimeField(7)):
+            ring, source = PolyRing(field, ("x", "y", "z")), PolyRing(field, ("u", "v"))
+            for _ in range(40):
+                a, b = (
+                    Ideal(ring, [random_nonzero_polynomial(rng, ring, max_degree=2) for _ in range(2)])
+                    for _ in range(2)
+                )
+                phi = RingMap(source, ring, [random_nonzero_polynomial(rng, ring, max_degree=2) for _ in range(2)])
+                for built in (eliminate(a, rng.randint(0, 2)), ideal_intersection(a, b), contract(b, phi)):
+                    computed = buchberger(built.gens, GREVLEX, ring=built.ring)
+                    known = built.groebner()
+                    assert known.key() == computed.key()
+                    types = [type(c) for g in known.generators for c in g.terms.values()]
+                    assert types == [type(c) for g in computed.generators for c in g.terms.values()]
 
     def test_colon_known(self):
         assert ideal_colon(I(X * Y), I(X)).equals(I(Y))
@@ -256,6 +330,22 @@ class TestMonomialDimensionLane:
             assert dimension(a) == expected, gens
             assert groebner_route_dimension(a) == expected, gens
         assert dimension(Ideal(R4, ())) == 4
+
+    def test_support_fold_matches_one_pass(self):
+        """A ring's reduced support data with further masks folded in is
+        the data of all the masks read at once."""
+        rng = random.Random(425)
+        supports = ideals_module._supports
+        for _ in range(2000):
+            n = rng.randint(1, 8)
+            base = {rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 8))}
+            more = {rng.randrange(1 << n) for _ in range(rng.randint(0, 4))}
+            singles, minimal = supports(base)
+            folded, whole = supports(more, singles, minimal), supports(base | more)
+            if whole is None:
+                assert folded is None
+            else:
+                assert (folded[0], sorted(folded[1])) == (whole[0], sorted(whole[1]))
 
     def test_variable_cap_refuses_monomial_input(self):
         big = PolyRing(QQ, tuple(f"v{i}" for i in range(17)))
