@@ -69,9 +69,10 @@ class SimplicialComplex:
 
     def is_face(self, s) -> bool:
         """Whether the vertex set ``s`` lies in some facet."""
-        if any(v < 1 or v > self.n_vertices for v in s):
+        try:
+            mask = _vertex_mask(self.n_vertices, s)
+        except StructuralError:
             return False  # a vertex outside the complex
-        mask = _vertex_mask(self.n_vertices, s)
         return any(not mask & ~f for f in self.facets)
 
     def canonical_facets(self) -> tuple:

@@ -205,20 +205,13 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return mf * f - mg * g
 
 
-def _minimal_monomial_set(monos, minimal=()):
-    """The monomials of ``monos`` that no other one divides, sorted by
-    (degree, exponents).  ``minimal`` is an antichain that no member of
-    ``monos`` divides: it is kept whole, and its multiples are dropped."""
-    keep = [(mono_mask(k), k) for k in minimal]
-    for m in sorted(set(monos), key=_degree_first):
+def _minimal_monomial_set(monos):
+    keep = []
+    for m in sorted(set(monos), key=lambda t: (sum(t), t)):
         mask = mono_mask(m)  # k | m needs k's support inside m's
         if not any(km & ~mask == 0 and mono_divides(k, m) for km, k in keep):
             keep.append((mask, m))
-    return sorted((m for _, m in keep), key=_degree_first)
-
-
-def _degree_first(m: tuple) -> tuple:
-    return sum(m), m
+    return [m for _, m in keep]
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX, ring: PolyRing | None = None) -> GroebnerBasis:

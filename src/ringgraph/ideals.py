@@ -7,8 +7,8 @@ contractions through graph ideals under elimination orders, dimension
 through independent variable sets modulo the leading-term ideal.
 Monomial data takes certified combinatorial shortcuts with identical
 contracts; the test suite pins those against the general routes.
-Ideals whose reduced basis is known (variable primes, eliminations) are
-built with it, and a monomial ring keeps its reduced support data.
+A variable prime is built with its reduced basis, and a monomial ring
+keeps its reduced support data.
 """
 
 from __future__ import annotations
@@ -68,17 +68,11 @@ class Ideal:
 
     @classmethod
     def of_variables(cls, ring: PolyRing, mask: int) -> "Ideal":
-        """The ideal of the variables whose bits ``mask`` sets: in index
-        order they are its reduced basis under every order."""
-        ideal = cls.of_basis(GroebnerBasis(ring, GREVLEX, tuple(ring.var(i) for i in mask_bits(mask))))
+        """The ideal of the variables whose bits ``mask`` sets, built with
+        its grevlex basis: those variables in index order."""
+        ideal = cls(ring, tuple(ring.var(i) for i in mask_bits(mask)))
+        ideal._gb[(GREVLEX.kind, GREVLEX.block)] = GroebnerBasis(ring, GREVLEX, ideal.gens)
         ideal.var_mask = mask
-        return ideal
-
-    @classmethod
-    def of_basis(cls, basis: GroebnerBasis) -> "Ideal":
-        """The ideal generated by ``basis``, a reduced basis known already."""
-        ideal = cls(basis.ring, basis.generators)
-        ideal._gb[(basis.order.kind, basis.order.block)] = basis
         return ideal
 
     def __repr__(self):
@@ -89,10 +83,7 @@ class Ideal:
         key = (order.kind, order.block)
         gb = self._gb.get(key)
         if gb is None:
-            if self.var_mask is None:
-                gb = buchberger(self.gens, order, ring=self.ring)
-            else:
-                gb = GroebnerBasis(self.ring, order, tuple(self.ring.var(i) for i in mask_bits(self.var_mask)))
+            gb = buchberger(self.gens, order, ring=self.ring)
             self._gb[key] = gb
         return gb
 
@@ -149,13 +140,14 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
 
 def _monomial_intersection(a: Ideal, *others: Ideal) -> Ideal:
     """The lcm fold.  A folded generator that the next ideal contains is
-    kept as it is; only the other generators' lcms are minimalized."""
+    its own lcm and the only one that matters, so only the other
+    generators' lcms join it."""
     monos = [m for g in a.groebner().generators for m in g.terms]
     for b in others:
         gens = [m for g in b.groebner().generators for m in g.terms]
         kept = [f for f in monos if any(mono_divides(m, f) for m in gens)]
-        rest = set(monos).difference(kept)
-        monos = _minimal_monomial_set({mono_lcm(f, m) for f in rest for m in gens}, kept)
+        lcms = {mono_lcm(f, m) for f in set(monos).difference(kept) for m in gens}
+        monos = _minimal_monomial_set(lcms.union(kept))
     return Ideal(a.ring, tuple(a.ring.monomial(m) for m in monos))
 
 
@@ -182,7 +174,8 @@ def _intersect_two(a: Ideal, b: Ideal) -> Ideal:
     gens = [t * embed(f, ext, shift) for f in a.gens]
     one_minus_t = ext.one() - t
     gens += [one_minus_t * embed(g, ext, shift) for g in b.gens]
-    return _eliminate_into(Ideal(ext, gens), 1, ring)
+    elim = eliminate(Ideal(ext, gens), 1)
+    return Ideal(ring, tuple(strip_first(p, 1, ring) for p in elim.gens))
 
 
 def ideal_colon(a: Ideal, b: Ideal) -> Ideal:
@@ -221,18 +214,10 @@ def eliminate(a: Ideal, k: int) -> Ideal:
     if k < 0 or k > a.ring.nvars:
         raise StructuralError("elimination block out of range")
     if k == 0:
-        return Ideal.of_basis(a.groebner())
+        return Ideal(a.ring, a.groebner().generators)
     gb = a.groebner(elimination_order(k))
     kept = tuple(g for g in gb.generators if all(not any(m[:k]) for m in g.terms))
-    # the order is grevlex on these, so they are their own reduced grevlex basis
-    return Ideal.of_basis(GroebnerBasis(a.ring, GREVLEX, kept))
-
-
-def _eliminate_into(a: Ideal, k: int, ring: PolyRing) -> Ideal:
-    """a ∩ K[x_{k+1}, ...] in ``ring``, the ring of those variables.
-    Dropping variables that no term uses keeps the reduced basis."""
-    kept = eliminate(a, k).gens
-    return Ideal.of_basis(GroebnerBasis(ring, GREVLEX, tuple(strip_first(p, k, ring) for p in kept)))
+    return Ideal(a.ring, kept)
 
 
 def radical_membership(f: Polynomial, a: Ideal) -> bool:
@@ -292,9 +277,7 @@ def _supports(masks, singles: int = 0, minimal: tuple = ()) -> tuple | None:
     masks = set(masks)
     if 0 in masks:  # a constant: the unit ideal
         return None
-    for m in masks:
-        if not m & (m - 1):
-            singles |= m
+    singles |= sum(m for m in masks if not m & (m - 1))  # distinct bits: the sum is their union
     # drop the supports meeting a single variable, then those containing a smaller one
     kept, fresh = [k for k in minimal if not k & singles], []
     for m in sorted(sorted(m for m in masks if not m & singles), key=int.bit_count):
@@ -456,10 +439,9 @@ def _quotient_dimension(ring: PresentedRing, a: Ideal, total: Ideal | None = Non
     singles, minimal = ring._masks
     if a.var_mask is None:
         supports = _supports({mono_mask(m) for g in a.gens for m in g.terms}, singles, minimal)
-    else:  # a's supports are single variables
+    else:  # a sum of variable primes: its supports are its variables
         supports = _supports((), singles | a.var_mask, minimal)
-    n = _capped_nvars(a.ring)
-    return -1 if supports is None else _max_independent(n, *supports)
+    return -1 if supports is None else _max_independent(_capped_nvars(a.ring), *supports)
 
 
 def m_primary_status(a: Ideal, ring: PresentedRing, total: Ideal | None = None) -> str:
@@ -559,4 +541,5 @@ def contract(q: Ideal, phi: RingMap) -> Ideal:
         gens.append(embed(g, comb, tgt_map))
     for g in q.gens:
         gens.append(embed(g, comb, tgt_map))
-    return _eliminate_into(Ideal(comb, tuple(gens)), tgt.nvars, src)
+    elim = eliminate(Ideal(comb, tuple(gens)), tgt.nvars)
+    return Ideal(src, tuple(strip_first(p, tgt.nvars, src) for p in elim.gens))

@@ -33,7 +33,7 @@ from .ideals import (
     ring_map_kernel,
     saturation,
 )
-from .polynomials import mask_bits, mono_mask, mono_support
+from .polynomials import mask_bits, mono_mask
 
 CERTIFICATE_KINDS = (
     "monomial-variable-prime",
@@ -58,16 +58,8 @@ class PrimeCertificate:
     def check(self, prime: Ideal) -> bool:
         """Discharge the proof obligation against the claimed prime."""
         gens = prime.groebner().generators
-        if self.kind == "monomial-variable-prime":
-            seen = set()
-            for g in gens:
-                if not g.is_monomial():
-                    return False
-                m = next(iter(g.terms))
-                if sum(m) != 1:
-                    return False
-                seen.add(mono_support(m)[0])
-            return len(seen) == len(gens)
+        if self.kind == "monomial-variable-prime":  # a reduced basis repeats no variable
+            return all(g.is_monomial() and sum(next(iter(g.terms))) == 1 for g in gens)
         if self.kind == "linear-prime":
             if prime.is_unit():
                 return False
@@ -289,7 +281,7 @@ def split_minimal_primes(a: Ideal) -> MinimalPrimeSet:
         seen.add(key)
         if gb.is_unit():
             continue
-        work = Ideal.of_basis(gb)
+        work = Ideal(ring, gb.generators)
         split = None
         for g in gb.generators:
             verdict, payload = factor_once(g)
@@ -356,7 +348,7 @@ def minimal_primes(a: Ideal, strategy: str = "auto", asserted=None) -> MinimalPr
     if strategy != "auto":
         raise StructuralError(f"unknown strategy {strategy!r}")
     if all(g.is_monomial() for g in a.groebner().generators):
-        return monomial_minimal_primes(Ideal.of_basis(a.groebner()))
+        return monomial_minimal_primes(Ideal(a.ring, a.groebner().generators))
     return split_minimal_primes(a)
 
 
@@ -446,7 +438,7 @@ def j_ideal(ring: PresentedRing) -> Ideal:
     if not tops:
         raise StructuralError("no top-dimensional primes; broken decomposition")
     inter = ideal_intersection(*(p for p, _ in tops))
-    return Ideal.of_basis(inter.groebner())
+    return Ideal(ring.ambient, inter.canonical_gens())
 
 
 def j_ideal_is_zero(ring: PresentedRing, j: Ideal) -> bool:

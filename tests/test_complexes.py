@@ -68,6 +68,9 @@ class TestComplexValidation:
         assert not c.is_face(frozenset({1, 3}))
         assert not c.is_face(frozenset({2, 5}))  # vertex 5 is outside the complex
         assert c.is_face(frozenset())
+        assert not c.is_face(v for v in (1, 3))  # any iterable, read once
+        assert c.is_face(iter([2, 1, 2]))
+        assert not c.is_face([0, 1])
 
 
 class TestFaceRing:

@@ -104,15 +104,18 @@ class TestVariablePrimes:
                     assert prime.min_gen_strings() == strings
 
     def test_sums_keep_the_mask(self):
+        """A sum of variable primes keeps the union of their masks; the
+        dimension of a monomial ring modulo it, read off the mask, is the
+        one its generators give."""
         rng = random.Random(426)
         ring = PolyRing(QQ, tuple(f"x{i}" for i in range(6)))
-        for _ in range(100):
+        for _ in range(300):
+            pres = PresentedRing(ring, random_monomial_ideal(rng, ring, max_gens=4, max_exp=rng.choice([1, 2])))
             p, q = (Ideal.of_variables(ring, rng.randrange(64)) for _ in range(2))
             total = ideal_sum(p, q)
             assert total.var_mask == p.var_mask | q.var_mask
-            for order in (GREVLEX, LEX, elimination_order(2)):
-                computed = buchberger(total.gens, order, ring=ring)
-                assert pickle.dumps(total.groebner(order)) == pickle.dumps(computed)
+            expected = dimension(ideal_sum(pres.defining, Ideal(ring, total.gens)))
+            assert ideals_module._quotient_dimension(pres, total) == expected
         assert ideal_sum(Ideal.of_variables(ring, 1), Ideal(ring, ring.gens()[:1])).var_mask is None
 
 
@@ -177,26 +180,6 @@ class TestIdealOperations:
             got = [next(iter(g.terms)) for g in ideal_intersection(*ideals).gens]
             lists = [[next(iter(g.terms)) for g in b.groebner().generators] for b in ideals]
             assert got == lcm_fold_intersection(lists)
-
-    def test_eliminations_carry_the_computed_basis(self):
-        """Eliminations, intersections and contractions are built with the
-        grevlex basis their elimination already gave; it must be the one
-        Buchberger's algorithm gives for their generators."""
-        rng = random.Random(427)
-        for field in (QQ, PrimeField(7)):
-            ring, source = PolyRing(field, ("x", "y", "z")), PolyRing(field, ("u", "v"))
-            for _ in range(40):
-                a, b = (
-                    Ideal(ring, [random_nonzero_polynomial(rng, ring, max_degree=2) for _ in range(2)])
-                    for _ in range(2)
-                )
-                phi = RingMap(source, ring, [random_nonzero_polynomial(rng, ring, max_degree=2) for _ in range(2)])
-                for built in (eliminate(a, rng.randint(0, 2)), ideal_intersection(a, b), contract(b, phi)):
-                    computed = buchberger(built.gens, GREVLEX, ring=built.ring)
-                    known = built.groebner()
-                    assert known.key() == computed.key()
-                    types = [type(c) for g in known.generators for c in g.terms.values()]
-                    assert types == [type(c) for g in computed.generators for c in g.terms.values()]
 
     def test_colon_known(self):
         assert ideal_colon(I(X * Y), I(X)).equals(I(Y))
