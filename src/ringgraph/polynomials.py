@@ -47,10 +47,6 @@ def mono_deg(a: Mono) -> int:
     return sum(a)
 
 
-def mono_coprime(a: Mono, b: Mono) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 def mono_support(a: Mono) -> tuple:
     return tuple(i for i, e in enumerate(a) if e)
 
@@ -159,6 +155,9 @@ class PolyRing:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):  # rebuilt from the value: the cached hash depends on the hash seed
+        return PolyRing, (self.field, self.names)
 
     def __repr__(self):
         return f"{self.field.name}[{', '.join(self.names)}]"
@@ -413,6 +412,9 @@ class Polynomial:
         if self._hash is None:
             self._hash = hash((self.ring, frozenset(self.terms.items())))
         return self._hash
+
+    def __reduce__(self):  # rebuilt from the value, as for rings
+        return Polynomial, (self.ring, self.terms)
 
     def __repr__(self):
         return self.to_str()

@@ -1,5 +1,7 @@
 """Reduced bases, normal forms, and the membership contract."""
 
+import hashlib
+import pickle
 import random
 from fractions import Fraction
 from math import prod
@@ -13,14 +15,17 @@ from ringgraph import (
     LEX,
     QQ,
     PolyRing,
+    GroebnerBasis,
+    Ideal,
     PrimeField,
     RingGraphError,
     buchberger,
     normal_form,
     s_polynomial,
 )
+from ringgraph import groebner
 from ringgraph.groebner import _integral, _minimal_monomial_set, normal_form_with_quotients
-from ringgraph.polynomials import elimination_order, mono_mul
+from ringgraph.polynomials import elimination_order, mono_divides, mono_lcm, mono_mul
 
 from conftest import random_nonzero_polynomial
 from oracles import field_normal_form_with_quotients
@@ -344,3 +349,178 @@ class TestDivisionOracle:
         for q, g in zip(quots, divisors):
             rebuilt = rebuilt + q * g
         assert rebuilt == f
+
+
+def golden_polynomial(rng, ring, max_terms=3, max_degree=3):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = [0] * ring.nvars
+        for _ in range(rng.randint(0, max_degree)):
+            mono[rng.randrange(ring.nvars)] += 1
+        terms[tuple(mono)] = ring.coerce_scalar(rng.choice((-3, -2, -1, 1, 2, 5)))
+    return ring.poly(terms)
+
+
+def golden_digests(count=1000):
+    """SHA-256 of the term lists, in dict order, of the reduced bases of
+    ``count`` seeded ideals and of the remainders and quotients of one
+    division per ideal, by its basis and by its generators."""
+    rng = random.Random(20261018)
+    fields = {"Q": QQ, "F7": PrimeField(7), "F32003": PrimeField(32003)}
+    hashes = {(f, kind): hashlib.sha256() for f in fields for kind in ("basis", "division")}
+    for i in range(count):
+        label = list(fields)[i % 3]
+        n = rng.randint(1, 5)
+        ring = PolyRing(fields[label], tuple(f"x{j}" for j in range(n)))
+        order = rng.choice([GREVLEX, LEX] + [elimination_order(k) for k in range(1, n + 1)])
+        gens = [golden_polynomial(rng, ring) for _ in range(rng.randint(1, 3))]
+        basis = buchberger(gens, order, ring)
+        for g in basis.generators:
+            hashes[label, "basis"].update(repr(list(g.terms.items())).encode())
+        f = golden_polynomial(rng, ring, max_terms=4, max_degree=4)
+        for divisors in (basis, gens):
+            r, quots = normal_form_with_quotients(f, divisors, order)
+            for h in (r, *quots):
+                hashes[label, "division"].update(repr(list(h.terms.items())).encode())
+    return {f"{f}/{kind}": h.hexdigest() for (f, kind), h in hashes.items()}
+
+
+class TestGoldenDigest:
+    """The engine's outputs, down to each dict's insertion order, equal
+    the ones recorded at commit d029c81 (before packed monomials)."""
+
+    RECORDED = {
+        "Q/basis": "e3338c2e1b7db0571cc367bb66b6588904d348e43d754a892658ceb13dcf5497",
+        "Q/division": "e3634d4702f2c655144d3acb1c56f73704d03544b9b3dbfcb414db53833f5d6d",
+        "F7/basis": "57db6285c51273f4d4baecc30d915800884fb3f2f368efaf0a8ffab76a13ed56",
+        "F7/division": "c5f13bed03bcf771744bc58ebdf4ac65fe0cc017153c48c0a8e31f8f577ea4f2",
+        "F32003/basis": "a0d69a2c02224fce402f72ffcec7e2a79768962757219e37c67cd230cdda0e31",
+        "F32003/division": "5b7445f8f15108b1c1ec85a92f0aab8b84cb00162368f3267390296373519a00",
+    }
+
+    def test_digests_match_the_recorded_ones(self):
+        assert golden_digests() == self.RECORDED
+
+
+def orders_for(nvars):
+    return [GREVLEX, LEX] + [elimination_order(k) for k in range(1, nvars + 1)]
+
+
+@st.composite
+def packing_cases(draw):
+    """(nvars, order, width, a, b): exponents run up to and past the limit."""
+    n = draw(st.integers(1, 6))
+    width = draw(st.sampled_from([2, 3, 4, 8]))
+    exps = st.tuples(*[st.integers(0, (1 << width - 1) + 1)] * n)
+    return n, draw(st.sampled_from(orders_for(n))), width, draw(exps), draw(exps)
+
+
+class TestPackedMonomials:
+    """The packed encoding agrees with the exponent-tuple definitions."""
+
+    @given(packing_cases())
+    @settings(max_examples=400)
+    def test_matches_tuple_helpers(self, case):
+        n, order, width, a, b = case
+        packer = groebner._packer(n, order, width)
+        flip, guard = packer.flip, packer.guard
+
+        def fits(m):
+            return all(sum(m[i:j]) <= packer.limit for i, j in packer.blocks)
+
+        def pack(m):
+            return next(iter(packer.pack({m: 1})))
+
+        for m in (a, b):
+            if not fits(m):
+                with pytest.raises(groebner._Overflow):
+                    pack(m)
+        if not (fits(a) and fits(b)):
+            return
+        pa, pb = pack(a), pack(b)
+        assert packer.unpack(pa) == a
+        assert (pa > pb) - (pa < pb) == order.compare(a, b)
+        assert (not (pb ^ flip) - (pa ^ flip) & guard) == mono_divides(a, b)
+        product = pa + (pb - flip)  # a term plus a shift, as reduction forms it
+        assert (product & guard == packer.valid) == fits(mono_mul(a, b))
+        if fits(mono_mul(a, b)):
+            assert product == pack(mono_mul(a, b))
+        if fits(mono_lcm(a, b)):
+            assert packer.lcm(pa ^ flip, pb ^ flip) == pack(mono_lcm(a, b)) ^ flip
+        else:
+            with pytest.raises(groebner._Overflow):
+                packer.lcm(pa ^ flip, pb ^ flip)
+
+    @pytest.mark.parametrize("width", [2, 3, 8])
+    def test_an_exponent_at_the_guard_bit_overflows(self, width):
+        for n in range(1, 5):
+            for order in orders_for(n):
+                packer = groebner._packer(n, order, width)
+                for i in range(n):
+                    m = tuple(1 << width - 1 if j == i else 0 for j in range(n))
+                    with pytest.raises(groebner._Overflow):
+                        packer.pack({m: 1})
+
+
+def widening_family():
+    """Seeded ideals and divisions, plus binomials far past a narrow field."""
+    rng = random.Random(419)
+    x, y = R2.gens()
+    cases = [(R2, [x - y ** 40]), (R2, [y ** 70 - 1 + x * y]), (R2, [x - y ** 40, y ** 70 - 1 + x * y])]
+    for _ in range(30):
+        ring = PolyRing(rng.choice([QQ, PrimeField(7)]), ("x", "y", "z"))
+        cases.append((ring, random_ideal_gens(rng, ring)))
+    for ring, gens in cases:
+        f = random_nonzero_polynomial(rng, ring, max_terms=4, max_degree=5) * gens[0]
+        for order in (GREVLEX, LEX, elimination_order(1)):
+            basis = buchberger(gens, order, ring)
+            yield [g.terms for g in basis.generators], normal_form_with_quotients(f + gens[-1] ** 2, basis)
+
+
+class TestWidening:
+    def test_narrowest_start_width_gives_the_same_results(self, monkeypatch):
+        expected = [(bases, repr(division)) for bases, division in widening_family()]
+        widths, packer = [], groebner._packer
+        monkeypatch.setattr(groebner, "_START_WIDTH", 2)
+        monkeypatch.setattr(groebner, "_packer", lambda n, o, w: widths.append(w) or packer(n, o, w))
+        narrow = [(bases, repr(division)) for bases, division in widening_family()]
+        assert [repr(case) for case in narrow] == [repr(case) for case in expected]
+        assert min(widths) == 2 and max(widths) >= 16
+
+
+class TestStoredDivisors:
+    """A basis keeps its packed divisors; they change no result and no
+    part of its value."""
+
+    def test_same_results_from_buchberger_and_from_generators(self):
+        rng = random.Random(420)
+        for field in (QQ, PrimeField(7)):
+            ring = PolyRing(field, ("x", "y", "z"))
+            for _ in range(25):
+                gens = random_ideal_gens(rng, ring)
+                computed = buchberger(gens, GREVLEX, ring)
+                built = GroebnerBasis(ring, GREVLEX, computed.generators)
+                for _ in range(3):
+                    f = random_nonzero_polynomial(rng, ring, max_terms=4, max_degree=4)
+                    assert normal_form(f, computed) == normal_form(f, built)
+                    ours, theirs = normal_form_with_quotients(f, computed), normal_form_with_quotients(f, built)
+                    assert repr(ours) == repr(theirs)
+                    assert [list(q.terms.items()) for q in ours[1]] == [list(q.terms.items()) for q in theirs[1]]
+                other = Ideal(ring, random_ideal_gens(rng, ring) + [computed.generators[0]])
+                for mine in (Ideal(ring, gens), Ideal.of_variables(ring, rng.randrange(8))):
+                    bare = Ideal(ring, mine.gens)
+                    bare._gb[(GREVLEX.kind, GREVLEX.block)] = GroebnerBasis(ring, GREVLEX, mine.groebner().generators)
+                    assert mine.contains_ideal(other) == bare.contains_ideal(other)
+                    assert other.contains_ideal(mine) == other.contains_ideal(bare)
+
+    def test_value_is_unchanged_by_a_division(self):
+        rng = random.Random(421)
+        for order in (GREVLEX, LEX, elimination_order(1)):
+            gens = random_ideal_gens(rng, R3)
+            for basis in (buchberger(gens, order), GroebnerBasis(R3, order, buchberger(gens, order).generators)):
+                before = pickle.dumps(basis), hash(basis), repr(basis)
+                twin = GroebnerBasis(R3, order, basis.generators)
+                normal_form(X ** 7 * Y - Z, basis)
+                assert (pickle.dumps(basis), hash(basis), repr(basis)) == before
+                assert basis == twin and pickle.dumps(twin) == before[0]
+                assert pickle.loads(before[0]) == basis

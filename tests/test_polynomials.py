@@ -1,5 +1,10 @@
 """Sparse polynomial arithmetic, monomial orders, and printing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -143,3 +148,38 @@ class TestEmbedding:
         ext = R3.extended(("t",), front=True)
         with pytest.raises(RingGraphError):
             strip_first(ext.var(0), 1, R3)
+
+
+def run_with_hash_seed(seed: int, code: str, stdin: bytes = b"") -> bytes:
+    """Run ``code`` in a fresh interpreter whose string hashes use ``seed``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], input=stdin, env=env, capture_output=True, check=True)
+    return done.stdout
+
+
+class TestPickles:
+    """A ring or polynomial pickled under one hash seed loads as an equal
+    object with the loading process's hash, and its bytes do not depend
+    on the seed."""
+
+    SETUP = (
+        "import pickle, sys\n"
+        "from ringgraph import QQ, PolyRing\n"
+        "R = PolyRing(QQ, ('x', 'y'))\n"
+        "x, y = R.gens()\n"
+        "f = x * y - 2 * y + 1\n"
+        "hash(R), hash(f)\n"
+    )
+
+    def test_round_trip_across_hash_seeds(self):
+        dumped = run_with_hash_seed(1, self.SETUP + "sys.stdout.buffer.write(pickle.dumps((R, f)))")
+        assert run_with_hash_seed(2, self.SETUP + "sys.stdout.buffer.write(pickle.dumps((R, f)))") == dumped
+        check = self.SETUP + (
+            "R2, f2 = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert R2 == R and hash(R2) == hash(R) and R2 in {R}\n"
+            "assert f2 == f and hash(f2) == hash(f) and f2 in {f}\n"
+            "assert list(f2.terms.items()) == list(f.terms.items())\n"
+            "print('ok')\n"
+        )
+        assert run_with_hash_seed(2, check, dumped).strip() == b"ok"
