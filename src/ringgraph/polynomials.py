@@ -112,7 +112,7 @@ class MonomialOrder:
 def _grevlex_key(m: Mono) -> tuple:
     # Total degree first; ties broken by the smallest exponent on the
     # last variable where they differ, hence the negated reversal.
-    # Cached: reduction and pair selection key the same monomials often.
+    # Cached: canonical keys and leading terms sort the same monomials often.
     return (sum(m), tuple(map(operator.neg, m[::-1])))
 
 
