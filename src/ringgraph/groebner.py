@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -143,9 +143,9 @@ def _modulus(ring: PolyRing) -> int:
 def _integral(terms: dict) -> tuple:
     """(k, k * terms) for the least k > 0 that makes every coefficient an
     integer and their gcd 1.  k is positive, so every sign is kept."""
-    den = lcm(*(c.denominator for c in terms.values()))
+    den = reduce(lcm, (c.denominator for c in terms.values()), 1)
     ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-    content = gcd(*ints.values()) or 1
+    content = reduce(gcd, ints.values(), 0) or 1
     return Fraction(den, content), {m: c // content for m, c in ints.items()}
 
 
@@ -343,7 +343,7 @@ def _buchberger(ring: PolyRing, order: MonomialOrder, p: int, inputs: list, pack
         _subtract(s, cg if p else cf // d, lcm_ij - lg, tg, p)
         h, _ = _reduce(s, divisors, p, packer)
         if h:
-            content = 1 if p else gcd(*h.values())
+            content = 1 if p else reduce(gcd, h.values())
             update(_divisor({m: c // content for m, c in h.items()}, flip, p, len(divisors)))
 
     minimal = []  # ascending leads, none dividing another
@@ -358,7 +358,7 @@ def _buchberger(ring: PolyRing, order: MonomialOrder, p: int, inputs: list, pack
             reduced.append((1, {lm: 1, **{m: c * lc % p for m, c in r.items()}}))
         else:  # the least k > 0 with k * (lm + r / lead) integral
             lead = scale * lc
-            k = abs(lead) // gcd(lead, *r.values())
+            k = abs(lead) // reduce(gcd, r.values(), lead)
             reduced.append((k, {lm: k, **{m: c * k // lead for m, c in r.items()}}))
     gens = [Polynomial(ring, {packer.unpack(m): c if p else Fraction(c, k) for m, c in t.items()}) for k, t in reduced]
     stored = packer.width, [k for k, _ in reduced], [_divisor(t, flip, p, i) for i, (_, t) in enumerate(reduced)]
