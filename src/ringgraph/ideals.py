@@ -226,10 +226,6 @@ def radical_membership(f: Polynomial, a: Ideal) -> bool:
         raise StructuralError("element outside the ambient ring")
     if f.is_zero():
         return True
-    if f.is_monomial() and a.is_monomial():
-        # m in Rad(monomial ideal) iff some basis support is covered.
-        fm = mono_mask(next(iter(f.terms)))
-        return any(mono_mask(m) & ~fm == 0 for g in a.groebner().generators for m in g.terms)
     ring = a.ring
     (tname,) = fresh_names(ring, "~t", 1)
     ext = ring.extended((tname,), front=False)
@@ -246,18 +242,13 @@ def radical_membership(f: Polynomial, a: Ideal) -> bool:
 def dimension(a: Ideal) -> int:
     """Krull dimension of ring/a; -1 for the unit ideal.
 
-    Computed as the largest set of variables meeting no leading-term
-    support, a correct combinatorial reading of the leading-term ideal.
-    Monomial generators are their own leading terms, so their supports
-    are read without a Groebner basis.  Capped at 16 variables; beyond
-    that the subset search refuses.
+    Computed as the largest set of variables meeting no support of a
+    leading monomial of the reduced grevlex basis, a correct reading of
+    the leading-term ideal.  Capped at 16 variables; beyond that the
+    subset search refuses.
     """
     n = _capped_nvars(a.ring)
-    if all(len(g.terms) <= 1 for g in a.gens):
-        masks = {mono_mask(m) for g in a.gens for m in g.terms}
-    else:
-        masks = {mono_mask(g.leading_monomial(GREVLEX)) for g in a.groebner().generators}
-    supports = _supports(masks)
+    supports = _supports(mono_mask(g.leading_monomial(GREVLEX)) for g in a.groebner().generators)
     return -1 if supports is None else _max_independent(n, *supports)
 
 
@@ -270,22 +261,20 @@ def _capped_nvars(ring: PolyRing) -> int:
     return ring.nvars
 
 
-def _supports(masks, singles: int = 0, minimal: tuple = ()) -> tuple | None:
-    """(singles, minimal) for the monomial ideal of the supports ``masks``
-    plus the one with (singles, minimal): the union of its one-variable
-    supports and its other minimal supports; None for the unit ideal."""
+def _supports(masks) -> tuple | None:
+    """(singles, minimal) for the monomial ideal of the supports ``masks``:
+    the union of its one-variable supports and its other minimal
+    supports, in (popcount, value) order; None for the unit ideal."""
     masks = set(masks)
     if 0 in masks:  # a constant: the unit ideal
         return None
-    singles |= sum(m for m in masks if not m & (m - 1))  # distinct bits: the sum is their union
+    singles = sum(m for m in masks if not m & (m - 1))  # distinct bits: the sum is their union
     # drop the supports meeting a single variable, then those containing a smaller one
-    kept, fresh = [k for k in minimal if not k & singles], []
+    minimal = []
     for m in sorted(sorted(m for m in masks if not m & singles), key=int.bit_count):
-        if all(k & ~m for k in kept) and all(k & ~m for k in fresh):
-            fresh.append(m)
-    if fresh:  # drop the kept supports containing a fresh one
-        kept = [k for k in kept if all(m & ~k for m in fresh)]
-    return singles, tuple(kept + fresh)
+        if all(k & ~m for k in minimal):
+            minimal.append(m)
+    return singles, tuple(minimal)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -429,19 +418,17 @@ def polynomial_quotient(ambient: PolyRing) -> PresentedRing:
 
 def _quotient_dimension(ring: PresentedRing, a: Ideal, total: Ideal | None = None) -> int:
     """dim ring/a, -1 when a is the unit ideal there: the one quantity
-    behind heights and m-primary statuses.  A monomial ring and an ideal
-    of single terms have it folded from support masks; otherwise it is
-    dim of ``total``, the defining ideal plus a, unless the caller has it."""
+    behind heights and m-primary statuses.  On a monomial ring, an ideal
+    with a ``var_mask`` has its variables folded into the ring's single
+    supports; any other ideal gets dim of ``total``, the defining ideal
+    plus a, which the caller may pass when already built."""
     if a.ring != ring.ambient:
         raise StructuralError("ideal lives outside the ring's ambient")
-    if ring._masks is None or (a.var_mask is None and any(len(g.terms) > 1 for g in a.gens)):
-        return dimension(ideal_sum(ring.defining, a) if total is None else total)
-    singles, minimal = ring._masks
-    if a.var_mask is None:
-        supports = _supports({mono_mask(m) for g in a.gens for m in g.terms}, singles, minimal)
-    else:  # a sum of variable primes: its supports are its variables
-        supports = _supports((), singles | a.var_mask, minimal)
-    return -1 if supports is None else _max_independent(_capped_nvars(a.ring), *supports)
+    if ring._masks is None or a.var_mask is None:
+        return dimension(total or ideal_sum(ring.defining, a))
+    singles = ring._masks[0] | a.var_mask
+    minimal = tuple(k for k in ring._masks[1] if not k & singles)
+    return _max_independent(_capped_nvars(a.ring), singles, minimal)
 
 
 def m_primary_status(a: Ideal, ring: PresentedRing, total: Ideal | None = None) -> str:

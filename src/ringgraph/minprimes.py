@@ -127,8 +127,9 @@ class DecompositionReport:
 
 def verify_decomposition(a: Ideal, primes) -> DecompositionReport:
     """Structured containment/radical/incomparability check: on support
-    masks (:func:`_verify_on_masks`) for a monomial ideal and primes
-    generated by variables, through Groebner bases otherwise."""
+    masks (:func:`_verify_on_masks`) when ``a`` has one-term generators
+    and every prime a ``var_mask``, the one mark of a variable prime;
+    through Groebner bases otherwise, as for an asserted (x, y)."""
     primes = list(primes)
     failures = []
     if not primes:
@@ -137,12 +138,8 @@ def verify_decomposition(a: Ideal, primes) -> DecompositionReport:
         return DecompositionReport(not failures, failures)
     if any(p.ring != a.ring for p in primes):
         raise StructuralError("primes and ideal live in different rings")
-    monos = [[m for g in p.gens for m in g.terms] for p in primes]
-    # one term per generator: (x + y) has terms of degree one but is not (x, y)
-    one_term = all(len(g.terms) <= 1 for f in (a, *primes) for g in f.gens)
-    if one_term and all(sum(m) == 1 for ms in monos for m in ms):
-        # a variable has a one-bit mask, so the sum of the distinct ones is their union
-        return _verify_on_masks(a, [sum(set(map(mono_mask, ms))) for ms in monos])
+    if all(p.var_mask is not None for p in primes) and all(len(g.terms) <= 1 for g in a.gens):
+        return _verify_on_masks(a, [p.var_mask for p in primes])
     for idx, p in enumerate(primes):
         if p.is_unit():
             failures.append(f"prime #{idx} is the unit ideal")

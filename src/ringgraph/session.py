@@ -96,111 +96,73 @@ def tokenize(text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# expression ASTs (parsed before the ring is known, evaluated after)
+# expressions, parsed straight into polynomials of a known ring
 
 
-def _parse_expression(stream: "_TokenStream"):
+def _parse_expression(stream: "_TokenStream", ring: PolyRing) -> Polynomial:
     """expr := term (('+'|'-') term)*"""
-    node = _parse_term(stream)
+    value = _parse_term(stream, ring)
     while stream.peek().text in ("+", "-"):
-        op = stream.take().text
-        rhs = _parse_term(stream)
-        node = ("add" if op == "+" else "sub", node, rhs)
-    return node
+        if stream.take().text == "+":
+            value = value + _parse_term(stream, ring)
+        else:
+            value = value - _parse_term(stream, ring)
+    return value
 
 
-def _parse_term(stream: "_TokenStream"):
-    """term := power (('*'|'/') power)*; '/' divides by a constant."""
-    node = _parse_power(stream)
+def _parse_term(stream: "_TokenStream", ring: PolyRing) -> Polynomial:
+    """term := power (('*'|'/') power)*; '/' divides by a nonzero constant."""
+    value = _parse_power(stream, ring)
     while stream.peek().text in ("*", "/"):
         op = stream.take()
-        rhs = _parse_power(stream)
+        rhs = _parse_power(stream, ring)
         if op.text == "*":
-            node = ("mul", node, rhs)
+            value = value * rhs
+        elif rhs.is_zero() or not rhs.is_constant():
+            raise SessionSyntaxError("division is only defined by nonzero constants", op.line, op.column)
         else:
-            node = ("div", node, rhs, op.line, op.column)
-    return node
+            value = value.scale(ring.field.div(ring.field.one, rhs.terms[(0,) * ring.nvars]))
+    return value
 
 
-def _parse_power(stream: "_TokenStream"):
+def _parse_power(stream: "_TokenStream", ring: PolyRing) -> Polynomial:
     """power := atom ('^' INT)?"""
-    node = _parse_atom(stream)
+    value = _parse_atom(stream, ring)
     if stream.peek().text == "^":
         stream.take()
         tok = stream.expect_kind("int", "an integer exponent")
-        node = ("pow", node, int(tok.text))
-    return node
+        value = value ** int(tok.text)
+    return value
 
 
-def _parse_atom(stream: "_TokenStream"):
+def _parse_atom(stream: "_TokenStream", ring: PolyRing) -> Polynomial:
     tok = stream.peek()
     if tok.text == "-":
         stream.take()
-        return ("neg", _parse_power(stream))
+        return -_parse_power(stream, ring)
     if tok.text == "+":
         stream.take()
-        return _parse_power(stream)
+        return _parse_power(stream, ring)
     if tok.kind == "int":
         stream.take()
-        return ("int", int(tok.text))
+        return ring.const(int(tok.text))
     if tok.kind == "name":
         stream.take()
-        return ("var", tok.text, tok.line, tok.column)
+        if tok.text not in ring.names:
+            raise SessionSyntaxError(
+                f"unknown variable {tok.text!r} in {ring!r}", tok.line, tok.column
+            )
+        return ring.var(ring.names.index(tok.text))
     if tok.text == "(":
         stream.take()
-        node = _parse_expression(stream)
+        value = _parse_expression(stream, ring)
         stream.expect(")")
-        return node
+        return value
     raise SessionSyntaxError(
         f"expected a polynomial, found {tok.text!r}" if tok.kind != "eof" else "unexpected end of input",
         tok.line,
         tok.column,
     )
-
-
-def _ast_names(node, out: set):
-    kind = node[0]
-    if kind == "var":
-        out.add(node[1])
-    elif kind in ("add", "sub", "mul", "div"):
-        _ast_names(node[1], out)
-        _ast_names(node[2], out)
-    elif kind in ("neg", "pow"):
-        _ast_names(node[1], out)
-    return out
-
-
-def _eval_ast(node, ring: PolyRing) -> Polynomial:
-    kind = node[0]
-    if kind == "int":
-        return ring.const(node[1])
-    if kind == "var":
-        name = node[1]
-        if name not in ring.names:
-            raise SessionSyntaxError(
-                f"unknown variable {name!r} in {ring!r}", node[2], node[3]
-            )
-        return ring.var(ring.names.index(name))
-    if kind == "neg":
-        return -_eval_ast(node[1], ring)
-    if kind == "add":
-        return _eval_ast(node[1], ring) + _eval_ast(node[2], ring)
-    if kind == "sub":
-        return _eval_ast(node[1], ring) - _eval_ast(node[2], ring)
-    if kind == "mul":
-        return _eval_ast(node[1], ring) * _eval_ast(node[2], ring)
-    if kind == "pow":
-        return _eval_ast(node[1], ring) ** node[2]
-    if kind == "div":
-        num = _eval_ast(node[1], ring)
-        den = _eval_ast(node[2], ring)
-        if den.is_zero() or not den.is_constant():
-            raise SessionSyntaxError(
-                "division is only defined by nonzero constants", node[3], node[4]
-            )
-        c = den.terms[(0,) * ring.nvars]
-        return num.scale(ring.field.div(ring.field.one, c))
-    raise StructuralError(f"unknown AST node {kind!r}")
 
 
 class _TokenStream:
@@ -433,11 +395,17 @@ def _parse_ring(stream: _TokenStream, session: SessionFile) -> str:
     return f"ring {name} = {base_tok.text} / {ideal_tok.text};"
 
 
-def _infer_ring(asts: list, session: SessionFile, tok: Token) -> PolyRing:
-    """The earliest declared polynomial ring containing every name."""
-    names: set = set()
-    for ast in asts:
-        _ast_names(ast, names)
+def _infer_ring(stream: _TokenStream, session: SessionFile, tok: Token) -> PolyRing:
+    """The earliest declared polynomial ring containing every name of the
+    generator list opened just before the stream's position, read without
+    moving it up to the list's closing ')' or the statement's ';'."""
+    names, depth = set(), 0
+    for t in stream.tokens[stream.pos:]:
+        if t.kind == "eof" or t.text == ";" or (t.text == ")" and depth == 0):
+            break
+        depth += (t.text == "(") - (t.text == ")")
+        if t.kind == "name":
+            names.add(t.text)
     for ring in session.rings.values():
         if isinstance(ring, PolyRing) and names <= set(ring.names):
             return ring
@@ -484,11 +452,10 @@ def _parse_ideal(stream: _TokenStream, session: SessionFile) -> str:
         session.ideals[name] = contract(q, phi)
         return f"ideal {name} = contract({qtok.text}, {mtok.text});"
     stream.expect("(")
-    asts = _comma_list(stream, lambda: _parse_expression(stream))
+    ring = _infer_ring(stream, session, name_tok)
+    gens = tuple(_comma_list(stream, lambda: _parse_expression(stream, ring)))
     stream.expect(")")
     stream.expect(";")
-    ring = _infer_ring(asts, session, name_tok)
-    gens = tuple(_eval_ast(ast, ring) for ast in asts)
     session.ideals[name] = Ideal(ring, gens)
     return f"ideal {name} = ({', '.join(g.to_str() for g in gens)});"
 
@@ -518,7 +485,7 @@ def _parse_map(stream: _TokenStream, session: SessionFile) -> str:
         if v.text in bindings:
             raise SessionSyntaxError(f"duplicate image for {v.text!r}", v.line, v.column)
         stream.expect("->")
-        bindings[v.text] = _eval_ast(_parse_expression(stream), target_ambient)
+        bindings[v.text] = _parse_expression(stream, target_ambient)
 
     _comma_list(stream, binding)
     brace = stream.expect("}")
@@ -679,10 +646,10 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
 
 def _parse_whole_expression(tokens: list, ring: PolyRing) -> Polynomial:
     stream = _TokenStream(tokens)
-    ast = _parse_expression(stream)
+    value = _parse_expression(stream, ring)
     tok = stream.peek()
     if tok.kind != "eof":
         raise SessionSyntaxError(
             f"unexpected trailing input {tok.text!r}", tok.line, tok.column
         )
-    return _eval_ast(ast, ring)
+    return value

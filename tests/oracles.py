@@ -227,3 +227,12 @@ def field_normal_form_with_quotients(f: Polynomial, basis, order: MonomialOrder 
             remainder[m] = c
     quots = [Polynomial(ring, qd) for qd in quotients]
     return Polynomial(ring, remainder), quots
+
+
+def support_cover_radical_member(mono: tuple, generators: list) -> bool:
+    """Whether the monomial with exponent tuple ``mono`` lies in the
+    radical of the monomial ideal generated by the exponent tuples
+    ``generators``: some power of it is a multiple of a generator, that
+    is, some generator's support lies inside the monomial's."""
+    support = {i for i, e in enumerate(mono) if e}
+    return any({i for i, e in enumerate(g) if e} <= support for g in generators)

@@ -105,6 +105,20 @@ class TestExitCodes:
             cli.main(["dim", "I"])
         assert exc.value.code == 2
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the local verbs still read dim == 0 as m-primary on inhomogeneous input",
+    )
+    @pytest.mark.parametrize("verb", ["punctured", "hl"])
+    def test_inhomogeneous_input_is_refused(self, tmp_path, capsys, verb):
+        """(x^2 - x, y) has dimension 0 but is not primary to (x, y):
+        Q[x, y]/(x^2 - x) is neither graded nor local, so the verbs must
+        refuse rather than answer 'empty' or 'nonvanishing'."""
+        session = tmp_path / "idempotent.rg"
+        session.write_text("field Q;\nring A = [x, y];\nideal K = (x^2 - x);\nring R = A / K;\nideal Y = (y);\n")
+        code, _, err = run(capsys, verb, "--session", str(session), "R", "Y")
+        assert code == 2, err
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):

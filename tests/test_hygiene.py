@@ -1,11 +1,14 @@
 """Source hygiene, checked with ``ast`` alone: no module of the package
 imports a name it never uses, and no module-level private function goes
-unreferenced.  Both catch what a deletion leaves behind."""
+unreferenced.  Both catch what a deletion leaves behind, as does the one
+check that imports: every function the benchmark traces still exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ringgraph"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ringgraph"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
 
 
@@ -89,3 +92,20 @@ def test_caches_are_bounded():
             elif ref == "lru_cache" and id(node) not in bounded_refs:
                 unbounded.append(f"{name}:{node.lineno}: lru_cache without an integer maxsize")
     assert unbounded == []
+
+
+def test_traced_names_resolve():
+    """Every function the benchmark's layer tracer wraps still exists
+    under the module and qualified name it lists."""
+    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    import ringgraph.cli  # noqa: F401  (loads every module a traced name lives in)
+
+    missing = []
+    for metric, (module, qualname) in layertrace.TRACED.items():
+        try:
+            layertrace._resolve(module, qualname)
+        except (KeyError, AttributeError):
+            missing.append(f"{metric}: {module}.{qualname}")
+    assert missing == []

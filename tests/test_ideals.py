@@ -42,7 +42,7 @@ from ringgraph.ideals import Flag, provenance
 from ringgraph.polynomials import embed, strip_first
 
 from conftest import random_nonzero_polynomial
-from oracles import lcm_fold_intersection
+from oracles import lcm_fold_intersection, support_cover_radical_member
 
 R3 = PolyRing(QQ, ("x", "y", "z"))
 X, Y, Z = R3.gens()
@@ -225,17 +225,14 @@ class TestRadicalMembership:
         assert not radical_membership(X + Y, I(X ** 2))
         assert radical_membership(R3.zero(), I(X))
 
-    def test_monomial_shortcut_matches_general(self):
-        # dual route: support covering against the inverted-variable trick
+    def test_monomials_match_support_covers(self):
+        # the inverted-variable trick against support covering on exponents
         rng = random.Random(425)
         for _ in range(20):
             a = random_monomial_ideal(rng, R3)
             mono = tuple(rng.randint(0, 2) for _ in range(3))
-            f = R3.monomial(mono) if sum(mono) else R3.one()
-            fast = radical_membership(f, a)
-            disguised = Ideal(R3, a.gens + (a.gens[0] * 2 - a.gens[0],))
-            slow = radical_membership(f + R3.zero(), disguised)
-            assert fast == slow
+            gens = [next(iter(g.terms)) for g in a.gens]
+            assert radical_membership(R3.monomial(mono), a) == support_cover_radical_member(mono, gens)
 
 
 class TestDimension:
@@ -275,23 +272,14 @@ def brute_dimension(nvars: int, monos) -> int:
     )
 
 
-def groebner_route_dimension(a: Ideal) -> int:
-    """dimension through the reduced basis: a generator with two terms,
-    already in the ideal, turns the monomial lane off."""
-    g = a.gens[0]
-    return dimension(Ideal(a.ring, a.gens + (g + g * a.ring.var(0),)))
-
-
 class TestMonomialDimensionLane:
-    """Monomial generators are read as support masks without a Groebner
-    basis; the general route reads the reduced basis's leading terms."""
+    """The dimension of a monomial ideal, read from the leading terms of
+    its reduced basis like any other, against subset enumeration."""
 
     @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4), min_size=1, max_size=6))
     def test_matches_groebner_route_and_enumeration(self, monos):
         a = Ideal(R4, tuple(R4.monomial(m) for m in monos))
-        expected = brute_dimension(4, monos)
-        assert dimension(a) == expected
-        assert groebner_route_dimension(a) == expected
+        assert dimension(a) == brute_dimension(4, monos)
 
     def test_edge_cases(self):
         x, y, z, w = R4.gens()
@@ -311,24 +299,7 @@ class TestMonomialDimensionLane:
         for gens, expected in cases:
             a = Ideal(R4, gens)
             assert dimension(a) == expected, gens
-            assert groebner_route_dimension(a) == expected, gens
         assert dimension(Ideal(R4, ())) == 4
-
-    def test_support_fold_matches_one_pass(self):
-        """A ring's reduced support data with further masks folded in is
-        the data of all the masks read at once."""
-        rng = random.Random(425)
-        supports = ideals_module._supports
-        for _ in range(2000):
-            n = rng.randint(1, 8)
-            base = {rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 8))}
-            more = {rng.randrange(1 << n) for _ in range(rng.randint(0, 4))}
-            singles, minimal = supports(base)
-            folded, whole = supports(more, singles, minimal), supports(base | more)
-            if whole is None:
-                assert folded is None
-            else:
-                assert (folded[0], sorted(folded[1])) == (whole[0], sorted(whole[1]))
 
     def test_variable_cap_refuses_monomial_input(self):
         big = PolyRing(QQ, tuple(f"v{i}" for i in range(17)))
@@ -407,9 +378,10 @@ class TestPresentedRing:
 
     def test_height_matches_dimension_difference(self, monkeypatch):
         """Heights and m-primary statuses both read d = dim of the
-        quotient.  A monomial ring and a monomial ideal take the
-        support-mask lane, which calls no ``dimension``; anything else
-        calls it once."""
+        quotient.  A monomial ring and a sum of variable primes marked
+        with their ``var_mask`` take the support-mask lane, which calls
+        no ``dimension``; anything else, one-term ideals without a mask
+        included, calls it once."""
         rng = random.Random(77)
         ring4 = PolyRing(QQ, ("x1", "x2", "x3", "x4"))
         x1, x2, x3, x4 = ring4.gens()
@@ -419,13 +391,17 @@ class TestPresentedRing:
             gens = random_monomial_ideal(rng, ring4, max_exp=1).gens
             if rng.random() < 0.2:
                 gens += (ring4.const(rng.choice([0, 3])),)
-            cases.append((pres, Ideal(ring4, gens), 0))
+            cases.append((pres, Ideal(ring4, gens), 1))
+            p, q = (Ideal.of_variables(ring4, rng.randrange(16)) for _ in range(2))
+            cases.append((pres, ideal_sum(p, q), 0))
         curve = PresentedRing(ring4, Ideal(ring4, (x1 ** 2 - x2 ** 2,)))
         cases += [(curve, Ideal(ring4, (x1 - x2,)), 1), (curve, Ideal(ring4, (x1 * x2,)), 1)]
         cases.append((cases[0][0], Ideal(ring4, (x1 + x2,)), 1))
-        cases.append((cases[0][0], Ideal(ring4, (ring4.one(),)), 0))
-        cases.append((cases[0][0], Ideal(ring4, ring4.gens()), 0))
+        cases.append((cases[0][0], Ideal(ring4, (ring4.one(),)), 1))
+        cases.append((cases[0][0], Ideal(ring4, ring4.gens()), 1))
+        cases.append((cases[0][0], Ideal.of_variables(ring4, 15), 0))
         cases.append((curve, Ideal(ring4, (x1, x3, x4)), 1))
+        cases.append((curve, Ideal.of_variables(ring4, 0b1101), 1))
         expected = []
         for pres, a, _ in cases:
             pres.assert_equidimensional()  # the flag only gates the dimension difference
@@ -455,7 +431,7 @@ class TestPresentedRing:
             lambda a: height_in_quotient(pres, a),
         ):
             with pytest.raises(PreconditionError, match="at most 16"):
-                decide(Ideal(ring17, (xs[2],)))
+                decide(Ideal.of_variables(ring17, 1 << 2))
 
     def test_image_gens_drop_zero(self):
         pres = PresentedRing(R3, I(X * Y))

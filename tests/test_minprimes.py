@@ -33,6 +33,7 @@ from ringgraph import (
     top_dimensional_primes,
     verify_decomposition,
 )
+from ringgraph import minprimes as minprimes_module
 from ringgraph.complexes import facet_min_primes, random_pure_complex
 from ringgraph.minprimes import minimal_transversals
 
@@ -52,7 +53,8 @@ def prime_key_set(mps):
 
 
 def variable_ideal(ring, indices):
-    return Ideal(ring, tuple(ring.var(i) for i in sorted(indices)))
+    """The variable prime on ``indices``, marked with its ``var_mask``."""
+    return Ideal.of_variables(ring, sum(1 << i for i in set(indices)))
 
 
 class TestMonomialRoute:
@@ -293,6 +295,29 @@ class TestVerification:
             slow = groebner_verify_decomposition(a, cand)
             assert fast.ok == slow.ok, cand
             assert unnamed(fast) == unnamed(slow), cand
+
+    def test_unmarked_variable_prime_takes_the_groebner_route(self, monkeypatch):
+        """(x1, x2) written with generators has no ``var_mask``: it is
+        checked through Groebner bases, with the verdict and failures of
+        the marked prime."""
+        calls = []
+        original = minprimes_module._verify_on_masks
+        monkeypatch.setattr(
+            minprimes_module, "_verify_on_masks", lambda a, masks: calls.append(masks) or original(a, masks)
+        )
+        x1, x2, x3, x4 = R4.gens()
+        unmarked = Ideal(R4, (x1, x2))
+        for a, others in (
+            (Ideal(R4, (x1 * x3, x2 * x3)), [variable_ideal(R4, {2})]),  # x3 * (x1, x2): both minimal
+            (Ideal(R4, (x1 * x3, x2 * x4)), [variable_ideal(R4, {2})]),  # (x3) misses x2*x4; x2*x3 escapes
+            (Ideal(R4, (x1 * x2,)), [variable_ideal(R4, {0})]),  # (x1, x2) contains (x1); x1 escapes
+        ):
+            del calls[:]
+            masked = verify_decomposition(a, [variable_ideal(R4, {0, 1})] + others)
+            assert len(calls) == 1
+            plain = verify_decomposition(a, [unmarked] + others)
+            assert len(calls) == 1
+            assert (plain.ok, plain.failures) == (masked.ok, masked.failures)
 
     def test_mask_lane_matches_groebner_route_on_face_rings(self):
         """Facet primes of random complexes, each one dropped in turn:

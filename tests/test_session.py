@@ -62,8 +62,9 @@ class TestBasicParsing:
     def test_division_by_constant_only(self):
         s = parse_session("field Q;\nring R = [x, y];\nideal I = (x/2);")
         assert str(s.ideal("I").gens[0]) == "1/2*x"
-        with pytest.raises(SessionSyntaxError):
+        with pytest.raises(SessionSyntaxError) as exc:
             parse_session("field Q;\nring R = [x, y];\nideal I = (x/y);")
+        assert (exc.value.line, exc.value.column) == (3, 13)  # the '/'
 
     def test_comments_and_blank_lines(self):
         text = "# leading comment\nfield Q;\n\nring R = [x];  # trailing\n"
@@ -79,6 +80,10 @@ class TestBasicParsing:
         with pytest.raises(SessionSyntaxError) as exc:
             parse_session("field Q;\nring R = [x];\nideal I = (q);")
         assert "q" in str(exc.value)
+        with pytest.raises(SessionSyntaxError) as exc:  # a map image is read in the target ring
+            parse_session("field Q;\nring A = [a];\nring S = [x];\nmap f : A -> S { a -> x*w };")
+        assert exc.value.bare_message == "unknown variable 'w' in Q[x]"
+        assert (exc.value.line, exc.value.column) == (4, 25)
 
     @pytest.mark.parametrize(
         "text, line, column",
@@ -124,6 +129,17 @@ class TestRingInference:
     def test_no_ring_matches(self):
         with pytest.raises(SessionSyntaxError):
             parse_session("field Q;\nring A = [x];\nideal I = (x + w);")
+
+    def test_inference_stops_at_the_statement_end(self):
+        """The names of a later statement do not move an ideal to a
+        larger ring, and a missing ';' is reported as such."""
+        s = parse_session("field Q;\nring A = [x];\nring B = [x, y];\nideal I = (x); ideal J = (y);")
+        assert s.ideal("I").ring == s.presented("A").ambient
+        assert s.ideal("J").ring == s.presented("B").ambient
+        with pytest.raises(SessionSyntaxError) as exc:
+            parse_session("field Q;\nring A = [x];\nideal I = (x)\nring S = [u];")
+        assert exc.value.bare_message == "expected ';', found 'ring'"
+        assert (exc.value.line, exc.value.column) == (4, 1)
 
 
 class TestMapsAndKernels:
