@@ -16,6 +16,7 @@ punctured spectrum modulo them stays connected.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import asdict, dataclass, field as dc_field
@@ -32,7 +33,7 @@ from .gamma import (
 )
 from .ideals import Ideal, PresentedRing
 from .minprimes import MinimalPrimeSet, PrimeCertificate, is_equidimensional, minimal_transversals
-from .polynomials import PolyRing, mask_bits
+from .polynomials import GREVLEX, PolyRing, mask_bits
 
 COMPLEX_VERTEX_CAP = 16
 
@@ -101,22 +102,20 @@ def is_pure(cplx: SimplicialComplex) -> bool:
     return len(sizes) <= 1
 
 
-def face_ring_ambient(cplx: SimplicialComplex, field: Field = QQ) -> PolyRing:
-    return PolyRing(field, tuple(f"x{i}" for i in range(1, cplx.n_vertices + 1)))
+@functools.lru_cache(maxsize=64)  # one ring per (n, field), shared by the face rings on n vertices
+def face_ring_ambient(n: int, field: Field = QQ) -> PolyRing:
+    return PolyRing(field, tuple(f"x{i}" for i in range(1, n + 1)))
 
 
-def sr_ideal(cplx: SimplicialComplex, ring: PolyRing | None = None) -> Ideal:
+def sr_ideal(cplx: SimplicialComplex, field: Field = QQ) -> Ideal:
     """The defining ideal of the face ring: one squarefree monomial per
     minimal non-face, the minimal transversals of the facet complements
-    (Alexander duality).  The void complex has no face, not even the
-    empty one, so its ideal is the unit ideal."""
-    if ring is None:
-        ring = face_ring_ambient(cplx)
-    if ring.nvars != cplx.n_vertices:
-        raise StructuralError("ambient ring has the wrong number of variables")
-    n = cplx.n_vertices
+    (Alexander duality), which are its reduced basis.  The void complex
+    has no face, not even the empty one, so its ideal is the unit ideal."""
+    ring = face_ring_ambient(cplx.n_vertices, field)
     covers = minimal_transversals(_complement(cplx, f) for f in cplx.facets)
-    return Ideal(ring, tuple(ring.monomial(tuple(m >> i & 1 for i in range(n))) for m in covers))
+    monos = sorted((tuple(m >> i & 1 for i in range(ring.nvars)) for m in covers), key=GREVLEX.key(), reverse=True)
+    return Ideal(ring, map(ring.monomial, monos), grevlex_basis=True)  # sorted as buchberger sorts a monomial basis
 
 
 def _complement(cplx: SimplicialComplex, facet: int) -> int:
@@ -129,23 +128,21 @@ def _prime_order(cplx: SimplicialComplex) -> list:
     return sorted(cplx.facets, key=lambda f: [-i for i in mask_bits(_complement(cplx, f))])
 
 
-def facet_min_primes(cplx: SimplicialComplex, ring: PolyRing | None = None) -> MinimalPrimeSet:
+def facet_min_primes(cplx: SimplicialComplex, field: Field = QQ) -> MinimalPrimeSet:
     """Minimal primes of the face ring, one per facet: the variables of
     the complementary vertex set.  The full simplex gives the zero
     ideal as its single prime."""
-    if ring is None:
-        ring = face_ring_ambient(cplx)
+    ring = face_ring_ambient(cplx.n_vertices, field)
     cert = PrimeCertificate("monomial-variable-prime")
     primes = tuple((Ideal.of_variables(ring, _complement(cplx, f)), cert) for f in _prime_order(cplx))
-    return MinimalPrimeSet(sr_ideal(cplx, ring), primes, "computed-monomial")
+    return MinimalPrimeSet(sr_ideal(cplx, field), primes, "computed-monomial")
 
 
 def face_ring(cplx: SimplicialComplex, field: Field = QQ) -> PresentedRing:
     """The presented face ring with reducedness, purity, and minimal
     primes attached (facet route, verified on attach)."""
-    ring = face_ring_ambient(cplx, field)
-    mps = facet_min_primes(cplx, ring)
-    pres = PresentedRing(ring, mps.for_ideal)
+    mps = facet_min_primes(cplx, field)
+    pres = PresentedRing(mps.for_ideal.ring, mps.for_ideal)
     pres.attach_min_primes(mps)
     if is_pure(cplx):
         is_equidimensional(pres)
@@ -183,19 +180,22 @@ def random_pure_complex(rng: random.Random, n: int, size: int, count: int) -> Si
     return complex_from_lists(n, rng.sample(pool, count))
 
 
-def random_pure_connected_complex(
-    n: int, size: int, count: int, seed: int, budget: int = 1000
-) -> SimplicialComplex:
+def random_pure_connected_complex(n: int, size: int, count: int, seed: int, budget: int = 1000) -> SimplicialComplex:
     """Rejection-sample a pure complex whose minimal-prime graph is
     connected; refuses after ``budget`` failed draws."""
+    return _connected_sample(n, size, count, seed, budget)[0]
+
+
+def _connected_sample(n: int, size: int, count: int, seed: int, budget: int = 1000) -> tuple:
+    """(complex, face ring) of :func:`random_pure_connected_complex`'s draw."""
     if size < 1 or size > n:
         raise PreconditionError("facet size out of range")
     rng = random.Random(seed)
     for _ in range(budget):
         cand = random_pure_complex(rng, n, size, count)
-        graph = build_gamma(face_ring(cand))
-        if is_connected(graph).connected:
-            return cand
+        ring = face_ring(cand)
+        if is_connected(build_gamma(ring)).connected:
+            return cand, ring
     raise PreconditionError(
         f"no connected pure complex found in {budget} draws for (n={n}, size={size}, count={count})"
     )
@@ -265,10 +265,10 @@ def faltings_harness(
         count = rng.randint(1, min(pool_size, 8))
         sub_seed = rng.randrange(2**31)
         try:
-            cplx = random_pure_connected_complex(n, size, count, sub_seed)
+            cplx, pres = _connected_sample(n, size, count, sub_seed)
         except PreconditionError:
             cplx = complex_from_lists(n, [range(1, size + 1)])
-        pres = face_ring(cplx)
+            pres = face_ring(cplx)
         gens = _random_monomials(rng, pres.ambient, default_generator_count(pres.dim()))
         a = Ideal(pres.ambient, tuple(gens))
         result = punctured_spectrum_connected(pres, a)

@@ -276,8 +276,10 @@ def disconnection_exists(ring: PresentedRing) -> ConnectivityReport:
     required = near[0] >> 1  # the mask bits of prime 0's neighbours, always on side a
     mask = required
     while mask < 2 ** (k - 1) - 1:
-        side = 1 | mask << 1  # prime 0 is always on side a
-        if not any(side >> i & 1 and near[i] & ~side for i in range(1, k)):
+        side, rest = 1 | mask << 1, mask  # prime 0 is always on side a; bit j of rest is prime j + 1
+        while rest and not near[(rest & -rest).bit_length()] & ~side:  # side a's other primes, lowest first
+            rest &= rest - 1
+        if not rest:  # no prime of side a is near one of side b
             side_a = [i for i in range(k) if side >> i & 1]
             side_b = [i for i in range(k) if not side >> i & 1]
             inter_a = ideal_intersection(*(primes[i] for i in side_a))

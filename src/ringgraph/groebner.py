@@ -24,8 +24,8 @@ S-polynomials are reduced by every divisor found, rewriting the greatest
 term by the first one in index order that divides it, so runs agree; a
 minimalize / inter-reduce / monic pass gives the unique reduced basis.  A
 ``GroebnerBasis`` keeps the packed divisors of its last division (or of
-``buchberger``) for the next one at the same width, outside its value,
-``repr`` and pickle.
+``buchberger``) for the next one at the same width, and its ``key()``,
+outside its value, ``repr`` and pickle.
 """
 
 from __future__ import annotations
@@ -117,6 +117,7 @@ class GroebnerBasis:
     generators: tuple
     # (width, k_i per generator, packed divisors of the nonzero k_i * g_i)
     _packed: tuple | None = dataclasses.field(default=None, compare=False, repr=False)
+    _key: tuple | None = dataclasses.field(default=None, compare=False, repr=False)  # key(), once computed
 
     def __reduce__(self):
         return GroebnerBasis, (self.ring, self.order, self.generators)
@@ -132,7 +133,9 @@ class GroebnerBasis:
         return normal_form(f, self).is_zero()
 
     def key(self) -> tuple:
-        return tuple(g.key() for g in self.generators)
+        if self._key is None:
+            object.__setattr__(self, "_key", tuple(g.key() for g in self.generators))
+        return self._key
 
 
 def _modulus(ring: PolyRing) -> int:

@@ -50,28 +50,31 @@ class Ideal:
 
     Equality of objects is structural; use :meth:`equals` for equality
     of the ideals themselves (via reduced bases).  Groebner bases are
-    cached per order on the instance.  ``var_mask``, when set, holds
-    the bits of the variables that generate the ideal.
+    cached per order on the instance (``grevlex_basis`` says the
+    generators already are the reduced grevlex basis, in its order), as
+    is the dimension.  ``var_mask``, when set, holds the bits of the
+    variables that generate the ideal.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "var_mask")
+    __slots__ = ("ring", "gens", "_gb", "var_mask", "_dim")
 
-    def __init__(self, ring: PolyRing, gens: Iterable[Polynomial]):
+    def __init__(self, ring: PolyRing, gens: Iterable[Polynomial], grevlex_basis: bool = False):
         gens = tuple(gens)
         for g in gens:  # identity first: every ideal_sum re-checks its generators
             if not isinstance(g, Polynomial) or (g.ring is not ring and g.ring != ring):
                 raise StructuralError("generator outside the ambient ring")
         self.ring = ring
         self.gens = gens
-        self._gb = {}
-        self.var_mask = None
+        self._gb = {(GREVLEX.kind, GREVLEX.block): GroebnerBasis(ring, GREVLEX, gens)} if grevlex_basis else {}
+        self.var_mask = self._dim = None
 
     @classmethod
+    @functools.lru_cache(maxsize=1024)
     def of_variables(cls, ring: PolyRing, mask: int) -> "Ideal":
         """The ideal of the variables whose bits ``mask`` sets, built with
-        its grevlex basis: those variables in index order."""
-        ideal = cls(ring, tuple(ring.var(i) for i in mask_bits(mask)))
-        ideal._gb[(GREVLEX.kind, GREVLEX.block)] = GroebnerBasis(ring, GREVLEX, ideal.gens)
+        its grevlex basis: those variables in index order.  One ideal per
+        (ring, mask) is shared, with its bases and dimension."""
+        ideal = cls(ring, (ring.var(i) for i in mask_bits(mask)), grevlex_basis=True)
         ideal.var_mask = mask
         return ideal
 
@@ -97,7 +100,7 @@ class Ideal:
     def equals(self, other: "Ideal") -> bool:
         if self.ring != other.ring:
             raise StructuralError("comparing ideals in different rings")
-        return self.groebner().key() == other.groebner().key()
+        return other is self or self.groebner().key() == other.groebner().key()
 
     def is_unit(self) -> bool:
         return self.groebner().is_unit()
@@ -247,9 +250,11 @@ def dimension(a: Ideal) -> int:
     the leading-term ideal.  Capped at 16 variables; beyond that the
     subset search refuses.
     """
-    n = _capped_nvars(a.ring)
-    supports = _supports(mono_mask(g.leading_monomial(GREVLEX)) for g in a.groebner().generators)
-    return -1 if supports is None else _max_independent(n, *supports)
+    if a._dim is None:
+        n = _capped_nvars(a.ring)
+        supports = _supports(mono_mask(g.leading_monomial(GREVLEX)) for g in a.groebner().generators)
+        a._dim = -1 if supports is None else _max_independent(n, *supports)
+    return a._dim
 
 
 def _capped_nvars(ring: PolyRing) -> int:
@@ -338,7 +343,7 @@ class PresentedRing:
     holds a monomial defining ideal's :func:`_supports`, and None otherwise.
     """
 
-    __slots__ = ("ambient", "defining", "_dim", "_reduced", "_equidim", "_min_primes", "gamma", "core", "_masks")
+    __slots__ = ("ambient", "defining", "_reduced", "_equidim", "_min_primes", "gamma", "core", "_masks")
 
     def __init__(self, ambient: PolyRing, defining: Ideal):
         if defining.ring != ambient:
@@ -347,7 +352,6 @@ class PresentedRing:
             raise StructuralError("defining ideal is the unit ideal; not a ring presentation")
         self.ambient = ambient
         self.defining = defining
-        self._dim = None
         self._reduced = None
         self._equidim = None
         self._min_primes = None
@@ -360,9 +364,7 @@ class PresentedRing:
             self.certify_reduced(all(e <= 1 for g in gens for e in next(iter(g.terms))))
 
     def dim(self) -> int:
-        if self._dim is None:
-            self._dim = dimension(self.defining)
-        return self._dim
+        return dimension(self.defining) if self.defining._dim is None else self.defining._dim  # once known, no call
 
     @property
     def reduced(self) -> Flag | None:

@@ -135,7 +135,7 @@ class PolyRing:
     constructed copies are interchangeable.
     """
 
-    __slots__ = ("field", "names", "nvars", "_hash")
+    __slots__ = ("field", "names", "nvars", "_hash", "_vars")
 
     def __init__(self, field: Field, names: Iterable[str]):
         names = tuple(names)
@@ -145,6 +145,7 @@ class PolyRing:
         self.names = names
         self.nvars = len(names)
         self._hash = hash((field, names))
+        self._vars = None
 
     def __eq__(self, other):
         return self is other or (
@@ -178,8 +179,9 @@ class PolyRing:
         return Polynomial(self, {(0,) * self.nvars: c})
 
     def var(self, i: int) -> "Polynomial":
-        mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {mono: self.field.one})
+        if self._vars is None:  # built on first use, so a ring that never asks makes no reference cycle
+            self._vars = tuple(self.monomial(tuple(int(j == v) for j in range(self.nvars))) for v in range(self.nvars))
+        return self._vars[i]
 
     def gens(self) -> list:
         return [self.var(i) for i in range(self.nvars)]

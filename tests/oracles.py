@@ -169,6 +169,26 @@ def first_disconnecting_partition(k: int, heights: dict) -> tuple:
     return None, None, 2 ** (k - 1) - 1
 
 
+def superset_closure_scan(k: int, near: list) -> tuple:
+    """The bipartition search as ``gamma.disconnection_exists`` ran it
+    before it read only side a's set bits: a counter over the masks that
+    hold prime 0's neighbours, and a closure test that scans every prime
+    1..k-1.  ``near[i]`` is the bitmask of the primes whose sum with
+    prime i has height below two.
+
+    Returns (side a as a bitmask, partitions searched), or (None, the
+    number of bipartitions) when every one is crossed by a near pair.
+    """
+    required = near[0] >> 1
+    mask = required
+    while mask < 2 ** (k - 1) - 1:
+        side = 1 | mask << 1
+        if not any(side >> i & 1 and near[i] & ~side for i in range(1, k)):
+            return side, mask + 1
+        mask = (mask + 1) | required
+    return None, 2 ** (k - 1) - 1
+
+
 def _divisor_table(gens, order):
     table = []
     for g in gens:

@@ -1,7 +1,9 @@
 """Simplicial complexes, face rings, the facet-adjacency shortcut, joins,
 and the randomized punctured-connectedness harness."""
 
+import hashlib
 import json
+import pickle
 import random
 from itertools import combinations
 from math import comb
@@ -9,13 +11,19 @@ from math import comb
 import pytest
 
 from ringgraph import (
+    GREVLEX,
+    LEX,
+    QQ,
     ConnectivityReport,
     Ideal,
+    PrimeField,
     RingGraphError,
     SimplicialComplex,
     StructuralError,
+    buchberger,
     build_gamma,
     complex_from_lists,
+    elimination_order,
     face_ring,
     facet_adjacency_graph,
     facet_min_primes,
@@ -27,7 +35,8 @@ from ringgraph import (
     sr_ideal,
 )
 from ringgraph import complexes as complexes_module
-from ringgraph.complexes import default_generator_count, random_pure_complex
+from ringgraph import ideals as ideals_module
+from ringgraph.complexes import default_generator_count, face_ring_ambient, random_pure_complex
 
 from oracles import minimal_nonface_supports
 
@@ -105,6 +114,45 @@ class TestFaceRing:
                 mono = next(iter(g.terms))
                 got.add(frozenset(i for i, e in enumerate(mono) if e))
             assert got == minimal_nonface_supports(c.n_vertices, c.canonical_facets())
+
+    def test_known_basis_is_the_computed_one(self, monkeypatch):
+        """An SR ideal carries its reduced grevlex basis, which must be the
+        one Buchberger's algorithm gives its generators, down to the
+        pickle; every other order still gets its basis from Buchberger."""
+        rng = random.Random(452)
+        complexes = [SimplicialComplex(3, (), allow_void=True), complex_from_lists(4, [(1, 2, 3, 4)])]
+        for _ in range(80):
+            n = rng.randint(1, 8)
+            size = rng.randint(1, n)
+            count = rng.randint(1, min(comb(n, size), 10))
+            complexes += [random_pure_complex(rng, n, size, count), random_impure_complex(rng, n)]
+        orders = []
+        monkeypatch.setattr(
+            ideals_module, "buchberger", lambda gens, order, ring: orders.append(order) or buchberger(gens, order, ring)
+        )
+        for c in complexes:
+            sr = sr_ideal(c)
+            known = sr.groebner()
+            computed = buchberger(sr.gens, GREVLEX, ring=sr.ring)
+            assert orders == [], c
+            assert known.key() == computed.key(), c
+            assert pickle.dumps(known) == pickle.dumps(computed), c
+            for order in (LEX, elimination_order(rng.randint(1, c.n_vertices))):
+                assert sr.groebner(order).key() == buchberger(sr.gens, order, ring=sr.ring).key(), (c, order)
+                assert orders.pop() == order
+
+    def test_face_rings_share_their_parts(self):
+        """One ambient ring per vertex count and field, one variable prime
+        per (ring, mask); a shared prime computes its basis key once."""
+        c1, c2 = four_cycle(), complex_from_lists(4, [(1, 2), (2, 3), (3, 4)])
+        r1, r2 = face_ring(c1), face_ring(c2)
+        assert r1.ambient is r2.ambient is face_ring_ambient(4, QQ)
+        assert face_ring_ambient(4, PrimeField(7)) is not r1.ambient
+        shared = set(r1.min_primes.ideals()) & set(r2.min_primes.ideals())
+        assert len(shared) == 3  # (x3, x4), (x1, x4) and (x1, x2), the same objects
+        for p in shared:
+            assert p is Ideal.of_variables(r1.ambient, p.var_mask)
+            assert p.canonical_key() is p.canonical_key()
 
     def test_void_complex_has_unit_ideal(self):
         void = SimplicialComplex(3, (), allow_void=True)
@@ -224,6 +272,25 @@ class TestHarness:
         a = faltings_harness(trials=6, seed=1)
         b = faltings_harness(trials=6, seed=2)
         assert a.to_json() != b.to_json()
+
+    def test_one_face_ring_per_draw(self, monkeypatch):
+        """A trial reuses the face ring its sampler built and accepted: one
+        build per draw, none after it."""
+        draws, builds = [], []
+        draw, build = complexes_module.random_pure_complex, complexes_module.face_ring
+        monkeypatch.setattr(complexes_module, "random_pure_complex", lambda *a: draws.append(draw(*a)) or draws[-1])
+        monkeypatch.setattr(complexes_module, "face_ring", lambda c, *a: builds.append(c) or build(c, *a))
+        report = faltings_harness(trials=20, seed=3)
+        assert report.ok and len(draws) >= 20
+        assert builds == draws
+
+    def test_reports_match_the_recorded_ones(self):
+        """The reports of seeds 0..29, five trials each, equal the ones
+        recorded at commit b3b8b3a, before trials reused their sampler's ring."""
+        digest = hashlib.sha256()
+        for seed in range(30):
+            digest.update(faltings_harness(trials=5, seed=seed).to_json().encode())
+        assert digest.hexdigest() == "55235260f054e2dcfad6192ed6ac78350a7d3b3cd5b1c26fe8178565c625689e"
 
     def test_generator_budget(self):
         assert default_generator_count(5) == 3

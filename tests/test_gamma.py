@@ -41,7 +41,13 @@ from ringgraph import groebner as groebner_module
 from ringgraph.complexes import random_pure_complex
 
 from conftest import random_nonzero_polynomial
-from oracles import bfs_components, bfs_connected, canonical_graph, first_disconnecting_partition
+from oracles import (
+    bfs_components,
+    bfs_connected,
+    canonical_graph,
+    first_disconnecting_partition,
+    superset_closure_scan,
+)
 
 R4 = PolyRing(QQ, ("x", "y", "z", "w"))
 X, Y, Z, W = R4.gens()
@@ -136,13 +142,14 @@ def count_buchberger_calls(monkeypatch) -> list:
 
 
 class TestSavedGroebnerWork:
-    def test_face_ring_graph_computes_only_the_defining_basis(self, monkeypatch):
-        # variable primes know their bases and pair heights fold masks
+    def test_face_ring_graph_computes_no_basis(self, monkeypatch):
+        # the SR ideal and the variable primes know their bases, and pair
+        # heights fold masks
         cplx = random_pure_complex(random.Random(120), 10, 4, 120)
         calls = count_buchberger_calls(monkeypatch)
         ring = face_ring(cplx)
         assert build_gamma(ring).n == 120
-        assert [gens for gens, _ in calls] == [ring.defining.gens]
+        assert calls == []
 
     def test_punctured_sums_the_defining_ideal_once(self, monkeypatch):
         # Q[x,y,z]/(xy - z^2) modulo (x - z): the m-primary status and the
@@ -316,6 +323,36 @@ class TestBipartitionSearch:
             assert report == list_route_report(ring)
             found.append(report.witness["partition_count_searched"])
         assert len(set(found)) > 10
+
+    def test_set_bit_closure_matches_the_full_closure_scan(self):
+        """The closure test reads only the set bits of side a; the masks
+        visited, the first partition and its counter must be those of the
+        scan over every prime, on random near-relations of 1..12 primes."""
+        rng = random.Random(517)
+        outcomes = set()
+        for k in range(1, 13):
+            ring = face_ring(random_pure_complex(rng, 6, 2, k))
+            graph = build_gamma(ring)
+            assert graph.n == k
+            for _ in range(30):
+                low = rng.random() * 0.5
+                evidence = tuple(((i, j), 1 if rng.random() < low else 2) for i in range(k) for j in range(i + 1, k))
+                near = [0] * k
+                for (i, j), h in evidence:
+                    if h < 2:
+                        near[i] |= 1 << j
+                        near[j] |= 1 << i
+                ring.gamma = dataclasses.replace(graph, evidence=evidence)
+                report = disconnection_exists(ring)
+                side, searched = superset_closure_scan(k, near)
+                outcomes.add((k > 1, side is None))
+                if side is None:
+                    assert report.status == "connected"
+                    assert k == 1 or report.witness == {"partition_count_searched": searched}
+                else:
+                    assert report.components[0] == tuple(i for i in range(k) if side >> i & 1)
+                    assert report.witness["partition_count_searched"] == searched
+        assert outcomes == {(False, True), (True, True), (True, False)}
 
 
 class TestPuncturedSpectrum:

@@ -118,6 +118,17 @@ class TestVariablePrimes:
             assert ideals_module._quotient_dimension(pres, total) == expected
         assert ideal_sum(Ideal.of_variables(ring, 1), Ideal(ring, ring.gens()[:1])).var_mask is None
 
+    def test_one_ideal_per_ring_and_mask(self):
+        """Equal rings share one variable prime per mask, built from the
+        ring's own variables, and its dimension is computed once."""
+        ring = PolyRing(QQ, ("a", "b", "c"))
+        prime = Ideal.of_variables(ring, 0b101)
+        assert prime is Ideal.of_variables(PolyRing(QQ, ("a", "b", "c")), 0b101)
+        assert prime is not Ideal.of_variables(ring, 0b100)
+        assert prime.gens[0] is ring.var(0) and prime.gens[1] is ring.var(2)
+        assert ring.gens() == [ring.var(i) for i in range(3)]
+        assert dimension(prime) == 1 and prime._dim == 1
+
 
 class TestIdealOperations:
     def test_sum_product_containments(self):
@@ -131,6 +142,13 @@ class TestIdealOperations:
             inter = ideal_intersection(a, b)
             assert a.contains_ideal(inter) and b.contains_ideal(inter)
             assert inter.contains_ideal(p)
+
+    def test_equals_itself_without_a_basis(self, monkeypatch):
+        a = I(X * Y - Z ** 2, X - Z)
+        monkeypatch.setattr(ideals_module, "buchberger", None)  # any basis computation fails
+        assert a.equals(a)
+        with pytest.raises(TypeError):
+            a.equals(I(X * Y - Z ** 2, X - Z))
 
     def test_intersection_known(self):
         assert ideal_intersection(I(X), I(Y)).equals(I(X * Y))
