@@ -17,7 +17,9 @@ from .errors import PreconditionError, StructuralError
 from .ideals import (
     Ideal,
     PresentedRing,
-    height_in_quotient,
+    _height,
+    _quotient_dimension,
+    _status,
     ideal_intersection,
     ideal_sum,
     m_primary_status,
@@ -170,18 +172,29 @@ def prime_label(p: Ideal) -> tuple:
     return tuple(p.min_gen_strings()) or ("0",)
 
 
-def _pair_graph(mps, relation, is_edge, prov: str) -> PrimeGraph:
+def _pair_graph(ring: PresentedRing, mps, relation, is_edge, prov: str) -> PrimeGraph:
     """The graph on the primes of ``mps`` in canonical-key order: each
-    pair's evidence is ``relation`` of the pair's sum, and the pair is
-    an edge where that evidence equals ``is_edge``."""
+    pair's evidence is ``relation`` of d = dim ring/(the pair's sum), and
+    the pair is an edge where that evidence equals ``is_edge``."""
     primes = sorted(mps.ideals(), key=lambda p: p.canonical_key())
+    masked = all(p.var_mask is not None for p in primes)
     evidence = tuple(
-        ((i, j), relation(ideal_sum(primes[i], primes[j])))
+        ((i, j), relation(_pair_dimension(ring, primes[i], primes[j], masked)))
         for i in range(len(primes))
         for j in range(i + 1, len(primes))
     )  # generated in sorted pair order
     edges = frozenset(pair for pair, value in evidence if value == is_edge)
     return PrimeGraph(tuple(prime_label(p) for p in primes), edges, tuple(primes), evidence, prov)
+
+
+def _pair_dimension(ring: PresentedRing, p: Ideal, q: Ideal, masked: bool) -> int:
+    """dim ring/(p + q), -1 for the unit ideal there.  When ``masked``, every
+    prime is a variable prime containing the defining ideal (attached primes
+    are verified to; the primes over it plus a contain it by construction),
+    so ring/(p + q) is the polynomial ring in the variables outside both."""
+    if masked:
+        return ring.ambient.nvars - (p.var_mask | q.var_mask).bit_count()
+    return _quotient_dimension(ring, ideal_sum(p, q))
 
 
 def build_gamma(ring: PresentedRing) -> PrimeGraph:
@@ -195,8 +208,8 @@ def build_gamma(ring: PresentedRing) -> PrimeGraph:
     """
     mps = ensure_min_primes(ring)
     flag = require_equidimensional(ring, "the minimal-prime graph")
-    if ring.gamma is None:  # heights through the module global, looked up on each call
-        ring.gamma = _pair_graph(mps, lambda a: height_in_quotient(ring, a), 1, provenance(mps, flag))
+    if ring.gamma is None:
+        ring.gamma = _pair_graph(ring, mps, lambda d: _height(ring, d), 1, provenance(mps, flag))
     return ring.gamma
 
 
@@ -341,7 +354,7 @@ def punctured_spectrum_connected(ring: PresentedRing, a: Ideal) -> ConnectivityR
     if status == "m-primary":
         return ConnectivityReport("empty", None, (), (), witness={"reason": "m-primary"})
     mps = minimal_primes(total)
-    graph = _pair_graph(mps, lambda b: m_primary_status(b, ring), "not-m-primary", provenance(mps))
+    graph = _pair_graph(ring, mps, _status, "not-m-primary", provenance(mps))
     return is_connected(graph)
 
 

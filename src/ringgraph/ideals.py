@@ -7,8 +7,7 @@ contractions through graph ideals under elimination orders, dimension
 through independent variable sets modulo the leading-term ideal.
 Monomial data takes certified combinatorial shortcuts with identical
 contracts; the test suite pins those against the general routes.
-A variable prime is built with its reduced basis, and a monomial ring
-keeps its reduced support data.
+A variable prime is built with its reduced basis and its dimension.
 """
 
 from __future__ import annotations
@@ -72,10 +71,11 @@ class Ideal:
     @functools.lru_cache(maxsize=1024)
     def of_variables(cls, ring: PolyRing, mask: int) -> "Ideal":
         """The ideal of the variables whose bits ``mask`` sets, built with
-        its grevlex basis: those variables in index order.  One ideal per
-        (ring, mask) is shared, with its bases and dimension."""
+        its grevlex basis (those variables in index order) and dimension
+        (the number of the others).  One ideal per (ring, mask) is shared."""
         ideal = cls(ring, (ring.var(i) for i in mask_bits(mask)), grevlex_basis=True)
         ideal.var_mask = mask
+        ideal._dim = ring.nvars - mask.bit_count()
         return ideal
 
     def __repr__(self):
@@ -127,10 +127,7 @@ class Ideal:
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     if a.ring != b.ring:
         raise StructuralError("sum of ideals in different rings")
-    total = Ideal(a.ring, a.gens + b.gens)
-    if a.var_mask is not None and b.var_mask is not None:
-        total.var_mask = a.var_mask | b.var_mask
-    return total
+    return Ideal(a.ring, a.gens + b.gens)
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
@@ -251,19 +248,13 @@ def dimension(a: Ideal) -> int:
     subset search refuses.
     """
     if a._dim is None:
-        n = _capped_nvars(a.ring)
+        if a.ring.nvars > DIMENSION_VARIABLE_CAP:
+            raise PreconditionError(
+                f"dimension search supports at most {DIMENSION_VARIABLE_CAP} variables, got {a.ring.nvars}"
+            )
         supports = _supports(mono_mask(g.leading_monomial(GREVLEX)) for g in a.groebner().generators)
-        a._dim = -1 if supports is None else _max_independent(n, *supports)
+        a._dim = -1 if supports is None else _max_independent(a.ring.nvars, *supports)
     return a._dim
-
-
-def _capped_nvars(ring: PolyRing) -> int:
-    """The ring's number of variables, refused beyond the subset search's cap."""
-    if ring.nvars > DIMENSION_VARIABLE_CAP:
-        raise PreconditionError(
-            f"dimension search supports at most {DIMENSION_VARIABLE_CAP} variables, got {ring.nvars}"
-        )
-    return ring.nvars
 
 
 def _supports(masks) -> tuple | None:
@@ -339,11 +330,10 @@ class PresentedRing:
     provenance taints every downstream report.  ``gamma`` holds the
     minimal-prime graph once :func:`ringgraph.gamma.build_gamma` has
     built it, and ``core`` the equidimensional core once
-    :func:`ringgraph.s2.s2_local_decision` has built it.  ``_masks``
-    holds a monomial defining ideal's :func:`_supports`, and None otherwise.
+    :func:`ringgraph.s2.s2_local_decision` has built it.
     """
 
-    __slots__ = ("ambient", "defining", "_reduced", "_equidim", "_min_primes", "gamma", "core", "_masks")
+    __slots__ = ("ambient", "defining", "_reduced", "_equidim", "_min_primes", "gamma", "core")
 
     def __init__(self, ambient: PolyRing, defining: Ideal):
         if defining.ring != ambient:
@@ -357,10 +347,8 @@ class PresentedRing:
         self._min_primes = None
         self.gamma = None
         self.core = None
-        self._masks = None
         gens = defining.groebner().generators
         if all(g.is_monomial() for g in gens):
-            self._masks = _supports(mono_mask(next(iter(g.terms))) for g in gens)
             self.certify_reduced(all(e <= 1 for g in gens for e in next(iter(g.terms))))
 
     def dim(self) -> int:
@@ -419,27 +407,27 @@ def polynomial_quotient(ambient: PolyRing) -> PresentedRing:
 
 
 def _quotient_dimension(ring: PresentedRing, a: Ideal, total: Ideal | None = None) -> int:
-    """dim ring/a, -1 when a is the unit ideal there: the one quantity
-    behind heights and m-primary statuses.  On a monomial ring, an ideal
-    with a ``var_mask`` has its variables folded into the ring's single
-    supports; any other ideal gets dim of ``total``, the defining ideal
-    plus a, which the caller may pass when already built."""
+    """dim ring/a, -1 for the unit ideal there: dim of ``total``, the
+    defining ideal plus a, which the caller may pass when already built."""
     if a.ring != ring.ambient:
         raise StructuralError("ideal lives outside the ring's ambient")
-    if ring._masks is None or a.var_mask is None:
-        return dimension(total or ideal_sum(ring.defining, a))
-    singles = ring._masks[0] | a.var_mask
-    minimal = tuple(k for k in ring._masks[1] if not k & singles)
-    return _max_independent(_capped_nvars(a.ring), singles, minimal)
+    return dimension(total or ideal_sum(ring.defining, a))
+
+
+def _status(d: int) -> str:
+    """The m-primary status of an ideal modulo which the ring has dimension d."""
+    return "unit-ideal" if d == -1 else "m-primary" if d == 0 else "not-m-primary"
+
+
+def _height(ring: PresentedRing, d: int) -> int | float:
+    """The height of an ideal modulo which the equidimensional ring has dimension d."""
+    return HEIGHT_INFINITY if d == -1 else ring.dim() - d
 
 
 def m_primary_status(a: Ideal, ring: PresentedRing, total: Ideal | None = None) -> str:
     """One of 'm-primary', 'not-m-primary', 'unit-ideal' for a in ring;
     ``total`` is the sum of the defining ideal and a, when already built."""
-    d = _quotient_dimension(ring, a, total)
-    if d == -1:
-        return "unit-ideal"
-    return "m-primary" if d == 0 else "not-m-primary"
+    return _status(_quotient_dimension(ring, a, total))
 
 
 def is_m_primary(a: Ideal, ring: PresentedRing) -> bool:
@@ -463,8 +451,7 @@ def height_in_quotient(ring: PresentedRing, a: Ideal) -> int | float:
         raise PreconditionError(
             "height via dimension difference requires an equidimensional presentation"
         )
-    d = _quotient_dimension(ring, a)
-    return HEIGHT_INFINITY if d == -1 else ring.dim() - d
+    return _height(ring, _quotient_dimension(ring, a))
 
 
 # ---------------------------------------------------------------------------

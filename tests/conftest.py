@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
+from ringgraph import Ideal
+
 sys.path.insert(0, str(Path(__file__).parent))
 
 settings.register_profile(
@@ -79,3 +81,14 @@ def random_nonzero_polynomial(rng, ring, **kw):
         p = random_polynomial(rng, ring, **kw)
         if not p.is_zero():
             return p
+
+
+def random_monomial_ideal(rng, ring, max_gens=3, max_exp=2):
+    """An ideal of 1 to ``max_gens`` random monomials, none of them 1."""
+    gens = []
+    for _ in range(rng.randint(1, max_gens)):
+        mono = tuple(rng.randint(0, max_exp) for _ in range(ring.nvars))
+        if sum(mono) == 0:
+            mono = (1,) + (0,) * (ring.nvars - 1)
+        gens.append(ring.monomial(mono))
+    return Ideal(ring, tuple(gens))

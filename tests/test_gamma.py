@@ -14,22 +14,29 @@ from ringgraph import (
     QQ,
     ConnectivityReport,
     Ideal,
+    MinimalPrimeSet,
     PolyRing,
     PreconditionError,
     PresentedRing,
+    PrimeCertificate,
     PrimeGraph,
     RingGraphError,
     build_gamma,
     complex_from_lists,
     disconnection_exists,
+    ensure_min_primes,
     face_ring,
     facet_adjacency_graph,
     gamma_product,
     graph_from_text,
+    height_in_quotient,
     hl_nonvanishing,
     ideal_intersection,
+    ideal_sum,
     is_connected,
+    is_equidimensional,
     is_m_primary,
+    m_primary_status,
     minimal_primes,
     parse_session,
     polynomial_quotient,
@@ -39,8 +46,10 @@ from ringgraph import (
 from ringgraph import gamma as gamma_module
 from ringgraph import groebner as groebner_module
 from ringgraph.complexes import random_pure_complex
+from ringgraph.gamma import prime_label
+from ringgraph.ideals import provenance
 
-from conftest import random_nonzero_polynomial
+from conftest import random_monomial_ideal, random_nonzero_polynomial
 from oracles import (
     bfs_components,
     bfs_connected,
@@ -111,16 +120,17 @@ class TestBuildGamma:
             build_gamma(pres)
 
 
-def count_height_calls(monkeypatch) -> list:
-    """Route the graph module's height computations through a counter."""
+def count_pair_evidence(monkeypatch) -> list:
+    """Route the graph module's per-pair dimensions, which every pair's
+    height or status is read from, through a counter."""
     calls = []
-    original = gamma_module.height_in_quotient
+    original = gamma_module._pair_dimension
 
-    def counted(ring, a):
-        calls.append(a)
-        return original(ring, a)
+    def counted(ring, p, q, masked):
+        calls.append((p, q))
+        return original(ring, p, q, masked)
 
-    monkeypatch.setattr(gamma_module, "height_in_quotient", counted)
+    monkeypatch.setattr(gamma_module, "_pair_dimension", counted)
     return calls
 
 
@@ -172,7 +182,7 @@ class TestSavedGroebnerWork:
 class TestSharedHeightEvidence:
     def test_heights_computed_once_per_ring(self, monkeypatch, four_cycle_session_text):
         ring = parse_session(four_cycle_session_text).presented("R")
-        calls = count_height_calls(monkeypatch)
+        calls = count_pair_evidence(monkeypatch)
         graph = build_gamma(ring)
         assert disconnection_exists(ring).connected
         assert s2_local_decision(ring).connected
@@ -184,7 +194,7 @@ class TestSharedHeightEvidence:
         # and keeps the two hyperplanes, whose one pair gets one height.
         x, y, z, w = X, Y, Z, W
         ring = PresentedRing(R4, Ideal(R4, (x * y * z, x * y * w)))
-        calls = count_height_calls(monkeypatch)
+        calls = count_pair_evidence(monkeypatch)
         reports = [s2_local_decision(ring) for _ in range(3)]
         assert [r.connected for r in reports] == [True] * 3
         assert len(calls) == 1
@@ -193,10 +203,109 @@ class TestSharedHeightEvidence:
     def test_partition_cap_refuses_before_any_height(self, monkeypatch):
         facets = [list(f) for f in combinations(range(1, 8), 3)][:21]
         ring = face_ring(complex_from_lists(7, facets))
-        calls = count_height_calls(monkeypatch)
+        calls = count_pair_evidence(monkeypatch)
         with pytest.raises(PreconditionError, match="capped"):
             disconnection_exists(ring)
         assert calls == []
+
+
+def general_pair_graph(ring, mps, relation, is_edge, prov) -> PrimeGraph:
+    """The pair graph by the general route alone: ``relation`` of each
+    pair's sum rebuilt as a plain ideal, which carries no mask."""
+    primes = sorted(mps.ideals(), key=lambda p: p.canonical_key())
+    evidence = tuple(
+        ((i, j), relation(Ideal(ring.ambient, ideal_sum(primes[i], primes[j]).gens)))
+        for i in range(len(primes))
+        for j in range(i + 1, len(primes))
+    )
+    edges = frozenset(pair for pair, value in evidence if value == is_edge)
+    return PrimeGraph(tuple(prime_label(p) for p in primes), edges, tuple(primes), evidence, prov)
+
+
+def general_punctured(ring, a) -> ConnectivityReport:
+    """``punctured_spectrum_connected`` with every status by the general route."""
+    total = ideal_sum(ring.defining, a)
+    status = m_primary_status(Ideal(ring.ambient, total.gens), ring)
+    assert status != "unit-ideal"
+    if status == "m-primary":
+        return ConnectivityReport("empty", None, (), (), witness={"reason": "m-primary"})
+    mps = minimal_primes(total)
+    graph = general_pair_graph(ring, mps, lambda b: m_primary_status(b, ring), "not-m-primary", provenance(mps))
+    return is_connected(graph)
+
+
+class TestPairEvidenceRoutes:
+    """Pairs of variable primes read their dimension off their masks; the
+    general route, through each pair's sum without a mask, must give the
+    same evidence, edges and witnesses."""
+
+    @pytest.fixture
+    def general_calls(self, monkeypatch) -> list:
+        """The graph module's calls of the general route, counted."""
+        calls = []
+        original = gamma_module._quotient_dimension
+        monkeypatch.setattr(gamma_module, "_quotient_dimension", lambda *args: calls.append(args) or original(*args))
+        return calls
+
+    def check(self, ring, ideals):
+        """Both routes agree on the ring's punctured spectra modulo
+        ``ideals`` and, when it is equidimensional, on its graph."""
+        for a in ideals:
+            assert punctured_spectrum_connected(ring, a) == general_punctured(ring, a), a
+        if not is_equidimensional(ring):
+            return None
+        mps, graph = ensure_min_primes(ring), build_gamma(ring)
+        relation = lambda b: height_in_quotient(ring, b)
+        assert graph == general_pair_graph(ring, mps, relation, 1, provenance(mps, ring.equidimensional))
+        return graph
+
+    def monomial_ideals(self, rng, ring, count):
+        ideals = [Ideal(ring.ambient, ())]
+        for _ in range(count):
+            ideals.append(random_monomial_ideal(rng, ring.ambient, max_gens=2, max_exp=rng.choice([1, 2])))
+            ideals.append(Ideal.of_variables(ring.ambient, rng.randrange(1, 1 << ring.ambient.nvars)))
+        return ideals
+
+    def test_face_rings(self, general_calls):
+        rng = random.Random(2002)
+        cases = [
+            complex_from_lists(5, [[1, 2, 3]]),  # one facet
+            complex_from_lists(4, [[1, 2, 3, 4]]),  # the full simplex: the zero ideal is the prime
+            complex_from_lists(6, [[1, 2, 3], [4, 5, 6]]),  # disconnected
+            complex_from_lists(7, [[1, 2], [3, 4], [5, 6, 7]]),  # disconnected, not pure
+            complex_from_lists(5, [[1, 2, 3], [3, 4, 5]]),  # one shared vertex
+        ]
+        cases += [random_pure_complex(rng, rng.randint(5, 7), rng.randint(2, 4), rng.randint(2, 8)) for _ in range(12)]
+        heights = set()
+        for cplx in cases:
+            ring = face_ring(cplx)
+            graph = self.check(ring, self.monomial_ideals(rng, ring, 2))
+            heights |= {h for _, h in graph.evidence} if graph else set()
+        assert {1, 2, 3} <= heights
+        wide = face_ring(random_pure_complex(random.Random(60), 10, 4, 60))  # the sr-wide shape
+        assert len(self.check(wide, [Ideal(wide.ambient, ())]).evidence) == 60 * 59 // 2
+        assert general_calls == []
+
+    def test_monomial_rings(self, general_calls):
+        rng = random.Random(3306)
+        ring = PolyRing(QQ, ("x", "y", "z", "w", "v"))
+        graphs = 0
+        for _ in range(40):
+            pres = PresentedRing(ring, random_monomial_ideal(rng, ring, max_gens=4, max_exp=3))
+            graph = self.check(pres, self.monomial_ideals(rng, pres, 2))
+            graphs += graph is not None and graph.n > 1
+            assert all(p.var_mask is not None for p in ensure_min_primes(pres).ideals())
+        assert graphs >= 10
+        assert general_calls == []
+
+    def test_mixed_primes_take_the_general_route(self, general_calls):
+        # (xyz) = (x) ∩ (y) ∩ (z), with (y) written out: no mask on it
+        cert = PrimeCertificate("monomial-variable-prime")
+        primes = (Ideal.of_variables(R4, 0b001), Ideal(R4, (Y,)), Ideal.of_variables(R4, 0b100))
+        ring = PresentedRing(R4, Ideal(R4, (X * Y * Z,)))
+        ring.attach_min_primes(MinimalPrimeSet(ring.defining, tuple((p, cert) for p in primes), "computed-monomial"))
+        graph = self.check(ring, [])
+        assert len(general_calls) == 3 and [h for _, h in graph.evidence] == [1, 1, 1]
 
 
 class TestConnectivityRoutes:

@@ -21,27 +21,33 @@ from ringgraph import (
     RingGraphError,
     RingMap,
     buchberger,
+    build_gamma,
     contract,
     dimension,
     eliminate,
     elimination_order,
+    face_ring,
+    facet_min_primes,
     height_in_quotient,
     ideal_colon,
     ideal_intersection,
     ideal_product,
     ideal_sum,
+    is_equidimensional,
     is_m_primary,
     m_primary_status,
     polynomial_quotient,
     radical_membership,
     ring_map_kernel,
     saturation,
+    sr_ideal,
 )
 from ringgraph import ideals as ideals_module
+from ringgraph.complexes import face_ring_ambient, random_pure_complex
 from ringgraph.ideals import Flag, provenance
 from ringgraph.polynomials import embed, strip_first
 
-from conftest import random_nonzero_polynomial
+from conftest import random_monomial_ideal, random_nonzero_polynomial
 from oracles import lcm_fold_intersection, support_cover_radical_member
 
 R3 = PolyRing(QQ, ("x", "y", "z"))
@@ -50,16 +56,6 @@ X, Y, Z = R3.gens()
 
 def I(*gens):
     return Ideal(R3, gens)
-
-
-def random_monomial_ideal(rng, ring, max_gens=3, max_exp=2):
-    gens = []
-    for _ in range(rng.randint(1, max_gens)):
-        mono = tuple(rng.randint(0, max_exp) for _ in range(ring.nvars))
-        if sum(mono) == 0:
-            mono = (1,) + (0,) * (ring.nvars - 1)
-        gens.append(ring.monomial(mono))
-    return Ideal(ring, tuple(gens))
 
 
 class TestIdealBasics:
@@ -103,24 +99,46 @@ class TestVariablePrimes:
                     strings = [str(g) for g in buchberger(prime.gens, ring=ring).generators]
                     assert prime.min_gen_strings() == strings
 
-    def test_sums_keep_the_mask(self):
-        """A sum of variable primes keeps the union of their masks; the
-        dimension of a monomial ring modulo it, read off the mask, is the
-        one its generators give."""
+    def test_sums_carry_no_mask(self):
+        """A sum of variable primes is a plain ideal, with neither a mask
+        nor a known dimension; its dimension, computed from its
+        generators, counts the variables outside both masks."""
         rng = random.Random(426)
         ring = PolyRing(QQ, tuple(f"x{i}" for i in range(6)))
         for _ in range(300):
-            pres = PresentedRing(ring, random_monomial_ideal(rng, ring, max_gens=4, max_exp=rng.choice([1, 2])))
             p, q = (Ideal.of_variables(ring, rng.randrange(64)) for _ in range(2))
             total = ideal_sum(p, q)
-            assert total.var_mask == p.var_mask | q.var_mask
-            expected = dimension(ideal_sum(pres.defining, Ideal(ring, total.gens)))
-            assert ideals_module._quotient_dimension(pres, total) == expected
+            assert total.var_mask is None and total._dim is None
+            assert dimension(total) == 6 - (p.var_mask | q.var_mask).bit_count()
         assert ideal_sum(Ideal.of_variables(ring, 1), Ideal(ring, ring.gens()[:1])).var_mask is None
+
+    def test_dimension_known_at_construction(self):
+        """Every variable prime over 1-5 variables carries its dimension
+        from the start, and it is the one the Groebner route gives for
+        the same generators without a mask."""
+        for n in range(1, 6):
+            ring = PolyRing(QQ, tuple(f"x{i}" for i in range(n)))
+            for mask in range(1 << n):
+                prime = Ideal.of_variables(ring, mask)
+                plain = Ideal(ring, prime.gens)
+                assert prime._dim is not None and plain.var_mask is None and plain._dim is None
+                assert prime._dim == dimension(plain) == n - mask.bit_count(), (n, mask)
+
+    def test_equidimensionality_makes_no_search_for_a_variable_prime(self, monkeypatch):
+        """is_equidimensional on a face ring searches subsets only for the
+        defining ideal's dimension, never for a prime's."""
+        cplx = random_pure_complex(random.Random(60), 10, 4, 60)
+        pres = PresentedRing(face_ring_ambient(10), sr_ideal(cplx))
+        pres.attach_min_primes(facet_min_primes(cplx))
+        searches = []
+        original = ideals_module._max_independent
+        monkeypatch.setattr(ideals_module, "_max_independent", lambda *a: searches.append(a) or original(*a))
+        assert is_equidimensional(pres)
+        assert len(searches) == 1 and pres.defining._dim == 4
 
     def test_one_ideal_per_ring_and_mask(self):
         """Equal rings share one variable prime per mask, built from the
-        ring's own variables, and its dimension is computed once."""
+        ring's own variables, with its dimension already known."""
         ring = PolyRing(QQ, ("a", "b", "c"))
         prime = Ideal.of_variables(ring, 0b101)
         assert prime is Ideal.of_variables(PolyRing(QQ, ("a", "b", "c")), 0b101)
@@ -396,10 +414,10 @@ class TestPresentedRing:
 
     def test_height_matches_dimension_difference(self, monkeypatch):
         """Heights and m-primary statuses both read d = dim of the
-        quotient.  A monomial ring and a sum of variable primes marked
-        with their ``var_mask`` take the support-mask lane, which calls
-        no ``dimension``; anything else, one-term ideals without a mask
-        included, calls it once."""
+        quotient, through one ``dimension`` call per ideal, sums of
+        variable primes included.  Only a graph's pairs of variable
+        primes skip it: ``build_gamma`` of a face ring whose dimension is
+        known makes no ``dimension`` call."""
         rng = random.Random(77)
         ring4 = PolyRing(QQ, ("x1", "x2", "x3", "x4"))
         x1, x2, x3, x4 = ring4.gens()
@@ -409,19 +427,19 @@ class TestPresentedRing:
             gens = random_monomial_ideal(rng, ring4, max_exp=1).gens
             if rng.random() < 0.2:
                 gens += (ring4.const(rng.choice([0, 3])),)
-            cases.append((pres, Ideal(ring4, gens), 1))
+            cases.append((pres, Ideal(ring4, gens)))
             p, q = (Ideal.of_variables(ring4, rng.randrange(16)) for _ in range(2))
-            cases.append((pres, ideal_sum(p, q), 0))
+            cases.append((pres, ideal_sum(p, q)))
         curve = PresentedRing(ring4, Ideal(ring4, (x1 ** 2 - x2 ** 2,)))
-        cases += [(curve, Ideal(ring4, (x1 - x2,)), 1), (curve, Ideal(ring4, (x1 * x2,)), 1)]
-        cases.append((cases[0][0], Ideal(ring4, (x1 + x2,)), 1))
-        cases.append((cases[0][0], Ideal(ring4, (ring4.one(),)), 1))
-        cases.append((cases[0][0], Ideal(ring4, ring4.gens()), 1))
-        cases.append((cases[0][0], Ideal.of_variables(ring4, 15), 0))
-        cases.append((curve, Ideal(ring4, (x1, x3, x4)), 1))
-        cases.append((curve, Ideal.of_variables(ring4, 0b1101), 1))
+        cases += [(curve, Ideal(ring4, (x1 - x2,))), (curve, Ideal(ring4, (x1 * x2,)))]
+        cases.append((cases[0][0], Ideal(ring4, (x1 + x2,))))
+        cases.append((cases[0][0], Ideal(ring4, (ring4.one(),))))
+        cases.append((cases[0][0], Ideal(ring4, ring4.gens())))
+        cases.append((cases[0][0], Ideal.of_variables(ring4, 15)))
+        cases.append((curve, Ideal(ring4, (x1, x3, x4))))
+        cases.append((curve, Ideal.of_variables(ring4, 0b1101)))
         expected = []
-        for pres, a, _ in cases:
+        for pres, a in cases:
             pres.assert_equidimensional()  # the flag only gates the dimension difference
             top, d = pres.dim(), dimension(ideal_sum(pres.defining, a))
             status = {-1: "unit-ideal", 0: "m-primary"}.get(d, "not-m-primary")
@@ -430,19 +448,23 @@ class TestPresentedRing:
         assert {s for _, s in expected} == {"unit-ideal", "m-primary", "not-m-primary"}
         calls = []
         monkeypatch.setattr(ideals_module, "dimension", lambda a: calls.append(a) or dimension(a))
-        for (pres, a, dimension_calls), (height, status) in zip(cases, expected):
+        for (pres, a), (height, status) in zip(cases, expected):
             del calls[:]
             assert height_in_quotient(pres, a) == height, a
-            assert len(calls) == dimension_calls, a
+            assert len(calls) == 1, a
             del calls[:]
             assert m_primary_status(a, pres) == status, a
-            assert len(calls) == dimension_calls, a
+            assert len(calls) == 1, a
+        ring = face_ring(random_pure_complex(random.Random(60), 10, 4, 60))
+        ring.dim()
+        del calls[:]
+        assert len(build_gamma(ring).evidence) == 60 * 59 // 2
+        assert calls == []
 
     def test_variable_cap_refuses_on_the_mask_lane(self):
         ring17 = PolyRing(QQ, tuple(f"x{i}" for i in range(17)))
         xs = ring17.gens()
         pres = PresentedRing(ring17, Ideal(ring17, (xs[0] * xs[1],)))
-        assert pres._masks is not None
         pres.assert_equidimensional()
         for decide in (
             lambda a: m_primary_status(a, pres),
