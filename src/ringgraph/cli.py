@@ -93,8 +93,6 @@ def _read(path: Path, what: str) -> str:
 
 
 def _load_session(args) -> SessionFile:
-    if args.session is None:
-        raise PreconditionError("this command needs --session")
     return parse_session(_read(args.session, "session"))
 
 

@@ -3,7 +3,8 @@
 A field object is a stateless descriptor; the coefficient values
 themselves are plain Python data (``fractions.Fraction`` for Q, ints in
 ``[0, p)`` for GF(p)).  Keeping values primitive keeps the polynomial
-arithmetic hot loops cheap.
+arithmetic hot loops cheap.  ``field_by_name`` decodes the session
+syntax ``Q`` / ``Fp <p>`` into one of these descriptors.
 """
 
 from __future__ import annotations
@@ -40,30 +41,14 @@ def _is_probable_prime(n: int) -> bool:
 
 
 class Field:
-    """Abstract field descriptor; subclasses operate on raw values."""
+    """Field descriptor base: ``RationalField`` and ``PrimeField``.
+
+    Each subclass defines ``zero``, ``one`` and the operations on raw
+    values: ``add``, ``sub``, ``mul``, ``div`` (``ZeroDivisionError``
+    on a zero divisor), ``neg``, ``from_int`` and ``from_fraction``.
+    """
 
     name: str
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def div(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def from_fraction(self, q: Fraction):
-        raise NotImplementedError
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -161,11 +146,12 @@ QQ = RationalField()
 
 
 def field_by_name(kind: str, p: int | None = None) -> Field:
-    """Build a field from session-level syntax (``Q`` or ``Fp <p>``)."""
+    """The field of the session syntax ``Q`` or ``Fp <p>``; the one
+    decoder of that syntax, used by the session parser."""
     if kind == "Q":
         return QQ
     if kind == "Fp":
         if p is None:
             raise StructuralError("Fp requires a prime modulus")
         return PrimeField(p)
-    raise StructuralError(f"unknown field kind {kind!r}")
+    raise StructuralError(f"unknown field {kind!r}; use Q or Fp <prime>")

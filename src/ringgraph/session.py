@@ -18,11 +18,12 @@ canonical printer round-trips: parse(print(session)) == session.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 
 from .complexes import complex_from_lists, face_ring
 from .errors import RingGraphError, SessionSyntaxError, StructuralError
-from .fields import QQ, Field, PrimeField
+from .fields import QQ, Field, field_by_name
 from .ideals import (
     Ideal,
     PolyRing,
@@ -45,53 +46,30 @@ class Token:
     column: int
 
 
+# Tried in order.  ``\d`` is exactly ``str.isdecimal``, ``\w`` is ``str.isalnum`` or ``_``.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)"
+    r"|(?P<punct>->|[;,=()\[\]{}+\-*/^:])|(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<bad>.)"
+)
+
+
 def tokenize(text: str) -> list:
+    """The tokens of ``text``, then ``eof``.  A name must start with a
+    letter or ``_``, which the pattern alone does not ensure."""
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in ";,=()[]{}+-*/^:":
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise SessionSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start() - line_start + 1
+        if kind == "comment":
+            continue  # leaves ``end`` alone: input ending in a comment ends at its '#'
+        end = m.end()
+        if kind == "newline":
+            line, line_start = line + 1, end
+        elif kind == "bad" or (kind == "name" and not (m[0][0].isalpha() or m[0][0] == "_")):
+            raise SessionSyntaxError(f"unexpected character {m[0][0]!r}", line, col)
+        elif kind != "space":
+            tokens.append(Token(kind, m[0], line, col))
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -180,9 +158,6 @@ class _TokenStream:
             self.pos += 1
         return tok
 
-    def at_end(self) -> bool:
-        return self.peek().kind == "eof"
-
     def expect(self, text: str) -> Token:
         tok = self.peek()
         if tok.text != text:
@@ -214,7 +189,7 @@ class SessionFile:
     maps: dict = dc_field(default_factory=dict)
     complexes: dict = dc_field(default_factory=dict)
     minprime_assertions: dict = dc_field(default_factory=dict)
-    ideal_origins: dict = dc_field(default_factory=dict)
+    kernels: dict = dc_field(default_factory=dict)  # ideal name -> the map it is the kernel of
     _presented: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def __eq__(self, other):
@@ -223,20 +198,23 @@ class SessionFile:
     def presented(self, name: str) -> PresentedRing:
         """The named object as a presented ring, cached so that flags
         and attached primes persist: quotients directly, polynomial
-        rings as quotients by zero, complexes as their face rings."""
-        if name in self._presented:
-            return self._presented[name]
-        if name in self.rings:
-            obj = self.rings[name]
-            pres = obj if isinstance(obj, PresentedRing) else polynomial_quotient(obj)
-        elif name in self.complexes:
-            pres = face_ring(self.complexes[name], self.field)
-        else:
-            raise StructuralError(f"no ring or complex named {name!r}")
-        mp = self.asserted_primes_for(pres.defining)
-        if mp is not None and pres.min_primes is None:
-            pres.attach_min_primes(mp)
-        self._presented[name] = pres
+        rings as quotients by zero, complexes as their face rings.  The
+        one place asserted minimal primes are attached, on every call,
+        so a ring presented before its ``assert minprimes`` gets them."""
+        pres = self._presented.get(name)
+        if pres is None:
+            if name in self.rings:
+                obj = self.rings[name]
+                pres = obj if isinstance(obj, PresentedRing) else polynomial_quotient(obj)
+            elif name in self.complexes:
+                pres = face_ring(self.complexes[name], self.field)
+            else:
+                raise StructuralError(f"no ring or complex named {name!r}")
+            self._presented[name] = pres
+        if pres.min_primes is None:
+            mp = self.asserted_primes_for(pres.defining)
+            if mp is not None:
+                pres.attach_min_primes(mp)
         return pres
 
     def ideal(self, name: str) -> Ideal:
@@ -252,6 +230,10 @@ class SessionFile:
     def asserted_primes_for(self, a: Ideal):
         """The asserted minimal-prime set for this ideal, if any."""
         return self.minprime_assertions.get(_assertion_key(a))
+
+
+def print_session(session: SessionFile) -> str:
+    return "\n".join(session.lines) + "\n"
 
 
 def _assertion_key(a: Ideal) -> tuple:
@@ -270,7 +252,7 @@ def parse_session(text: str) -> SessionFile:
     stream = _TokenStream(tokenize(text))
     session: SessionFile | None = None
     lines: list = []
-    while not stream.at_end():
+    while stream.peek().kind != "eof":
         tok = stream.take()
         if tok.kind != "name":
             raise SessionSyntaxError(
@@ -316,19 +298,16 @@ def _declared(table: dict, tok: Token, what: str):
 
 
 def _parse_field(stream: _TokenStream) -> Field:
+    """A refusal is placed at the modulus if there is one, else at the name."""
     tok = stream.expect_kind("name", "a field name (Q or Fp)")
-    if tok.text == "Q":
-        field = QQ
-    elif tok.text == "Fp":
-        ptok = stream.expect_kind("int", "a prime modulus")
-        try:
-            field = PrimeField(int(ptok.text))
-        except RingGraphError as e:
-            raise SessionSyntaxError(str(e), ptok.line, ptok.column) from e
-    else:
-        raise SessionSyntaxError(
-            f"unknown field {tok.text!r}; use Q or Fp <prime>", tok.line, tok.column
-        )
+    kind, p = tok.text, None
+    if kind == "Fp":
+        tok = stream.expect_kind("int", "a prime modulus")
+        p = int(tok.text)
+    try:
+        field = field_by_name(kind, p)
+    except RingGraphError as e:
+        raise SessionSyntaxError(str(e), tok.line, tok.column) from e
     stream.expect(";")
     return field
 
@@ -385,8 +364,8 @@ def _parse_ring(stream: _TokenStream, session: SessionFile) -> str:
             ideal_tok.column,
         )
     stream.expect(";")
-    kind, phi = session.ideal_origins.get(ideal_tok.text, (None, None))
-    if kind == "kernel" and not isinstance(phi.target, PresentedRing):
+    phi = session.kernels.get(ideal_tok.text)
+    if phi is not None and not isinstance(phi.target, PresentedRing):
         # The kernel of a map into a polynomial ring is prime: present
         # the quotient as a certified domain.
         session.rings[name] = kernel_domain_presentation(phi, a)
@@ -431,7 +410,7 @@ def _parse_ideal(stream: _TokenStream, session: SessionFile) -> str:
         stream.expect(")")
         stream.expect(";")
         session.ideals[name] = ring_map_kernel(phi)
-        session.ideal_origins[name] = ("kernel", phi)
+        session.kernels[name] = phi
         return f"ideal {name} = kernel({mtok.text});"
     if call == "contract":
         stream.take()
@@ -561,14 +540,6 @@ def _parse_assert(stream: _TokenStream, session: SessionFile) -> str:
                 f"asserted minimal primes rejected: {e}", itok.line, itok.column
             ) from e
         session.minprime_assertions[_assertion_key(a)] = mps
-        for obj in session.rings.values():
-            if (
-                isinstance(obj, PresentedRing)
-                and obj.min_primes is None
-                and obj.defining.ring == a.ring
-                and obj.defining.equals(a)
-            ):
-                obj.attach_min_primes(mps)
         return f"assert minprimes {itok.text} = [{', '.join(n for n, _ in named)}];"
     if what.text in ("equidim", "reduced"):
         rtok = stream.expect_kind("name", "a ring name")
@@ -600,14 +571,6 @@ _DECLARATIONS = {
 
 
 # ---------------------------------------------------------------------------
-# the canonical printer
-
-
-def print_session(session: SessionFile) -> str:
-    return "\n".join(session.lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
 # fraction arguments (numerator / denominator at the top level)
 
 
@@ -627,16 +590,10 @@ def parse_fraction(session: SessionFile, ring_name: str, text: str) -> Fraction:
             depth -= 1
         elif tok.text == "/" and depth == 0:
             split = i
-    eof = tokens[-1]
     if split is None:
-        num_tokens = tokens
-        den_tokens = [Token("int", "1", eof.line, eof.column), eof]
-    else:
-        num_tokens = tokens[:split] + [eof]
-        den_tokens = tokens[split + 1 :]
-    num = _parse_whole_expression(num_tokens, ambient)
-    den = _parse_whole_expression(den_tokens, ambient)
-    return Fraction(pres, num, den)
+        return Fraction(pres, _parse_whole_expression(tokens, ambient), ambient.one())
+    num = _parse_whole_expression(tokens[:split] + [tokens[-1]], ambient)
+    return Fraction(pres, num, _parse_whole_expression(tokens[split + 1 :], ambient))
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:

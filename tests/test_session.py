@@ -34,6 +34,19 @@ class TestBasicParsing:
         with pytest.raises(SessionSyntaxError):
             parse_session("field R;")
 
+    @pytest.mark.parametrize(
+        "text, message, column",
+        [
+            ("field R;", "unknown field 'R'; use Q or Fp <prime>", 7),  # at the name
+            ("field Fp 4;", "modulus 4 is not prime", 10),  # at the modulus
+        ],
+    )
+    def test_bad_field_located(self, text, message, column):
+        with pytest.raises(SessionSyntaxError) as exc:
+            parse_session(text)
+        assert exc.value.bare_message == message
+        assert (exc.value.line, exc.value.column) == (1, column)
+
     def test_strong_pseudoprime_modulus_located(self):
         with pytest.raises(SessionSyntaxError) as exc:
             parse_session("field Fp 3215031751;")
@@ -111,6 +124,39 @@ class TestBasicParsing:
             parse_session(
                 "field Q;\nring R = [x];\nideal I = (x);\nideal I = (x^2);"
             )
+
+
+class TestScanner:
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("a\tb\r\nc", [("name", "a", 1, 1), ("name", "b", 1, 3), ("name", "c", 2, 1), ("eof", "", 2, 2)]),
+            # input ending in a comment ends at the '#'
+            ("x  # note", [("name", "x", 1, 1), ("eof", "", 1, 4)]),
+            ("x\n# note\n", [("name", "x", 1, 1), ("eof", "", 3, 1)]),
+            ("3x", [("int", "3", 1, 1), ("name", "x", 1, 2), ("eof", "", 1, 3)]),
+            ("x\u00b2 _x1", [("name", "x\u00b2", 1, 1), ("name", "_x1", 1, 4), ("eof", "", 1, 7)]),
+            ("->", [("punct", "->", 1, 1), ("eof", "", 1, 3)]),
+            ("a-b", [("name", "a", 1, 1), ("punct", "-", 1, 2), ("name", "b", 1, 3), ("eof", "", 1, 4)]),
+            ("", [("eof", "", 1, 1)]),
+        ],
+    )
+    def test_tokens_and_locations(self, text, tokens):
+        assert [(t.kind, t.text, t.line, t.column) for t in tokenize(text)] == tokens
+
+    @pytest.mark.parametrize(
+        "text, char, line, column",
+        [
+            ("- >", ">", 1, 3),  # '->' only without a space
+            ("x\n \u00bdx", "\u00bd", 2, 2),  # a name cannot start with a numeric
+            ("a\u00a0b", "\u00a0", 1, 2),  # no whitespace but space, tab, CR, LF
+        ],
+    )
+    def test_unexpected_characters_located(self, text, char, line, column):
+        with pytest.raises(SessionSyntaxError) as exc:
+            tokenize(text)
+        assert exc.value.bare_message == f"unexpected character {char!r}"
+        assert (exc.value.line, exc.value.column) == (line, column)
 
 
 class TestRingInference:
@@ -252,6 +298,25 @@ class TestAssertions:
         )
         with pytest.raises(RingGraphError):
             parse_session(text)
+
+    LATE_ASSERTION = (
+        "field Q;\nring A = [x, y];\nideal I = (x*y);\nideal P1 = (x);\nideal P2 = (y);\n"
+        "ring R = A / I;\nassert reduced R;\n"  # presents R before its primes are asserted
+        "assert minprimes I = [P1, P2];\nring R2 = A / I;\n"
+    )
+
+    def test_primes_attached_when_the_ring_is_presented(self):
+        s = parse_session(self.LATE_ASSERTION)
+        asserted = s.asserted_primes_for(s.ideal("I"))
+        pres = s.presented("R")
+        assert pres.min_primes is asserted
+        assert pres.min_primes.provenance == "asserted"
+        assert pres.min_primes.ideals() == (s.ideal("P1"), s.ideal("P2"))
+        assert s.presented("R") is pres and pres.min_primes is asserted
+
+    def test_ring_declared_after_the_assertion_gets_the_primes(self):
+        s = parse_session(self.LATE_ASSERTION)
+        assert s.presented("R2").min_primes is s.asserted_primes_for(s.ideal("I"))
 
     def test_equidim_and_reduced_assertions(self):
         text = (
