@@ -5,13 +5,15 @@ A complex is stored by its facets (pairwise incomparable, vertices
 numbered from 1), each a bitmask in which vertex v is bit v - 1, as is
 its variable in the face ring.  The defining ideal is generated by the
 minimal non-faces, which by Alexander duality are the minimal
-transversals of the facet complements (one bitmask routine, shared with
-the monomial prime strategy), its minimal primes are the variable
-primes of the facet complements, and for pure complexes the
-minimal-prime graph has an edge exactly when two facets share a
-codimension-one face.  The harness samples pure complexes with
-a connected graph, adjoins few enough monomial elements, and checks the
-punctured spectrum modulo them stays connected.
+transversals of the facet complements (one bitmask routine in
+:mod:`ringgraph.polynomials`, shared with the monomial prime strategy
+and with every dimension), and is built knowing its dimension, the
+largest facet size, so a face ring makes no dimension search.  Its
+minimal primes are the variable primes of the facet complements, and
+for pure complexes the minimal-prime graph has an edge exactly when two
+facets share a codimension-one face.  The harness samples pure
+complexes with a connected graph, adjoins few enough monomial elements,
+and checks the punctured spectrum modulo them stays connected.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .gamma import (
     punctured_spectrum_connected,
 )
 from .ideals import Ideal, PresentedRing
-from .minprimes import MinimalPrimeSet, PrimeCertificate, is_equidimensional, minimal_transversals
-from .polynomials import GREVLEX, PolyRing, mask_bits
+from .minprimes import MinimalPrimeSet, PrimeCertificate, is_equidimensional
+from .polynomials import GREVLEX, PolyRing, mask_bits, minimal_transversals
 
 COMPLEX_VERTEX_CAP = 16
 
@@ -110,12 +112,16 @@ def face_ring_ambient(n: int, field: Field = QQ) -> PolyRing:
 def sr_ideal(cplx: SimplicialComplex, field: Field = QQ) -> Ideal:
     """The defining ideal of the face ring: one squarefree monomial per
     minimal non-face, the minimal transversals of the facet complements
-    (Alexander duality), which are its reduced basis.  The void complex
-    has no face, not even the empty one, so its ideal is the unit ideal."""
+    (Alexander duality), which are its reduced basis.  It is built with
+    its dimension, the size of a largest facet.  The void complex has no
+    face, not even the empty one, so its ideal is the unit ideal, of
+    dimension -1."""
     ring = face_ring_ambient(cplx.n_vertices, field)
     covers = minimal_transversals(_complement(cplx, f) for f in cplx.facets)
     monos = sorted((tuple(m >> i & 1 for i in range(ring.nvars)) for m in covers), key=GREVLEX.key(), reverse=True)
-    return Ideal(ring, map(ring.monomial, monos), grevlex_basis=True)  # sorted as buchberger sorts a monomial basis
+    ideal = Ideal(ring, map(ring.monomial, monos), grevlex_basis=True)  # sorted as buchberger sorts a monomial basis
+    ideal._dim = max((f.bit_count() for f in cplx.facets), default=-1)
+    return ideal
 
 
 def _complement(cplx: SimplicialComplex, facet: int) -> int:

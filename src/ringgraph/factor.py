@@ -7,7 +7,9 @@ The reach is deliberately bounded and every verdict is certified:
   univariate of degree <= 4 over Q, degree one in some variable with a
   constant coefficient, or quadratic in a variable with constant lead
   and non-square discriminant);
-* ``unknown``     -- outside the reach; callers must not guess;
+* ``unknown``     -- outside the reach, including a root search that
+  could not be exhaustive (a constant or lead above 10^9 over Q, or
+  GF(p) with p above ``FP_SCAN_CAP``); callers must not guess;
 * ``unit``        -- a nonzero constant.
 
 Routes: monomial content, univariate polynomials in disguise (rational
@@ -26,6 +28,11 @@ from .groebner import normal_form_with_quotients
 from .polynomials import GREVLEX, Polynomial, mono_div, mono_divides
 
 FP_SCAN_CAP = 4096  # exhaustive root scans in GF(p) stay below this
+
+
+class _SearchIncomplete(Exception):
+    """A root search that could not be exhaustive, so its empty answer
+    proves nothing; :func:`factor_once` reads it as ``unknown``."""
 
 
 def exact_divide(f: Polynomial, g: Polynomial):
@@ -54,7 +61,9 @@ def poly_sqrt(h: Polynomial):
 
     Greedy leading-term reconstruction under grevlex; each step either
     fails a divisibility check or strictly lowers the residual, so the
-    loop terminates and the verdict is conclusive.
+    loop terminates and the verdict is conclusive.  Over GF(p) beyond
+    ``FP_SCAN_CAP`` the lead's square root cannot be searched for, and
+    the call raises instead.
     """
     ring = h.ring
     if h.is_zero():
@@ -120,7 +129,7 @@ def _rational_roots(coeffs: list) -> list:
     if const == 0:
         return [Fraction(0)]
     if abs(const) > 10**9 or abs(lead) > 10**9:
-        return []  # outside the documented reach
+        raise _SearchIncomplete
     roots = []
     for p in _divisors(const):
         for q in _divisors(lead):
@@ -140,7 +149,7 @@ def _eval_dense(ints: list, x: Fraction):
 
 def _fp_roots(coeffs: list, p: int) -> list:
     if p > FP_SCAN_CAP:
-        return []
+        raise _SearchIncomplete
     roots = []
     for r in range(p):
         acc = 0
@@ -247,6 +256,13 @@ def _quartic_split(f: Polynomial, i: int, coeffs: list):
 
 def factor_once(f: Polynomial):
     """One certified factorization step; see the module docstring."""
+    try:
+        return _factor_once(f)
+    except _SearchIncomplete:
+        return "unknown", None
+
+
+def _factor_once(f: Polynomial):
     if f.is_zero():
         return "unknown", None
     if f.is_constant():

@@ -55,9 +55,6 @@ class PrimeGraph:
     def n(self) -> int:
         return len(self.labels)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
     def evidence_dict(self) -> dict:
         return dict(self.evidence) if self.evidence else {}
 

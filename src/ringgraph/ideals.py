@@ -4,7 +4,7 @@ Everything here reduces to Groebner computations in the ambient
 polynomial ring: intersections by eliminating an auxiliary variable,
 colons through intersections with principal ideals, kernels and
 contractions through graph ideals under elimination orders, dimension
-through independent variable sets modulo the leading-term ideal.
+through the minimal transversals of the leading-term supports.
 Monomial data takes certified combinatorial shortcuts with identical
 contracts; the test suite pins those against the general routes.
 A variable prime is built with its reduced basis and its dimension.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import PreconditionError, StructuralError
@@ -22,7 +21,6 @@ from .groebner import (
     GroebnerBasis,
     _minimal_monomial_set,
     buchberger,
-    normal_form,
     normal_form_with_quotients,
 )
 from .polynomials import (
@@ -34,6 +32,7 @@ from .polynomials import (
     embed,
     fresh_names,
     mask_bits,
+    minimal_transversals,
     mono_divides,
     mono_lcm,
     mono_mask,
@@ -242,47 +241,20 @@ def radical_membership(f: Polynomial, a: Ideal) -> bool:
 def dimension(a: Ideal) -> int:
     """Krull dimension of ring/a; -1 for the unit ideal.
 
-    Computed as the largest set of variables meeting no support of a
-    leading monomial of the reduced grevlex basis, a correct reading of
-    the leading-term ideal.  Capped at 16 variables; beyond that the
-    subset search refuses.
+    Read off the leading-term ideal of the reduced grevlex basis, which
+    has the same dimension: the number of variables less the size of a
+    smallest minimal transversal of its leading supports.  A constant
+    lead has the empty support, which no set meets, so the unit ideal
+    reads -1.  Capped at 16 variables; beyond that the search refuses.
     """
     if a._dim is None:
         if a.ring.nvars > DIMENSION_VARIABLE_CAP:
             raise PreconditionError(
                 f"dimension search supports at most {DIMENSION_VARIABLE_CAP} variables, got {a.ring.nvars}"
             )
-        supports = _supports(mono_mask(g.leading_monomial(GREVLEX)) for g in a.groebner().generators)
-        a._dim = -1 if supports is None else _max_independent(a.ring.nvars, *supports)
+        covers = minimal_transversals(mono_mask(g.leading_monomial(GREVLEX)) for g in a.groebner().generators)
+        a._dim = a.ring.nvars - covers[0].bit_count() if covers else -1
     return a._dim
-
-
-def _supports(masks) -> tuple | None:
-    """(singles, minimal) for the monomial ideal of the supports ``masks``:
-    the union of its one-variable supports and its other minimal
-    supports, in (popcount, value) order; None for the unit ideal."""
-    masks = set(masks)
-    if 0 in masks:  # a constant: the unit ideal
-        return None
-    singles = sum(m for m in masks if not m & (m - 1))  # distinct bits: the sum is their union
-    # drop the supports meeting a single variable, then those containing a smaller one
-    minimal = []
-    for m in sorted(sorted(m for m in masks if not m & singles), key=int.bit_count):
-        if all(k & ~m for k in minimal):
-            minimal.append(m)
-    return singles, tuple(minimal)
-
-
-@functools.lru_cache(maxsize=4096)
-def _max_independent(n: int, singles: int, supports: tuple) -> int:
-    """The most variables outside ``singles`` containing no support."""
-    free = [1 << i for i in range(n) if not singles >> i & 1]
-    for size in range(len(free), -1, -1):
-        for combo in combinations(free, size):
-            mask = sum(combo)
-            if all(s & ~mask for s in supports):
-                return size
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +359,6 @@ class PresentedRing:
             raise StructuralError("minimal primes attached to the wrong ideal")
         self._min_primes = prime_set
 
-    def image_gens(self, a: Ideal) -> list:
-        """Canonical representatives of a's generators in the quotient."""
-        gb = self.defining.groebner()
-        out = []
-        for g in a.gens:
-            r = normal_form(g, gb)
-            if not r.is_zero():
-                out.append(r)
-        return out
-
     def __repr__(self):
         return f"{self.ambient}/{self.defining!r}"
 
@@ -428,11 +390,6 @@ def m_primary_status(a: Ideal, ring: PresentedRing, total: Ideal | None = None) 
     """One of 'm-primary', 'not-m-primary', 'unit-ideal' for a in ring;
     ``total`` is the sum of the defining ideal and a, when already built."""
     return _status(_quotient_dimension(ring, a, total))
-
-
-def is_m_primary(a: Ideal, ring: PresentedRing) -> bool:
-    """True when a is primary to the irrelevant maximal ideal of ring."""
-    return m_primary_status(a, ring) == "m-primary"
 
 
 def height_in_quotient(ring: PresentedRing, a: Ideal) -> int | float:

@@ -4,9 +4,10 @@ largest small-dimensional ideal of a reduced presentation.
 Two computing strategies are provided.  A monomial ideal's minimal
 primes are the variable sets of the minimal transversals of its
 generator supports, enumerated on bitmasks by
-:func:`minimal_transversals` (face rings read their minimal non-faces
-from it too).  The split strategy factors generators within the
-certified reach of :mod:`ringgraph.factor` and branches: for g1*g2
+:func:`ringgraph.polynomials.minimal_transversals` (face rings read
+their minimal non-faces, and :func:`ringgraph.ideals.dimension` every
+dimension, from it too).  The split strategy factors generators within
+the certified reach of :mod:`ringgraph.factor` and branches: for g1*g2
 the components split as V(I + g1) together with V((I + g2) : g1^inf);
 the one-sided saturation keeps the second branch away from components
 already inside V(g1) while never losing a prime (a two-sided saturation
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import PreconditionError, StructuralError, UndecidedComponentError
 from .factor import certify_irreducible, factor_once
-from .groebner import normal_form
 from .ideals import (
     Flag,
     Ideal,
@@ -33,7 +33,7 @@ from .ideals import (
     ring_map_kernel,
     saturation,
 )
-from .polynomials import mask_bits, mono_mask
+from .polynomials import mask_bits, minimal_transversals, mono_mask
 
 CERTIFICATE_KINDS = (
     "monomial-variable-prime",
@@ -192,36 +192,6 @@ def _verify_on_masks(a: Ideal, prime_masks: list) -> DecompositionReport:
 
 # ---------------------------------------------------------------------------
 # monomial strategy
-
-
-def minimal_transversals(masks) -> list:
-    """The inclusion-minimal masks meeting every mask of the family,
-    sorted by (popcount, set bits).
-
-    MMCS (Murakami & Uno, 2014): branch on the candidates of an
-    uncovered member with fewest of them, and keep a branch only while
-    every chosen vertex is still the sole cover of some member, so each
-    minimal transversal is reached exactly once.  The empty family has
-    the single transversal 0; a family holding 0 has none.
-    """
-
-    def mmcs(chosen, cand, uncov, crit):  # crit[u]: members u alone covers
-        if not uncov:
-            yield chosen
-            return
-        branch = cand & min(uncov, key=lambda e: (e & cand).bit_count())
-        cand &= ~branch
-        while branch:
-            v = branch & -branch
-            branch ^= v
-            kept = {u: [e for e in es if not e & v] for u, es in crit.items()}
-            if all(kept.values()):
-                kept[v] = [e for e in uncov if e & v]
-                yield from mmcs(chosen | v, cand, [e for e in uncov if not e & v], kept)
-            cand |= v
-
-    found = mmcs(0, -1, list(set(masks)), {})  # -1: every vertex is a candidate
-    return sorted(found, key=lambda m: (m.bit_count(), mask_bits(m)))
 
 
 def monomial_minimal_primes(a: Ideal) -> MinimalPrimeSet:
@@ -436,12 +406,6 @@ def j_ideal(ring: PresentedRing) -> Ideal:
         raise StructuralError("no top-dimensional primes; broken decomposition")
     inter = ideal_intersection(*(p for p, _ in tops))
     return Ideal(ring.ambient, inter.canonical_gens())
-
-
-def j_ideal_is_zero(ring: PresentedRing, j: Ideal) -> bool:
-    """Whether the lifted small-dimension ideal has zero image."""
-    gb = ring.defining.groebner()
-    return all(normal_form(g, gb).is_zero() for g in j.gens)
 
 
 def image_domain_presentation(phi: RingMap) -> PresentedRing:

@@ -62,6 +62,36 @@ def mask_bits(mask: int) -> tuple:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def minimal_transversals(masks) -> list:
+    """The inclusion-minimal masks meeting every mask of the family,
+    sorted by (popcount, set bits).
+
+    MMCS (Murakami & Uno, 2014): branch on the candidates of an
+    uncovered member with fewest of them, and keep a branch only while
+    every chosen vertex is still the sole cover of some member, so each
+    minimal transversal is reached exactly once.  The empty family has
+    the single transversal 0; a family holding 0 has none.
+    """
+
+    def mmcs(chosen, cand, uncov, crit):  # crit[u]: members u alone covers
+        if not uncov:
+            yield chosen
+            return
+        branch = cand & min(uncov, key=lambda e: (e & cand).bit_count())
+        cand &= ~branch
+        while branch:
+            v = branch & -branch
+            branch ^= v
+            kept = {u: [e for e in es if not e & v] for u, es in crit.items()}
+            if all(kept.values()):
+                kept[v] = [e for e in uncov if e & v]
+                yield from mmcs(chosen | v, cand, [e for e in uncov if not e & v], kept)
+            cand |= v
+
+    found = mmcs(0, -1, list(set(masks)), {})  # -1: every vertex is a candidate
+    return sorted(found, key=lambda m: (m.bit_count(), mask_bits(m)))
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 

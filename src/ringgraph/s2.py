@@ -144,11 +144,6 @@ def conductor(f: Fraction) -> ConductorResult:
     return ConductorResult(d, h, h >= 2, provenance(flag))
 
 
-def s2_membership(f: Fraction) -> bool:
-    """True when the fraction belongs to the S2-ification."""
-    return conductor(f).member
-
-
 def _equidimensional_core(ring: PresentedRing) -> PresentedRing:
     """The ring itself when equidimensional, else the quotient by the
     intersection of its top-dimensional primes (killing the ideal of

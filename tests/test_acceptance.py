@@ -26,8 +26,8 @@ from ringgraph import (
     height_in_quotient,
     hl_nonvanishing,
     is_connected,
-    is_m_primary,
     join,
+    m_primary_status,
     monomial_minimal_primes,
     normal_form,
     parse_fraction,
@@ -254,7 +254,7 @@ def test_criterion_5_specialization_matches_support_check():
             gens += [ring.var(i) ** rng.randint(1, 3) for i in range(3)]
         a = Ideal(ring, tuple(gens))
         via_cohomology = hl_nonvanishing(pres, a)
-        via_primary = is_m_primary(a, pres)
+        via_primary = m_primary_status(a, pres) == "m-primary"
         if via_cohomology != via_primary:
             failures.append(
                 f"trial {trial}: cohomology route {via_cohomology}, "

@@ -90,6 +90,20 @@ class TestExitCodes:
         assert code == 2
         assert "refused" in err
 
+    @pytest.mark.parametrize(
+        "field, defining",
+        [("Fp 32003", "x^2 - 1"), ("Q", "x^2 - 100000000000000000000")],
+    )
+    def test_root_search_beyond_reach_is_refused(self, tmp_path, capsys, field, defining):
+        """Both rings have two minimal primes, but the root search that
+        would find them cannot be exhaustive, so the split lane refuses
+        rather than call the generator irreducible."""
+        session = tmp_path / "reach.rg"
+        session.write_text(f"field {field};\nring A = [x, y];\nideal I = ({defining});\nring R = A / I;\n")
+        code, out, err = run(capsys, "connected", "--session", str(session), "R")
+        assert (code, out) == (2, ""), out
+        assert "minimal primes unavailable" in err
+
     def test_internal_error_is_one(self, capsys, monkeypatch):
         def boom(args):
             raise RuntimeError("wires crossed")

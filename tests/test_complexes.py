@@ -23,6 +23,7 @@ from ringgraph import (
     buchberger,
     build_gamma,
     complex_from_lists,
+    dimension,
     elimination_order,
     face_ring,
     facet_adjacency_graph,
@@ -153,6 +154,27 @@ class TestFaceRing:
         for p in shared:
             assert p is Ideal.of_variables(r1.ambient, p.var_mask)
             assert p.canonical_key() is p.canonical_key()
+
+    def test_sr_ideal_knows_its_dimension(self):
+        """An SR ideal is built with its dimension: the largest facet
+        size, which the transversal route reads off the same generators
+        of an ideal that does not know it."""
+        rng = random.Random(453)
+        complexes = [
+            SimplicialComplex(3, (), allow_void=True),  # void: -1
+            complex_from_lists(4, [(1, 2, 3, 4)]),  # the full simplex
+            complex_from_lists(5, [(2, 4)]),  # one facet; vertices 1, 3, 5 in none
+            complex_from_lists(5, [(1, 2, 3), (3, 4)]),  # non-pure; vertex 5 in none
+        ]
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            size = rng.randint(1, n)
+            count = rng.randint(1, min(comb(n, size), 10))
+            complexes += [random_pure_complex(rng, n, size, count), random_impure_complex(rng, n)]
+        for c in complexes:
+            sr = sr_ideal(c)
+            largest = max((f.bit_count() for f in c.facets), default=-1)
+            assert sr._dim == largest == dimension(Ideal(sr.ring, sr.gens)), c
 
     def test_void_complex_has_unit_ideal(self):
         void = SimplicialComplex(3, (), allow_void=True)

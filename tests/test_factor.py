@@ -157,3 +157,24 @@ class TestPrimeFieldSplits:
         )
         assert factor_once(x ** 2 + x - 4 * y ** 2) == ("irreducible", None)
         assert calls
+
+
+class TestSearchReach:
+    """A root search that cannot be exhaustive proves no irreducibility:
+    over GF(p) beyond the scan cap, and over Q with a constant or lead
+    above 10^9, factor_once answers unknown."""
+
+    def test_large_prime_field(self):
+        ring = PolyRing(PrimeField(32003), ("x", "y"))
+        x, y = ring.gens()
+        for f in (x ** 2 - ring.one(), x ** 2 - y ** 2, x ** 3 - ring.one()):
+            assert factor_once(f) == ("unknown", None), f
+            assert not certify_irreducible(f)
+
+    def test_rationals_beyond_the_divisor_search(self):
+        x = R2.var(0)
+        big_square = x ** 2 - R2.const(10 ** 20)
+        three_roots = (x - R2.const(40000)) * (x - R2.const(50000)) * (x + R2.one())
+        for f in (big_square, three_roots):
+            assert factor_once(f) == ("unknown", None), f
+            assert not certify_irreducible(f)

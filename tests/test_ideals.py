@@ -34,7 +34,6 @@ from ringgraph import (
     ideal_product,
     ideal_sum,
     is_equidimensional,
-    is_m_primary,
     m_primary_status,
     polynomial_quotient,
     radical_membership,
@@ -125,16 +124,16 @@ class TestVariablePrimes:
                 assert prime._dim == dimension(plain) == n - mask.bit_count(), (n, mask)
 
     def test_equidimensionality_makes_no_search_for_a_variable_prime(self, monkeypatch):
-        """is_equidimensional on a face ring searches subsets only for the
-        defining ideal's dimension, never for a prime's."""
+        """is_equidimensional on a face ring makes no dimension search:
+        the SR ideal is built with its dimension, and each prime with its own."""
         cplx = random_pure_complex(random.Random(60), 10, 4, 60)
         pres = PresentedRing(face_ring_ambient(10), sr_ideal(cplx))
         pres.attach_min_primes(facet_min_primes(cplx))
         searches = []
-        original = ideals_module._max_independent
-        monkeypatch.setattr(ideals_module, "_max_independent", lambda *a: searches.append(a) or original(*a))
+        original = ideals_module.minimal_transversals
+        monkeypatch.setattr(ideals_module, "minimal_transversals", lambda m: searches.append(m) or original(m))
         assert is_equidimensional(pres)
-        assert len(searches) == 1 and pres.defining._dim == 4
+        assert not searches and pres.defining._dim == 4
 
     def test_one_ideal_per_ring_and_mask(self):
         """Equal rings share one variable prime per mask, built from the
@@ -317,6 +316,19 @@ class TestMonomialDimensionLane:
         a = Ideal(R4, tuple(R4.monomial(m) for m in monos))
         assert dimension(a) == brute_dimension(4, monos)
 
+    def test_non_monomial_ideals_through_their_leads(self):
+        """200 seeded ideals of two or three polynomials, at least one of
+        them not a monomial: the dimension is the enumeration's reading
+        of the leading monomials of the reduced basis."""
+        rng = random.Random(20)
+        for _ in range(200):
+            gens = [random_nonzero_polynomial(rng, R4, max_terms=3, max_degree=2) for _ in range(rng.randint(2, 3))]
+            if all(g.is_monomial() for g in gens):
+                gens[0] = gens[0] + R4.var(rng.randrange(4))
+            a = Ideal(R4, gens)
+            leads = [g.leading_monomial(GREVLEX) for g in a.groebner().generators]
+            assert dimension(a) == brute_dimension(4, leads), gens
+
     def test_edge_cases(self):
         x, y, z, w = R4.gens()
         cases = [
@@ -395,8 +407,6 @@ class TestPresentedRing:
         # x+1 is proper in the graded reading (quotient is k[y,z])
         assert m_primary_status(I(X + 1), ring) == "not-m-primary"
         assert m_primary_status(I(X, X + 1), ring) == "unit-ideal"
-        assert is_m_primary(I(X, Y, Z), ring)
-        assert not is_m_primary(I(X, X + 1), ring)
 
     def test_height_needs_equidimensional_flag(self):
         pres = PresentedRing(R3, I(X * Y))
@@ -472,10 +482,6 @@ class TestPresentedRing:
         ):
             with pytest.raises(PreconditionError, match="at most 16"):
                 decide(Ideal.of_variables(ring17, 1 << 2))
-
-    def test_image_gens_drop_zero(self):
-        pres = PresentedRing(R3, I(X * Y))
-        assert pres.image_gens(I(X * Y, Z)) == [Z]
 
 
 class TestRingMaps:

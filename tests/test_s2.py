@@ -18,7 +18,6 @@ from ringgraph import (
     ideal_intersection,
     ideal_product,
     s2_local_decision,
-    s2_membership,
 )
 from ringgraph.s2 import COMPUTED_CONDITIONS, EQUIVALENT_CONDITIONS
 
@@ -118,7 +117,6 @@ class TestConductor:
         assert res.ideal.equals(Ideal(R2, (X, Y)))
         assert res.height == 1
         assert not res.member
-        assert not s2_membership(e)
 
     def test_planes_idempotent_is_member(self):
         # e = x/(x+z) is 1 on one plane and 0 on the other; the planes
@@ -130,7 +128,6 @@ class TestConductor:
         res = conductor(e)
         assert res.height == 2
         assert res.member
-        assert s2_membership(e)
 
     def test_provenance_follows_equidimensionality_flag(self):
         ring = nodal_ring()
