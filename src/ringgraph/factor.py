@@ -4,35 +4,36 @@ The reach is deliberately bounded and every verdict is certified:
 
 * ``factored``    -- a genuine nontrivial factorization f = g1 * g2;
 * ``irreducible`` -- a complete criterion applied (total degree one,
-  univariate of degree <= 4 over Q, degree one in some variable with a
-  constant coefficient, or quadratic in a variable with constant lead
-  and non-square discriminant);
-* ``unknown``     -- outside the reach, including a root search that
-  could not be exhaustive (a constant or lead above 10^9 over Q, or
-  GF(p) with p above ``FP_SCAN_CAP``); callers must not guess;
+  univariate of degree <= 4 over every field, degree one in some
+  variable with a constant coefficient, or quadratic in a variable with
+  constant lead and non-square discriminant outside characteristic 2);
+* ``unknown``     -- outside the reach; callers must not guess;
 * ``unit``        -- a nonzero constant.
 
-Routes: monomial content, univariate polynomials in disguise (rational
-roots, quadratics by discriminant, quartics by the resolvent cubic),
-bivariate homogeneous polynomials via dehomogenization, and quadratics
-in a single variable whose discriminant is a polynomial perfect square.
+Routes: monomial content, univariate polynomials in disguise (roots,
+quartics by quadratic factors), bivariate homogeneous polynomials via
+dehomogenization, and quadratics in a single variable whose
+discriminant is a polynomial perfect square.
+
+Roots are exact over every field, with no search.  Over GF(p) the
+nonzero ones are the linear factors of gcd(f, x^(p-1) - 1), split by
+Cantor and Zassenhaus (Math. Comp. 36, 1981).  Over Q the roots of the
+squarefree part modulo a prime are lifted by Newton's iteration (Loos,
+SIAM J. Comput. 12, 1983), and a candidate is kept only when it is a
+root exactly.  Every gcd, reduction and power goes through the Groebner
+engine: in one variable the reduced basis of f and g is their monic gcd.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import StructuralError
-from .groebner import normal_form_with_quotients
-from .polynomials import GREVLEX, Polynomial, mono_div, mono_divides
-
-FP_SCAN_CAP = 4096  # exhaustive root scans in GF(p) stay below this
-
-
-class _SearchIncomplete(Exception):
-    """A root search that could not be exhaustive, so its empty answer
-    proves nothing; :func:`factor_once` reads it as ``unknown``."""
+from .fields import QQ, PrimeField, _is_probable_prime
+from .groebner import buchberger, normal_form, normal_form_with_quotients
+from .polynomials import GREVLEX, PolyRing, Polynomial, mono_div, mono_divides
 
 
 def exact_divide(f: Polynomial, g: Polynomial):
@@ -52,7 +53,7 @@ def _sqrt_scalar(field, c):
         if rn * rn == n and rd * rd == d:
             return Fraction(rn, rd)
         return None
-    roots = _fp_roots([-c % field.p, 0, 1], field.p)
+    roots = _fp_roots(_one_variable(field, [-c, 0, 1]))
     return roots[0] if roots else None
 
 
@@ -61,9 +62,7 @@ def poly_sqrt(h: Polynomial):
 
     Greedy leading-term reconstruction under grevlex; each step either
     fails a divisibility check or strictly lowers the residual, so the
-    loop terminates and the verdict is conclusive.  Over GF(p) beyond
-    ``FP_SCAN_CAP`` the lead's square root cannot be searched for, and
-    the call raises instead.
+    loop terminates and the verdict is conclusive.
     """
     ring = h.ring
     if h.is_zero():
@@ -105,113 +104,122 @@ def _dense_coeffs(f: Polynomial, i: int) -> list:
     return out
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _one_variable(field, coeffs: list) -> Polynomial:
+    """The polynomial with dense coefficients ``coeffs`` over ``field`` in one variable."""
+    ring = PolyRing(field, ("x",))
+    return Polynomial(ring, {(k,): ring.coerce_scalar(c) for k, c in enumerate(coeffs)})
+
+
+def _gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The monic gcd of univariate f and g, not both zero: their reduced basis."""
+    return buchberger([f, g]).generators[0]
+
+
+def _powmod(g: Polynomial, n: int, f: Polynomial) -> Polynomial:
+    """g^n modulo f, by repeated squaring."""
+    basis, out = buchberger([f]), f.ring.one()
+    while n:
+        if n & 1:
+            out = normal_form(out * g, basis)
+        g, n = normal_form(g * g, basis), n >> 1
+    return out
+
+
+def _fp_factors(f: Polynomial, k: int) -> list:
+    """The monic irreducible factors of degree k of univariate f over
+    GF(p) other than x, for k = 1, and for k = 2 when f has no root.
+
+    Their product is gcd(f, x^(p^k - 1) - 1), which Cantor-Zassenhaus
+    splits by gcds with (x + d)^((p^k - 1) / 2) - 1 for seeded d.  Over
+    GF(2) that gcd is 1, x + 1 or x^2 + x + 1 already.
+    """
+    p, x = f.ring.field.p, f.ring.var(0)
+    e, rng = p ** k - 1, random.Random(0)
+    r = _gcd(f, _powmod(x, e, f) - 1)
+    todo, out = [r] if r.degree_in(0) else [], []
+    while todo:
+        g = todo.pop()
+        if g.degree_in(0) == k:
+            out.append(g)
+            continue
+        h = _gcd(g, _powmod(x + rng.randrange(p), e // 2, g) - 1)
+        todo += [h, exact_divide(g, h)] if 0 < h.degree_in(0) < g.degree_in(0) else [g]
+    return out
+
+
+def _fp_roots(f: Polynomial) -> list:
+    """Every root in GF(p) of univariate f, ascending."""
+    p = f.ring.field.p
+    roots = [-g.terms[(0,)] % p for g in _fp_factors(f, 1)]
+    return sorted(roots if (0,) in f.terms else [0] + roots)
 
 
 def _rational_roots(coeffs: list) -> list:
-    """Rational roots of a Q[x] polynomial given by dense coefficients."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if len(ints) <= 1:
-        return []
-    lead, const = ints[-1], ints[0]
-    if const == 0:
-        return [Fraction(0)]
-    if abs(const) > 10**9 or abs(lead) > 10**9:
-        raise _SearchIncomplete
+    """Rational roots of a Q[x] polynomial given by dense coefficients.
+
+    The squarefree part g keeps every root.  Its roots modulo a prime
+    that keeps g squarefree of full degree are lifted until the modulus
+    m exceeds 2 * sum |g_i| >= 2 |lead * root|, so lead * root is the
+    residue of least absolute value.  Roots come smallest numerator
+    first, positive first, so verdicts do not depend on the prime.
+    """
+    f = _one_variable(QQ, coeffs)
+    df = _one_variable(QQ, [k * c for k, c in enumerate(coeffs)][1:])
+    g = _dense_coeffs(exact_divide(f, _gcd(f, df)), 0)
+    den = lcm(*(c.denominator for c in g))
+    ints = [int(c * den) for c in g]
+    dints = [k * c for k, c in enumerate(ints)][1:]
+    p = 2**31 - 1
+    while True:
+        gp, dgp = _one_variable(PrimeField(p), ints), _one_variable(PrimeField(p), dints)
+        if ints[-1] % p and _gcd(gp, dgp).is_constant():
+            break
+        p = next(q for q in range(p - 2, 2, -2) if _is_probable_prime(q))
     roots = []
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for sign in (1, -1):
-                r = Fraction(sign * p, q)
-                if _eval_dense(ints, r) == 0 and r not in roots:
-                    roots.append(r)
-    return roots
-
-
-def _eval_dense(ints: list, x: Fraction):
-    acc = Fraction(0)
-    for c in reversed(ints):
-        acc = acc * x + c
-    return acc
-
-
-def _fp_roots(coeffs: list, p: int) -> list:
-    if p > FP_SCAN_CAP:
-        raise _SearchIncomplete
-    roots = []
-    for r in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * r + c) % p
-        if acc == 0:
+    for a in _fp_roots(gp):
+        m = p
+        while m <= 2 * sum(map(abs, ints)):  # Newton: a root mod m is one mod m^2 after a step
+            m *= m
+            a = (a - _eval_mod(ints, a, m) * pow(_eval_mod(dints, a, m), -1, m)) % m
+        n = ints[-1] * a % m
+        r = Fraction(n - m if 2 * n > m else n, ints[-1])
+        if sum(c * r**k for k, c in enumerate(ints)) == 0:
             roots.append(r)
-    return roots
+    return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 
 
-def _univariate_factor(f: Polynomial, i: int):
-    """Factor or certify a polynomial involving only variable i."""
-    ring = f.ring
-    field = ring.field
-    coeffs = _dense_coeffs(f, i)
+def _eval_mod(ints: list, a: int, m: int) -> int:
+    return sum(c * pow(a, k, m) for k, c in enumerate(ints)) % m
+
+
+def _univariate_factor(field, coeffs: list):
+    """Factor or certify the univariate polynomial with dense coefficients
+    ``coeffs``: the verdict, and a factor in one variable when factored."""
     d = len(coeffs) - 1
-    x = ring.var(i)
-
-    if field.name == "Q":
-        roots = _rational_roots(coeffs)
-    else:
-        roots = _fp_roots(coeffs, field.p)
+    roots = _rational_roots(coeffs) if field.name == "Q" else _fp_roots(_one_variable(field, coeffs))
     if roots:
-        r = roots[0]
-        linear = x - ring.const(r)
-        q = exact_divide(f, linear)
-        if q is None:
-            raise StructuralError("root verification failed; arithmetic bug")
-        return "factored", (linear, q)
-
-    if d <= 1:
-        return "irreducible", None
-    if d in (2, 3):
+        return "factored", _one_variable(field, [-roots[0], 1])
+    if d <= 3:
         # no roots means no linear factor; degree 2 and 3 are settled
         return "irreducible", None
     if d == 4:
-        return _quartic_split(f, i, coeffs)
+        return _quartic_split(field, coeffs)
     return "unknown", None
 
 
-def _quartic_split(f: Polynomial, i: int, coeffs: list):
+def _quartic_split(field, coeffs: list):
     """Quartic with no linear factor: settle 2+2 splits completely.
 
     Over Q the resolvent cubic's rational roots enumerate every
-    candidate b+d for a monic split (x^2+ax+b)(x^2+cx+d); over small
-    GF(p) the quadratic divisors are scanned directly.
+    candidate b+d for a monic split (x^2+ax+b)(x^2+cx+d); over GF(p)
+    the least x^2+ax+b in (a, b) order of the irreducible quadratic
+    factors, whatever order the split found them in.
     """
-    ring = f.ring
-    field = ring.field
-    x = ring.var(i)
-
     if field.name != "Q":
-        p = field.p
-        if p > 31:
-            return "unknown", None
-        for a in range(p):
-            for b in range(p):
-                cand = x * x + x.scale(a) + ring.const(b)
-                q = exact_divide(f, cand)
-                if q is not None:
-                    return "factored", (cand, q)
-        return "irreducible", None
+        quadratics = _fp_factors(_one_variable(field, coeffs), 2)
+        if not quadratics:
+            return "irreducible", None
+        return "factored", min(quadratics, key=lambda g: _dense_coeffs(g, 0)[::-1])
 
     lead = coeffs[4]
     mon = [c / lead for c in coeffs]
@@ -243,10 +251,7 @@ def _quartic_split(f: Polynomial, i: int, coeffs: list):
                 b = (y + sd2) / 2
                 dd = y - b
             if b * dd == s0 and a * dd + b * c == r0:
-                g1 = x * x + x.scale(a) + ring.const(b)
-                q = exact_divide(f, g1)
-                if q is not None:
-                    return "factored", (g1, q)
+                return "factored", _one_variable(field, [b, a, 1])
     return "irreducible", None
 
 
@@ -256,13 +261,6 @@ def _quartic_split(f: Polynomial, i: int, coeffs: list):
 
 def factor_once(f: Polynomial):
     """One certified factorization step; see the module docstring."""
-    try:
-        return _factor_once(f)
-    except _SearchIncomplete:
-        return "unknown", None
-
-
-def _factor_once(f: Polynomial):
     if f.is_zero():
         return "unknown", None
     if f.is_constant():
@@ -271,7 +269,6 @@ def _factor_once(f: Polynomial):
         return "irreducible", None
 
     ring = f.ring
-    field = ring.field
 
     # monomial content: a variable dividing every term peels off
     mins = [min(m[i] for m in f.terms) for i in range(ring.nvars)]
@@ -282,11 +279,20 @@ def _factor_once(f: Polynomial):
             return "factored", (x, q)
 
     occurring = f.variables()
-    if len(occurring) == 1:
-        return _univariate_factor(f, occurring[0])
-
-    if len(occurring) == 2 and _is_homogeneous(f):
-        return _bivariate_homogeneous(f, occurring)
+    if len(occurring) == 1 or len(occurring) == 2 and len({sum(m) for m in f.terms}) == 1:
+        # a univariate or bivariate homogeneous f, read in its first variable x_i;
+        # monomial content is gone, so a factor g(x_i) homogenizes by x_j to a factor of f
+        i, j = occurring[0], occurring[-1]
+        verdict, g = _univariate_factor(ring.field, _dense_coeffs(f, i))
+        if verdict != "factored":
+            return verdict, None
+        d = g.degree_in(0)
+        g1 = Polynomial(ring, {tuple(k if v == i else d - k if v == j else 0 for v in range(ring.nvars)): c
+                               for (k,), c in g.terms.items()})
+        q = exact_divide(f, g1)
+        if q is None:
+            raise StructuralError("factor verification failed; arithmetic bug")
+        return "factored", (g1, q)
 
     verdict = _quadratic_in_variable(f)
     if verdict is not None:
@@ -303,49 +309,14 @@ def certify_irreducible(f: Polynomial) -> bool:
     return factor_once(f)[0] == "irreducible"
 
 
-def _is_homogeneous(f: Polynomial) -> bool:
-    degs = {sum(m) for m in f.terms}
-    return len(degs) == 1
-
-
-def _bivariate_homogeneous(f: Polynomial, occurring: tuple):
-    """Dehomogenize to a univariate polynomial and transport the verdict.
-
-    Monomial content was peeled already, so both extreme coefficients
-    are present and lifting factors back is degree-faithful.
-    """
-    ring = f.ring
-    i, j = occurring
-    coeffs = {}
-    for m, c in f.terms.items():
-        coeffs[m[i]] = c
-    aux = Polynomial(ring, {tuple(k if idx == i else 0 for idx in range(ring.nvars)): c for k, c in coeffs.items()})
-    verdict, payload = _univariate_factor(aux, i)
-    if verdict != "factored":
-        return verdict, None
-    h1 = _homogenize_pair(payload[0], i, j)
-    q = exact_divide(f, h1)
-    if q is None:
-        return "unknown", None
-    return "factored", (h1, q)
-
-
-def _homogenize_pair(g: Polynomial, i: int, j: int) -> Polynomial:
-    ring = g.ring
-    d = g.degree_in(i)
-    out = {}
-    for m, c in g.terms.items():
-        mm = list(m)
-        mm[j] += d - m[i]
-        out[tuple(mm)] = c
-    return Polynomial(ring, out)
-
-
 def _quadratic_in_variable(f: Polynomial):
     """Try every variable of x-degree 2: discriminant square -> factor;
-    constant lead and non-square discriminant -> irreducible."""
+    constant lead and non-square discriminant -> irreducible.  The
+    quadratic formula divides by 2, so characteristic 2 is left out."""
     ring = f.ring
     field = ring.field
+    if field.from_int(2) == field.zero:
+        return None
     for i in f.variables():
         if f.degree_in(i) != 2:
             continue

@@ -95,14 +95,24 @@ class TestExitCodes:
         [("Fp 32003", "x^2 - 1"), ("Q", "x^2 - 100000000000000000000")],
     )
     def test_root_search_beyond_reach_is_refused(self, tmp_path, capsys, field, defining):
-        """Both rings have two minimal primes, but the root search that
-        would find them cannot be exhaustive, so the split lane refuses
-        rather than call the generator irreducible."""
+        """Both rings have two minimal primes, one per root.  The roots lie
+        past any scan (p = 32003, and +-10^10 over Q), and the exact root
+        finder splits the generator anyway, so the ring is disconnected."""
         session = tmp_path / "reach.rg"
         session.write_text(f"field {field};\nring A = [x, y];\nideal I = ({defining});\nring R = A / I;\n")
-        code, out, err = run(capsys, "connected", "--session", str(session), "R")
-        assert (code, out) == (2, ""), out
-        assert "minimal primes unavailable" in err
+        report = run_json(capsys, "connected", "--session", str(session), "R")
+        assert report["verdicts"]["connected"] is False
+        vertices = {"Fp 32003": [["x + 1"], ["x + 32002"]], "Q": [["x - 10000000000"], ["x + 10000000000"]]}
+        assert report["witnesses"]["vertices"] == vertices[field]
+
+    def test_characteristic_two_quadratic_is_one_prime(self, tmp_path, capsys):
+        """x^2 + x*y + z is linear in z with coefficient 1, so irreducible;
+        the quadratic formula, which divides by 2, must not be tried."""
+        session = tmp_path / "gf2.rg"
+        session.write_text("field Fp 2;\nring A = [x, y, z];\nideal I = (x^2 + x*y + z);\n")
+        report = run_json(capsys, "minprimes", "--session", str(session), "I")
+        assert report["verdicts"]["primes"] == [["x^2 + x*y + z"]]
+        assert report["provenance"]["primes"] == "computed-split"
 
     def test_internal_error_is_one(self, capsys, monkeypatch):
         def boom(args):

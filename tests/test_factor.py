@@ -1,10 +1,13 @@
 """Certified one-step factorization and its helper routines."""
 
 import random
+from fractions import Fraction
+
+import pytest
 
 from ringgraph import QQ, PolyRing, PrimeField, certify_irreducible, exact_divide, factor_once
 from ringgraph import factor as factor_module
-from ringgraph.factor import poly_sqrt
+from ringgraph.factor import _fp_roots, _one_variable, _rational_roots, _sqrt_scalar, poly_sqrt
 
 from conftest import random_nonzero_polynomial
 
@@ -74,11 +77,13 @@ class TestFactorOnce:
     def test_quartic_splits(self):
         one_var = PolyRing(QQ, ("t",))
         T = one_var.var(0)
-        # (t^2+1)(t^2+4) has no rational roots but splits into quadratics
-        f = T ** 4 + 5 * T ** 2 + 4
-        verdict, pair = factor_once(f)
-        assert verdict == "factored"
-        assert pair[0] * pair[1] == f
+        # (t^2+1)(t^2+4) has no rational roots but splits into quadratics;
+        # the second one's resolvent cubic has roots 0, 1 and -24, and only
+        # y = 0 gives no rational split, so every root must be tried
+        for f in (T ** 4 + 5 * T ** 2 + 4, (T ** 2 - 4 * T - 2) * (T ** 2 + 6 * T + 3)):
+            verdict, pair = factor_once(f)
+            assert verdict == "factored"
+            assert pair[0] * pair[1] == f
 
     def test_irreducible_quadratic_form(self):
         assert certify_irreducible(X ** 2 + Y ** 2)
@@ -121,8 +126,8 @@ class TestFactorOnce:
 
 
 class TestPrimeFieldSplits:
-    """The quadratic-divisor scan of rootless quartics over small GF(p),
-    and square roots of scalars over GF(p)."""
+    """Quadratic factors of rootless quartics over GF(p), square roots of
+    scalars over GF(p), and quadratics in characteristic 2."""
 
     @staticmethod
     def univariate(p):
@@ -144,8 +149,24 @@ class TestPrimeFieldSplits:
         assert factor_once(x2 ** 4 + x2 + ring2.one()) == ("irreducible", None)
 
     def test_quartic_beyond_the_scan_is_unknown(self):
-        ring, x = self.univariate(37)
-        assert factor_once(x ** 4 + 1) == ("unknown", None)  # rootless, and 37 > 31
+        """x^4 + 1 splits into two quadratics modulo every prime, however
+        large, and is irreducible over Q."""
+        for p in (37, 32003, 2**31 - 1):
+            ring, x = self.univariate(p)
+            verdict, (g, h) = factor_once(x ** 4 + 1)
+            assert verdict == "factored"
+            assert g * h == x ** 4 + 1
+            assert g.total_degree() == h.total_degree() == 2
+        t = PolyRing(QQ, ("t",)).var(0)
+        assert factor_once(t ** 4 + 1) == ("irreducible", None)
+
+    def test_characteristic_two_quadratic_in_a_variable(self):
+        """2 is not invertible in GF(2), so no quadratic formula: x^2 + x*y + z
+        is certified by its degree one in z, and x^2 + y^2 = (x + y)^2."""
+        ring = PolyRing(PrimeField(2), ("x", "y", "z"))
+        x, y, z = ring.gens()
+        assert factor_once(x ** 2 + x * y + z) == ("irreducible", None)
+        assert factor_once(x ** 2 + y ** 2) == ("factored", (x + y, x + y))
 
     def test_quadratic_with_nonsquare_discriminant_reads_a_scalar_root(self, monkeypatch):
         ring = PolyRing(PrimeField(7), ("x", "y"))
@@ -160,21 +181,108 @@ class TestPrimeFieldSplits:
 
 
 class TestSearchReach:
-    """A root search that cannot be exhaustive proves no irreducibility:
-    over GF(p) beyond the scan cap, and over Q with a constant or lead
-    above 10^9, factor_once answers unknown."""
+    """Roots far past any search come out exact: over GF(p) with p large,
+    and over Q with a constant or lead above 10^9."""
+
+    @staticmethod
+    def assert_factored(f, first):
+        verdict, (g, h) = factor_once(f)
+        assert verdict == "factored", f
+        assert g == first
+        assert g * h == f
+        assert not h.is_constant()
 
     def test_large_prime_field(self):
         ring = PolyRing(PrimeField(32003), ("x", "y"))
         x, y = ring.gens()
-        for f in (x ** 2 - ring.one(), x ** 2 - y ** 2, x ** 3 - ring.one()):
-            assert factor_once(f) == ("unknown", None), f
-            assert not certify_irreducible(f)
+        self.assert_factored(x ** 2 - ring.one(), x + ring.const(32002))
+        self.assert_factored(x ** 2 - y ** 2, x - y)
+        self.assert_factored(x ** 3 - ring.one(), x - ring.one())
 
     def test_rationals_beyond_the_divisor_search(self):
         x = R2.var(0)
         big_square = x ** 2 - R2.const(10 ** 20)
         three_roots = (x - R2.const(40000)) * (x - R2.const(50000)) * (x + R2.one())
-        for f in (big_square, three_roots):
-            assert factor_once(f) == ("unknown", None), f
-            assert not certify_irreducible(f)
+        self.assert_factored(big_square, x - R2.const(10 ** 10))
+        self.assert_factored(three_roots, x + R2.one())
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestSympyOracle:
+    """Roots, quadratic factors and scalar square roots agree with sympy's
+    on seeded random polynomials."""
+
+    PRIMES = (2, 3, 32003, 2**31 - 1)
+
+    @staticmethod
+    def product(sympy, rng, t, root):
+        """Linear factors t - root() with multiplicity, times a random cofactor."""
+        expr = sympy.Integer(1)
+        for _ in range(rng.randint(1, 3)):
+            expr *= (t - root()) ** rng.randint(1, 2)
+        d = rng.randint(0, 2)
+        return expr * (rng.randint(1, 9) * t ** d + sum(rng.randint(-9, 9) * t ** k for k in range(d)))
+
+    def test_rational_roots(self, sympy):
+        rng = random.Random(451)
+        t = sympy.Symbol("t")
+
+        def root():
+            bound = rng.choice((5, 10 ** 12))
+            return sympy.Rational(rng.randint(-bound, bound), rng.randint(1, 50))
+
+        for _ in range(80):
+            poly = sympy.Poly(self.product(sympy, rng, t, root), t, domain=sympy.QQ)
+            coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+            expected = {Fraction(int(r.p), int(r.q)) for r in poly.ground_roots()}
+            assert set(_rational_roots(coeffs)) == expected, poly
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_prime_field_roots(self, sympy, p):
+        rng = random.Random(452 + p)
+        t = sympy.Symbol("t")
+        field = PrimeField(p)
+        for _ in range(40):
+            poly = sympy.Poly(self.product(sympy, rng, t, lambda: rng.randrange(p)), t, modulus=p)
+            if poly.degree() < 1:
+                continue
+            coeffs = [int(c) % p for c in reversed(poly.all_coeffs())]
+            expected = sorted(int(r) % p for r in poly.ground_roots())
+            assert _fp_roots(_one_variable(field, coeffs)) == expected, poly
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rootless_quartics(self, sympy, p):
+        rng = random.Random(453 + p)
+        t = sympy.Symbol("t")
+        ring = PolyRing(PrimeField(p), ("t",))
+        seen = 0
+        while seen < 20:  # random quartics, and products of two random quadratics
+            monic = [t ** d + sum(rng.randrange(p) * t ** k for k in range(d)) for d in (4, 2, 2)]
+            poly = sympy.Poly(monic[0] if seen % 2 else monic[1] * monic[2], t, modulus=p)
+            if poly.ground_roots():
+                continue
+            seen += 1
+            coeffs = [int(c) % p for c in reversed(poly.all_coeffs())]
+            f = ring.poly({(k,): c for k, c in enumerate(coeffs)})
+            theirs = {tuple(int(c) % p for c in g.all_coeffs()) for g, _ in poly.factor_list()[1]}
+            verdict, pair = factor_once(f)
+            if len(theirs) == 1 and all(len(g) == 5 for g in theirs):
+                assert verdict == "irreducible", poly
+            else:
+                assert verdict == "factored", poly
+                g, h = pair
+                assert g * h == f
+                assert tuple(g.terms.get((k,), 0) for k in (2, 1, 0)) in theirs
+
+    def test_scalar_square_roots(self, sympy):
+        from sympy.ntheory import sqrt_mod
+
+        rng = random.Random(454)
+        field = PrimeField(32003)
+        for c in [rng.randrange(1, 32003) for _ in range(200)]:
+            roots = sqrt_mod(c, 32003, all_roots=True)
+            assert _sqrt_scalar(field, c) == (min(roots) if roots else None), c

@@ -1,7 +1,8 @@
 """Source hygiene, checked with ``ast`` alone: no module of the package
 imports a name it never uses, and no module-level private function goes
 unreferenced.  Both catch what a deletion leaves behind, as does the one
-check that imports: every function the benchmark traces still exists."""
+check that imports: every function the benchmark traces still exists.
+Every source of randomness is seeded."""
 
 import ast
 import importlib.util
@@ -92,6 +93,22 @@ def test_caches_are_bounded():
             elif ref == "lru_cache" and id(node) not in bounded_refs:
                 unbounded.append(f"{name}:{node.lineno}: lru_cache without an integer maxsize")
     assert unbounded == []
+
+
+def test_randomness_is_seeded():
+    """Every ``random.Random(...)`` is given a seed, and no module-level
+    ``random`` function is called or imported: the same input gives the
+    same report on every run."""
+    unseeded = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "random":
+                unseeded.append(f"{name}:{node.lineno}: from random import")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner, attr = getattr(node.func.value, "id", None), node.func.attr
+                if owner == "random" and (attr != "Random" or not (node.args or node.keywords)):
+                    unseeded.append(f"{name}:{node.lineno}: random.{attr}({len(node.args)} args)")
+    assert unseeded == []
 
 
 def test_traced_names_resolve():
