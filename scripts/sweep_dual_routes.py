@@ -3,7 +3,8 @@
 
 For every pure simplicial complex in the configured range, the
 minimal-prime graph's connectivity (graph search over height-one
-edges) is compared against the exhaustive disconnecting-partition search.
+edges) is compared against the disconnecting-partition test, which reads
+the closure of one prime under the pair heights below two.
 The two routes must agree everywhere; any disagreement is printed
 with the complex that produced it.
 """

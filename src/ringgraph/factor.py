@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import count
 from math import isqrt, lcm
 
 from .errors import StructuralError
@@ -169,12 +170,10 @@ def _rational_roots(coeffs: list) -> list:
     den = lcm(*(c.denominator for c in g))
     ints = [int(c * den) for c in g]
     dints = [k * c for k, c in enumerate(ints)][1:]
-    p = 2**31 - 1
-    while True:
+    for p in filter(_is_probable_prime, count(8191, 2)):  # from 2^13 - 1 up: few squarings, never exhausted
         gp, dgp = _one_variable(PrimeField(p), ints), _one_variable(PrimeField(p), dints)
         if ints[-1] % p and _gcd(gp, dgp).is_constant():
             break
-        p = next(q for q in range(p - 2, 2, -2) if _is_probable_prime(q))
     roots = []
     for a in _fp_roots(gp):
         m = p

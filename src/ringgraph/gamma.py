@@ -3,8 +3,9 @@
 The central object is the graph whose vertices are the minimal primes
 of an equidimensional presentation, with an edge wherever the sum of
 two primes has height one in the quotient.  Connectivity of that graph,
-the exhaustive bipartition test, connectivity of the punctured spectrum
-modulo an ideal, and the nonvanishing criterion for top local
+the bipartition test (read off the closure of one prime under the
+relation "the sum has height below two"), connectivity of the punctured
+spectrum modulo an ideal, and the nonvanishing criterion for top local
 cohomology all live here, along with the product-graph construction.
 """
 
@@ -31,9 +32,6 @@ from .minprimes import (
     require_equidimensional,
     top_dimensional_primes,
 )
-
-PARTITION_VERTEX_CAP = 20
-
 
 @dataclass(frozen=True)
 class PrimeGraph:
@@ -206,7 +204,8 @@ def build_gamma(ring: PresentedRing) -> PrimeGraph:
     mps = ensure_min_primes(ring)
     flag = require_equidimensional(ring, "the minimal-prime graph")
     if ring.gamma is None:
-        ring.gamma = _pair_graph(ring, mps, lambda d: _height(ring, d), 1, provenance(mps, flag))
+        dim = ring.dim() if len(mps.primes) > 1 else None  # one prime has no pair to read it
+        ring.gamma = _pair_graph(ring, mps, lambda d: _height(dim, d), 1, provenance(mps, flag))
     return ring.gamma
 
 
@@ -235,90 +234,75 @@ def is_connected(graph: PrimeGraph) -> ConnectivityReport:
     comps = tuple(comps)
     if len(comps) == 1:
         return ConnectivityReport("connected", True, comps, graph.labels, provenance=prov)
-    side_a = comps[0]
     side_b = tuple(sorted(i for c in comps[1:] for i in c))
-    witness = {
-        "side_a": [_label_to_json(graph.labels[i]) for i in side_a],
-        "side_b": [_label_to_json(graph.labels[i]) for i in side_b],
-    }
-    ev = graph.evidence_dict()
-    if ev:
-        witness["cross_evidence"] = [
-            [i, j, _height_json(ev[(min(i, j), max(i, j))])]
-            for i in side_a
-            for j in side_b
-        ]
+    witness = _split_witness(graph, comps[0], side_b, "cross_evidence")
     return ConnectivityReport("disconnected", False, comps, graph.labels, witness, provenance=prov)
 
 
+def _split_witness(graph: PrimeGraph, side_a, side_b, key: str) -> dict:
+    """The labels of both sides and, under ``key``, every cross pair's
+    evidence, when the graph carries evidence."""
+    witness = {
+        "side_a": [_label_to_json(graph.labels[i]) for i in side_a],
+        "side_b": [_label_to_json(graph.labels[j]) for j in side_b],
+    }
+    ev = graph.evidence_dict()
+    if ev:
+        witness[key] = [[i, j, _height_json(ev[(min(i, j), max(i, j))])] for i in side_a for j in side_b]
+    return witness
+
+
 # ---------------------------------------------------------------------------
-# the exhaustive bipartition route
+# the bipartition route
 
 
 def disconnection_exists(ring: PresentedRing) -> ConnectivityReport:
-    """Search the 2^(k-1) - 1 bipartitions of the minimal primes for one
-    whose cross sums all have height at least two.  A counter numbers
-    them, and only those whose side a holds prime 0's neighbours are read.
+    """Decide whether some bipartition of the minimal primes has every
+    cross sum of height at least two.
 
-    Returns a disconnected report carrying the first such partition and
-    the intersection ideals of its two sides, or a connected report
-    when every bipartition is crossed by a height-one pair.  Reads the
-    heights from :func:`build_gamma` but never its edges, so this route
-    stays independent of :func:`is_connected`; its provenance is the
-    graph's, since it reads the same claims.
+    Two primes are near when their sum has height below two.  Every
+    disconnecting side that holds prime 0 holds the closure C of prime
+    0 under that relation, and C is such a side unless it holds every
+    prime.  So no bipartition is searched: (C, the rest) is the
+    answer, and the first one a counter over side a's masks would
+    reach, since a mask holding C's is at least as large.
+
+    Returns a disconnected report carrying that partition and the
+    intersection ideals of its two sides, or a connected report when C
+    holds every prime.  ``partition_count_searched`` is the
+    partition's counter value, one plus the mask of side a's primes
+    1..k-1 (bit i - 1 for prime i), or 2^(k-1) - 1, the number of
+    bipartitions, when there is none; it is kept so that reports stay
+    byte-identical.  Reads the heights from :func:`build_gamma` but never its edges, so
+    this route stays independent of :func:`is_connected`; its
+    provenance is the graph's, since it reads the same claims.
     """
-    k = len(ensure_min_primes(ring).primes)
-    if k > PARTITION_VERTEX_CAP:
-        raise PreconditionError(
-            f"bipartition search is capped at {PARTITION_VERTEX_CAP} minimal primes, got {k}"
-        )
     graph = build_gamma(ring)
-    primes, labels, heights = graph.payloads, graph.labels, graph.evidence_dict()
-    prov = graph.provenance
+    k, labels, prov = graph.n, graph.labels, graph.provenance
     if k <= 1:
         return ConnectivityReport("connected", True, (tuple(range(k)),), labels, provenance=prov)
 
-    near = [0] * k  # near[i]: the primes whose sum with prime i has height below two
-    for (i, j), h in heights.items():
+    near = [[] for _ in range(k)]  # near[i]: the primes whose sum with prime i has height below two
+    for (i, j), h in graph.evidence:
         if h < 2:
-            near[i] |= 1 << j
-            near[j] |= 1 << i
-    required = near[0] >> 1  # the mask bits of prime 0's neighbours, always on side a
-    mask = required
-    while mask < 2 ** (k - 1) - 1:
-        side, rest = 1 | mask << 1, mask  # prime 0 is always on side a; bit j of rest is prime j + 1
-        while rest and not near[(rest & -rest).bit_length()] & ~side:  # side a's other primes, lowest first
-            rest &= rest - 1
-        if not rest:  # no prime of side a is near one of side b
-            side_a = [i for i in range(k) if side >> i & 1]
-            side_b = [i for i in range(k) if not side >> i & 1]
-            inter_a = ideal_intersection(*(primes[i] for i in side_a))
-            inter_b = ideal_intersection(*(primes[j] for j in side_b))
-            witness = {
-                "side_a": [_label_to_json(labels[i]) for i in side_a],
-                "side_b": [_label_to_json(labels[j]) for j in side_b],
-                "side_a_intersection": inter_a.min_gen_strings(),
-                "side_b_intersection": inter_b.min_gen_strings(),
-                "cross_heights": [
-                    [i, j, _height_json(heights[(min(i, j), max(i, j))])]
-                    for i in side_a
-                    for j in side_b
-                ],
-                "partition_count_searched": mask + 1,
-            }
-            comps = (tuple(side_a), tuple(side_b))
-            return ConnectivityReport(
-                "disconnected", False, comps, labels, witness, provenance=prov
-            )
-        mask = (mask + 1) | required  # the next mask that holds ``required``
-    return ConnectivityReport(
-        "connected",
-        True,
-        (tuple(range(k)),),
-        labels,
-        witness={"partition_count_searched": 2 ** (k - 1) - 1},
-        provenance=prov,
-    )
+            near[i].append(j)
+            near[j].append(i)
+    seen, side_a = [True] + [False] * (k - 1), [0]
+    for i in side_a:  # side_a grows while it is read
+        for j in near[i]:
+            if not seen[j]:
+                seen[j] = True
+                side_a.append(j)
+    if len(side_a) == k:
+        witness = {"partition_count_searched": 2 ** (k - 1) - 1}
+        return ConnectivityReport("connected", True, (tuple(range(k)),), labels, witness, provenance=prov)
+    side_a.sort()
+    side_b = [j for j in range(k) if not seen[j]]
+    witness = _split_witness(graph, side_a, side_b, "cross_heights")
+    witness["side_a_intersection"] = ideal_intersection(*(graph.payloads[i] for i in side_a)).min_gen_strings()
+    witness["side_b_intersection"] = ideal_intersection(*(graph.payloads[j] for j in side_b)).min_gen_strings()
+    witness["partition_count_searched"] = (sum(1 << i for i in side_a) >> 1) + 1
+    return ConnectivityReport("disconnected", False, (tuple(side_a), tuple(side_b)), labels, witness, provenance=prov)
 
 
 def routes_agree(ring: PresentedRing) -> bool:

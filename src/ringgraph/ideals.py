@@ -381,9 +381,10 @@ def _status(d: int) -> str:
     return "unit-ideal" if d == -1 else "m-primary" if d == 0 else "not-m-primary"
 
 
-def _height(ring: PresentedRing, d: int) -> int | float:
-    """The height of an ideal modulo which the equidimensional ring has dimension d."""
-    return HEIGHT_INFINITY if d == -1 else ring.dim() - d
+def _height(dim: int, d: int) -> int | float:
+    """The height of an ideal modulo which an equidimensional ring of
+    dimension ``dim`` has dimension d."""
+    return HEIGHT_INFINITY if d == -1 else dim - d
 
 
 def m_primary_status(a: Ideal, ring: PresentedRing, total: Ideal | None = None) -> str:
@@ -408,7 +409,8 @@ def height_in_quotient(ring: PresentedRing, a: Ideal) -> int | float:
         raise PreconditionError(
             "height via dimension difference requires an equidimensional presentation"
         )
-    return _height(ring, _quotient_dimension(ring, a))
+    d = _quotient_dimension(ring, a)
+    return _height(ring.dim(), d)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ must be a nonzerodivisor; that is certified by the colon check
 ideal of ring elements that multiply it back into the ring; the
 fraction belongs to the S2-ification exactly when that conductor has
 height at least two.  Whether the S2-ification is local is decided
-through the minimal-prime graph and the exhaustive partition search —
-two independent routes that must agree — and the remaining equivalent
+through the minimal-prime graph and the disconnecting-partition test
+— two routes that must agree — and the remaining equivalent
 module-theoretic conditions are reported with provenance
 ``by-equivalence`` rather than computed.
 """
@@ -167,9 +167,9 @@ def s2_local_decision(ring: PresentedRing) -> ConnectivityReport:
     """Decide whether the S2-ification of the reduced, equidimensional
     core is local.
 
-    Runs two independent computed routes — connectivity of the
-    minimal-prime graph and the exhaustive disconnecting-partition
-    search — cross-checks them, and reports the three equivalent
+    Runs two computed routes — connectivity of the minimal-prime
+    graph's edges and the disconnecting-partition test on its pair
+    heights — cross-checks them, and reports the three equivalent
     module-theoretic conditions with provenance ``by-equivalence``.
     Every label turns ``asserted`` when the reducedness flag or the
     core's primes or equidimensionality flag were asserted.

@@ -16,7 +16,6 @@ from ringgraph import (
     Ideal,
     MinimalPrimeSet,
     PolyRing,
-    PreconditionError,
     PresentedRing,
     PrimeCertificate,
     PrimeGraph,
@@ -199,13 +198,23 @@ class TestSharedHeightEvidence:
         assert len(calls) == 1
         assert ring.core.gamma is build_gamma(ring.core)
 
-    def test_partition_cap_refuses_before_any_height(self, monkeypatch):
-        facets = [list(f) for f in combinations(range(1, 8), 3)][:21]
-        ring = face_ring(complex_from_lists(7, facets))
+    def test_more_than_twenty_primes_get_one_verdict_from_every_route(self, monkeypatch):
+        """21 triangles on seven vertices, and eleven on each of two
+        disjoint vertex sets: the bipartition route and the locality
+        decision give the graph's and the facet shortcut's verdict, from
+        one height per pair."""
+        triangles = list(combinations(range(1, 8), 3))
+        shifted = [tuple(v + 7 for v in f) for f in triangles]
         calls = count_pair_evidence(monkeypatch)
-        with pytest.raises(PreconditionError, match="capped"):
-            disconnection_exists(ring)
-        assert calls == []
+        for n, facets, connected in [(7, triangles[:21], True), (14, triangles[:11] + shifted[:11], False)]:
+            cplx = complex_from_lists(n, facets)
+            ring = face_ring(cplx)
+            calls.clear()
+            partition, local = disconnection_exists(ring), s2_local_decision(ring)
+            via_graph = is_connected(build_gamma(ring))
+            assert len(calls) == comb(len(facets), 2)
+            assert partition.connected == local.connected == via_graph.connected == connected
+            assert partition.components == via_graph.components == is_connected(facet_adjacency_graph(cplx)).components
 
 
 def general_pair_graph(ring, mps, relation, is_edge, prov) -> PrimeGraph:

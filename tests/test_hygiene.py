@@ -1,11 +1,13 @@
 """Source hygiene, checked with ``ast`` alone: no module of the package
 imports a name it never uses, and no module-level private function goes
-unreferenced.  Both catch what a deletion leaves behind, as does the one
-check that imports: every function the benchmark traces still exists.
-Every source of randomness is seeded."""
+unreferenced, and no module-level constant goes unread.  These catch
+what a deletion leaves behind, as does the one check that imports: every
+function the benchmark traces still exists.  Every source of randomness
+is seeded."""
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +64,25 @@ def test_no_unreferenced_private_functions():
                     defined.append((name, node.name))
             used |= refs
     assert [f"{m}: {f}" for m, f in defined if f not in used] == []
+
+
+def test_no_unread_constants():
+    """Every module-level UPPER_CASE constant in the package is read
+    somewhere in the package or its tests."""
+    trees = list(MODULES.values()) + [ast.parse(p.read_text(encoding="utf-8")) for p in (ROOT / "tests").glob("*.py")]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                read.add(node.id if isinstance(node, ast.Name) else getattr(node, "attr", None))
+    unread = []
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id) and target.id not in read:
+                    unread.append(f"{name}:{node.lineno}: {target.id}")
+    assert unread == []
 
 
 def _is_int_expression(node) -> bool:
