@@ -169,27 +169,29 @@ def prime_label(p: Ideal) -> tuple:
 
 def _pair_graph(ring: PresentedRing, mps, relation, is_edge, prov: str) -> PrimeGraph:
     """The graph on the primes of ``mps`` in canonical-key order: each
-    pair's evidence is ``relation`` of d = dim ring/(the pair's sum), and
-    the pair is an edge where that evidence equals ``is_edge``."""
+    pair's evidence is ``relation`` of d = dim ring/(the pair's sum), read
+    once per distinct d, and the pair is an edge where that evidence
+    equals ``is_edge``."""
     primes = sorted(mps.ideals(), key=lambda p: p.canonical_key())
-    masked = all(p.var_mask is not None for p in primes)
-    evidence = tuple(
-        ((i, j), relation(_pair_dimension(ring, primes[i], primes[j], masked)))
-        for i in range(len(primes))
-        for j in range(i + 1, len(primes))
-    )  # generated in sorted pair order
+    dims = _pair_dimensions(ring, primes)
+    values = {d: relation(d) for d in set(dims)}
+    pairs = [(i, j) for i in range(len(primes)) for j in range(i + 1, len(primes))]
+    evidence = tuple(zip(pairs, map(values.__getitem__, dims)))
     edges = frozenset(pair for pair, value in evidence if value == is_edge)
     return PrimeGraph(tuple(prime_label(p) for p in primes), edges, tuple(primes), evidence, prov)
 
 
-def _pair_dimension(ring: PresentedRing, p: Ideal, q: Ideal, masked: bool) -> int:
-    """dim ring/(p + q), -1 for the unit ideal there.  When ``masked``, every
-    prime is a variable prime containing the defining ideal (attached primes
-    are verified to; the primes over it plus a contain it by construction),
-    so ring/(p + q) is the polynomial ring in the variables outside both."""
-    if masked:
-        return ring.ambient.nvars - (p.var_mask | q.var_mask).bit_count()
-    return _quotient_dimension(ring, ideal_sum(p, q))
+def _pair_dimensions(ring: PresentedRing, primes: list) -> list:
+    """dim ring/(p + q), -1 for the unit ideal there, for every pair of
+    ``primes`` in sorted pair order.  When every prime is a variable prime,
+    each contains the defining ideal (attached primes are verified to; the
+    primes over it plus a contain it by construction), so ring/(p + q) is
+    the polynomial ring in the variables outside both: one popcount."""
+    masks = [p.var_mask for p in primes]
+    if None not in masks:
+        n = ring.ambient.nvars
+        return [n - (p | q).bit_count() for i, p in enumerate(masks) for q in masks[i + 1:]]
+    return [_quotient_dimension(ring, ideal_sum(p, q)) for i, p in enumerate(primes) for q in primes[i + 1:]]
 
 
 def build_gamma(ring: PresentedRing) -> PrimeGraph:

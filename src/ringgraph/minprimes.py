@@ -22,6 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import PreconditionError, StructuralError, UndecidedComponentError
 from .factor import certify_irreducible, factor_once
 from .ideals import (
+    DIMENSION_VARIABLE_CAP,
     Flag,
     Ideal,
     PresentedRing,
@@ -33,7 +34,7 @@ from .ideals import (
     ring_map_kernel,
     saturation,
 )
-from .polynomials import mask_bits, minimal_transversals, mono_mask
+from .polynomials import minimal_transversals, mono_mask
 
 CERTIFICATE_KINDS = (
     "monomial-variable-prime",
@@ -126,9 +127,10 @@ class DecompositionReport:
 
 
 def verify_decomposition(a: Ideal, primes) -> DecompositionReport:
-    """Structured containment/radical/incomparability check: on support
-    masks (:func:`_verify_on_masks`) when ``a`` has one-term generators
-    and every prime a ``var_mask``, the one mark of a variable prime;
+    """Structured containment/radical/incomparability check: on the
+    lattice of variable sets (:func:`_verify_on_masks`) when ``a`` has
+    one-term generators and every prime a ``var_mask``, the one mark of
+    a variable prime, in at most ``DIMENSION_VARIABLE_CAP`` variables;
     through Groebner bases otherwise, as for an asserted (x, y)."""
     primes = list(primes)
     failures = []
@@ -138,8 +140,9 @@ def verify_decomposition(a: Ideal, primes) -> DecompositionReport:
         return DecompositionReport(not failures, failures)
     if any(p.ring != a.ring for p in primes):
         raise StructuralError("primes and ideal live in different rings")
-    if all(p.var_mask is not None for p in primes) and all(len(g.terms) <= 1 for g in a.gens):
-        return _verify_on_masks(a, [p.var_mask for p in primes])
+    masks = [p.var_mask for p in primes]
+    if None not in masks and a.ring.nvars <= DIMENSION_VARIABLE_CAP and all(len(g.terms) <= 1 for g in a.gens):
+        return _verify_on_masks(a, masks)
     for idx, p in enumerate(primes):
         if p.is_unit():
             failures.append(f"prime #{idx} is the unit ideal")
@@ -158,35 +161,39 @@ def verify_decomposition(a: Ideal, primes) -> DecompositionReport:
 
 def _verify_on_masks(a: Ideal, prime_masks: list) -> DecompositionReport:
     """:func:`verify_decomposition` for a monomial ideal and the variable
-    sets of its primes.  A monomial lies in a variable prime when its
-    support meets it, and in Rad(a) when its support contains a
-    generator's; the primes' intersection is the lcm fold of
-    :func:`ringgraph.ideals.ideal_intersection`, on masks."""
-    gens = {mono_mask(m) for g in a.gens for m in g.terms}
-    failures = [
-        f"prime #{idx} does not contain the ideal"
-        for idx, p in enumerate(prime_masks)
-        if not all(g & p for g in gens)
-    ]
-    inter = [0]  # supports of the minimal generators, from the unit ideal
-    for p in prime_masks:
-        kept = [f for f in inter if f & p]  # f | v is f for v in f & p
-        lcms = {f | 1 << v for f in inter if not f & p for v in mask_bits(p)}
-        for c in sorted(lcms, key=int.bit_count):
-            if all(k & ~c for k in kept):
-                kept.append(c)
-        inter = kept
-    for m in inter:
-        if all(g & ~m for g in gens):
-            mono = a.ring.monomial(tuple(m >> i & 1 for i in range(a.ring.nvars)))
-            failures.append(f"intersection generator {mono} escapes the radical")
-            break
-    failures += [
-        f"prime #{i} contains prime #{j}; not minimal"
-        for i, p in enumerate(prime_masks)
-        for j, q in enumerate(prime_masks)
-        if i != j and not q & ~p
-    ]
+    sets of its primes, on the lattice of the 2^n variable sets: a family
+    of sets is one int with bit S for each set S in it, closed upwards or
+    downwards by one shift-and-or step per variable (the subset zeta
+    transform).  A monomial lies in a variable prime when its support
+    meets it, and in Rad(a) when it holds a generator's; the primes'
+    intersection is generated by the minimal sets meeting every prime."""
+    n = a.ring.nvars
+    full, lows = (1 << n) - 1, []  # full: every variable; lows[v]: the sets without variable v
+    for v in range(n):  # by doubling
+        lows = [low | low << (1 << v) for low in lows] + [(1 << (1 << v)) - 1]
+    up = sum(1 << s for s in {mono_mask(m) for g in a.gens for m in g.terms})
+    tops = sum(1 << (full ^ p) for p in set(prime_masks))  # the primes' complements
+    below = 0
+    for v, low in enumerate(lows):
+        up |= (up & low) << (1 << v)  # the sets holding a generator's support
+        below |= ((tops | below) & ~low) >> (1 << v)  # the sets strictly inside a complement
+    failures = [f"prime #{i} does not contain the ideal" for i, p in enumerate(prime_masks) if up >> (full ^ p) & 1]
+    meets_all = ~(tops | below) & (1 << (1 << n)) - 1
+    escaping = meets_all & ~up
+    if escaping:
+        for v, low in enumerate(lows):  # keep the minimal ones
+            escaping &= ~((meets_all & low) << (1 << v))
+        sets = (s for s, bit in enumerate(bin(escaping)[:1:-1]) if bit == "1")
+        s = min(sets, key=lambda t: (-t.bit_count(), t))  # grevlex-greatest, as the Groebner route names it
+        mono = a.ring.monomial(tuple(s >> i & 1 for i in range(n)))
+        failures.append(f"intersection generator {mono} escapes the radical")
+    if tops & below or tops.bit_count() < len(prime_masks):  # some prime holds another
+        failures += [
+            f"prime #{i} contains prime #{j}; not minimal"
+            for i, p in enumerate(prime_masks)
+            for j, q in enumerate(prime_masks)
+            if i != j and not q & ~p
+        ]
     return DecompositionReport(not failures, failures)
 
 

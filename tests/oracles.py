@@ -3,12 +3,14 @@
 Everything here is deliberately written against plain Python data
 (integer indices, sets, edge lists) rather than the package's own
 abstractions, so that agreement between an oracle and the production
-code is evidence and not circularity.  Two exceptions are kept as
+code is evidence and not circularity.  Three exceptions are kept as
 references for faster lanes of the package:
 :func:`groebner_verify_decomposition`, the decomposition check through
-Groebner bases, for the support-mask lane, and
-:func:`field_normal_form_with_quotients`, division with field arithmetic
-term by term, for the fraction-free dict core of ``groebner``.
+Groebner bases, and :func:`lcm_fold_verify_on_masks`, the same check by
+an lcm fold on support masks, both for the lattice lane of
+``verify_decomposition``; and :func:`field_normal_form_with_quotients`,
+division with field arithmetic term by term, for the fraction-free dict
+core of ``groebner``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from ringgraph.errors import StructuralError
 from ringgraph.groebner import GroebnerBasis
 from ringgraph.ideals import ideal_intersection, radical_membership
 from ringgraph.minprimes import DecompositionReport
-from ringgraph.polynomials import MonomialOrder, Polynomial, mono_div, mono_divides, mono_mul
+from ringgraph.polynomials import MonomialOrder, Polynomial, mask_bits, mono_div, mono_divides, mono_mask, mono_mul
 
 
 def brute_minimal_covers(n: int, supports: list) -> set:
@@ -129,6 +131,41 @@ def groebner_verify_decomposition(a, primes) -> DecompositionReport:
     return DecompositionReport(not failures, failures)
 
 
+def lcm_fold_verify_on_masks(a, prime_masks: list) -> DecompositionReport:
+    """verify_decomposition for a monomial ideal and the variable sets of
+    its primes, by support masks and a fold.  A monomial lies in a
+    variable prime when its support meets it, and in Rad(a) when its
+    support contains a generator's; the primes' intersection is the lcm
+    fold of ``ideal_intersection``, on masks, and the first of its
+    generators outside Rad(a) in fold order is named."""
+    gens = {mono_mask(m) for g in a.gens for m in g.terms}
+    failures = [
+        f"prime #{idx} does not contain the ideal"
+        for idx, p in enumerate(prime_masks)
+        if not all(g & p for g in gens)
+    ]
+    inter = [0]  # supports of the minimal generators, from the unit ideal
+    for p in prime_masks:
+        kept = [f for f in inter if f & p]  # f | v is f for v in f & p
+        lcms = {f | 1 << v for f in inter if not f & p for v in mask_bits(p)}
+        for c in sorted(lcms, key=int.bit_count):
+            if all(k & ~c for k in kept):
+                kept.append(c)
+        inter = kept
+    for m in inter:
+        if all(g & ~m for g in gens):
+            mono = a.ring.monomial(tuple(m >> i & 1 for i in range(a.ring.nvars)))
+            failures.append(f"intersection generator {mono} escapes the radical")
+            break
+    failures += [
+        f"prime #{i} contains prime #{j}; not minimal"
+        for i, p in enumerate(prime_masks)
+        for j, q in enumerate(prime_masks)
+        if i != j and not q & ~p
+    ]
+    return DecompositionReport(not failures, failures)
+
+
 def lcm_fold_intersection(generator_lists: list) -> list:
     """The intersection of monomial ideals, each given by the exponent
     tuples of its minimal generators, folded from the left: every lcm of
@@ -170,11 +207,11 @@ def first_disconnecting_partition(k: int, heights: dict) -> tuple:
 
 
 def superset_closure_scan(k: int, near: list) -> tuple:
-    """The bipartition search as ``gamma.disconnection_exists`` ran it
-    before it read only side a's set bits: a counter over the masks that
-    hold prime 0's neighbours, and a closure test that scans every prime
-    1..k-1.  ``near[i]`` is the bitmask of the primes whose sum with
-    prime i has height below two.
+    """The first disconnecting bipartition by search: a counter over the
+    masks that hold prime 0's neighbours, and a closure test that scans
+    every prime 1..k-1, as a reference for the closure of prime 0 that
+    ``gamma.disconnection_exists`` reads.  ``near[i]`` is the bitmask of
+    the primes whose sum with prime i has height below two.
 
     Returns (side a as a bitmask, partitions searched), or (None, the
     number of bipartitions) when every one is crossed by a near pair.

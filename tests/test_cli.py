@@ -94,7 +94,7 @@ class TestExitCodes:
         "field, defining",
         [("Fp 32003", "x^2 - 1"), ("Q", "x^2 - 100000000000000000000")],
     )
-    def test_root_search_beyond_reach_is_refused(self, tmp_path, capsys, field, defining):
+    def test_roots_past_any_scan_split_ring(self, tmp_path, capsys, field, defining):
         """Both rings have two minimal primes, one per root.  The roots lie
         past any scan (p = 32003, and +-10^10 over Q), and the exact root
         finder splits the generator anyway, so the ring is disconnected."""

@@ -148,7 +148,7 @@ class TestPrimeFieldSplits:
         assert factor_once(x3 ** 4 + x3 ** 2 + ring3.const(2)) == ("irreducible", None)
         assert factor_once(x2 ** 4 + x2 + ring2.one()) == ("irreducible", None)
 
-    def test_quartic_beyond_the_scan_is_unknown(self):
+    def test_quartic_splits_modulo_every_prime_but_not_over_q(self):
         """x^4 + 1 splits into two quadratics modulo every prime, however
         large, and is irreducible over Q."""
         for p in (37, 32003, 2**31 - 1):

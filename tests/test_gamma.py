@@ -119,16 +119,16 @@ class TestBuildGamma:
 
 
 def count_pair_evidence(monkeypatch) -> list:
-    """Route the graph module's per-pair dimensions, which every pair's
-    height or status is read from, through a counter."""
+    """Route the graph module's pair dimensions, which every pair's height
+    or status is read from, through a counter with one entry per pair."""
     calls = []
-    original = gamma_module._pair_dimension
+    original = gamma_module._pair_dimensions
 
-    def counted(ring, p, q, masked):
-        calls.append((p, q))
-        return original(ring, p, q, masked)
+    def counted(ring, primes):
+        calls.extend(combinations(primes, 2))
+        return original(ring, primes)
 
-    monkeypatch.setattr(gamma_module, "_pair_dimension", counted)
+    monkeypatch.setattr(gamma_module, "_pair_dimensions", counted)
     return calls
 
 
@@ -417,7 +417,7 @@ class TestBipartitionSearch:
         assert {s for s, _ in statuses} == {"connected", "disconnected"}
         assert max(k for _, k in statuses) == 12
 
-    def test_superset_search_matches_list_scan_on_random_heights(self):
+    def test_closure_route_matches_list_scan_on_random_heights(self):
         """Only the partitions holding prime 0's neighbours are read; the
         first one found and its counter must be the full scan's, also for
         heights drawn at random on the primes of a face ring."""
@@ -441,7 +441,7 @@ class TestBipartitionSearch:
             found.append(report.witness["partition_count_searched"])
         assert len(set(found)) > 10
 
-    def test_set_bit_closure_matches_the_full_closure_scan(self):
+    def test_closure_route_matches_the_superset_closure_scan(self):
         """The closure test reads only the set bits of side a; the masks
         visited, the first partition and its counter must be those of the
         scan over every prime, on random near-relations of 1..12 primes."""

@@ -3,11 +3,12 @@ imports a name it never uses, and no module-level private function goes
 unreferenced, and no module-level constant goes unread.  These catch
 what a deletion leaves behind, as does the one check that imports: every
 function the benchmark traces still exists.  Every source of randomness
-is seeded."""
+is seeded, and the standard-library modules loaded at import are pinned."""
 
 import ast
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +39,27 @@ def imported_names(tree) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             out += [a.asname or a.name for a in node.names]
     return out
+
+
+# The standard-library modules the package's modules import at the top.
+# Loading and compiling them is paid by every cold start, so a new one
+# must show up as an edit here.
+IMPORT_TIME_STDLIB = {
+    "__future__", "argparse", "dataclasses", "fractions", "functools", "heapq", "itertools", "json",
+    "math", "operator", "pathlib", "random", "re", "sys", "time", "typing",
+}
+
+
+def test_import_time_stdlib_is_pinned():
+    loaded = set()
+    for tree in MODULES.values():
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                loaded |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                loaded.add(node.module.split(".")[0])
+    assert loaded <= sys.stdlib_module_names
+    assert loaded == IMPORT_TIME_STDLIB
 
 
 def test_no_unused_imports():

@@ -4,7 +4,7 @@ splitting route, certificates, and the equidimensionality machinery."""
 import inspect
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -34,9 +34,9 @@ from ringgraph import (
 )
 from ringgraph import minprimes as minprimes_module
 from ringgraph.complexes import facet_min_primes, random_pure_complex
-from ringgraph.polynomials import minimal_transversals
+from ringgraph.polynomials import minimal_transversals, mono_mask
 
-from oracles import brute_minimal_covers, groebner_verify_decomposition
+from oracles import brute_minimal_covers, groebner_verify_decomposition, lcm_fold_verify_on_masks
 
 R3 = PolyRing(QQ, ("x", "y", "z"))
 X, Y, Z = R3.gens()
@@ -49,6 +49,12 @@ def I(*gens):
 
 def prime_key_set(mps):
     return {p.canonical_key() for p in mps.ideals()}
+
+
+def unnamed(report) -> list:
+    """The failures of a decomposition report, with the escaping
+    generator's name left out."""
+    return [re.sub(r"generator .* escapes", "generator escapes", f) for f in report.failures]
 
 
 def variable_ideal(ring, indices):
@@ -286,14 +292,11 @@ class TestVerification:
             rewritten = Ideal(R4, (R4.var(first),) + tuple(R4.var(first) + R4.var(i) for i in rest))
             candidates.append([rewritten] + primes[1:])
 
-        def unnamed(report):
-            return {re.sub(r"generator .* escapes", "generator escapes", f) for f in report.failures}
-
         for cand in candidates:
             fast = verify_decomposition(a, cand)
             slow = groebner_verify_decomposition(a, cand)
             assert fast.ok == slow.ok, cand
-            assert unnamed(fast) == unnamed(slow), cand
+            assert set(unnamed(fast)) == set(unnamed(slow)), cand
 
     def test_unmarked_variable_prime_takes_the_groebner_route(self, monkeypatch):
         """(x1, x2) written with generators has no ``var_mask``: it is
@@ -318,6 +321,27 @@ class TestVerification:
             assert len(calls) == 1
             assert (plain.ok, plain.failures) == (masked.ok, masked.failures)
 
+    def test_rings_past_the_variable_cap_take_the_groebner_route(self, monkeypatch):
+        """A lattice of 2^20 sets is not built: (x1x2, x3x4, x5x6x7) in 20
+        variables is checked through Groebner bases against its 12 primes,
+        and with one of them corrupted."""
+        calls = []
+        original = minprimes_module._verify_on_masks
+        monkeypatch.setattr(
+            minprimes_module, "_verify_on_masks", lambda a, masks: calls.append(masks) or original(a, masks)
+        )
+        ring = PolyRing(QQ, tuple(f"x{i}" for i in range(1, 21)))
+        x = ring.gens()
+        a = Ideal(ring, (x[0] * x[1], x[2] * x[3], x[4] * x[5] * x[6]))
+        primes = [variable_ideal(ring, c) for c in product((0, 1), (2, 3), (4, 5, 6))]
+        assert verify_decomposition(a, primes).ok
+        assert verify_decomposition(a, [variable_ideal(ring, {0, 2})] + primes[1:]).failures == [
+            "prime #0 does not contain the ideal",
+            "prime #1 contains prime #0; not minimal",
+            "prime #2 contains prime #0; not minimal",
+        ]
+        assert calls == []
+
     def test_mask_lane_matches_groebner_route_on_face_rings(self):
         """Facet primes of random complexes, each one dropped in turn:
         the escaping generators are then the dropped facets' monomials."""
@@ -333,6 +357,54 @@ class TestVerification:
                 fast = verify_decomposition(a, cand)
                 slow = groebner_verify_decomposition(a, cand)
                 assert (fast.ok, len(fast.failures)) == (slow.ok, len(slow.failures)) == (False, 1)
+
+    def test_lattice_check_matches_the_lcm_fold(self):
+        """Seeded rings on 5 to 14 variables: facet primes of random
+        complexes and the true primes of random monomial ideals (not
+        squarefree, with zero and constant generators), each with one
+        prime dropped, duplicated or enlarged.  The lattice check gives
+        the fold's verdict and failures; the escaping generator it names
+        is the Groebner route's, where the fold may name another."""
+        rng = random.Random(24)
+        failures = set()
+        for n in range(5, 15):
+            ring = PolyRing(QQ, tuple(f"x{i}" for i in range(n)))
+            for _ in range(4):
+                size = rng.randint(2, n - 2)
+                mps = facet_min_primes(random_pure_complex(rng, n, size, rng.randint(2, 10)))
+                failures |= self.check_corruptions(rng, mps.for_ideal, list(mps.ideals()))
+                gens = [ring.zero()] * rng.randint(0, 1)
+                if rng.random() < 0.1:
+                    gens.append(ring.one())  # the unit ideal, which no prime contains
+                for _ in range(rng.randint(1, 6)):
+                    support = rng.sample(range(n), rng.randint(1, 3))
+                    gens.append(ring.monomial(tuple(rng.randint(1, 3) if i in support else 0 for i in range(n))))
+                a = Ideal(ring, gens)
+                covers = minimal_transversals(mono_mask(m) for g in gens for m in g.terms)
+                primes = [Ideal.of_variables(ring, c) for c in covers] or [Ideal.of_variables(ring, 1)]
+                failures |= self.check_corruptions(rng, a, primes)
+        assert failures == {"contain", "escapes", "minimal"}
+
+    def check_corruptions(self, rng, a, primes) -> set:
+        """Check the primes and three corruptions of them; the kinds of
+        failure seen."""
+        ring, pick = a.ring, rng.randrange(len(primes))
+        everything = (1 << ring.nvars) - 1
+        extra = everything & ~primes[pick].var_mask
+        enlarged = Ideal.of_variables(ring, primes[pick].var_mask | (extra & -extra))
+        seen = set()
+        rest = primes[pick + 1:]
+        for cand in (primes, primes[:pick] + rest, primes + [primes[pick]], primes[:pick] + [enlarged] + rest):
+            if not cand:
+                continue
+            fast = verify_decomposition(a, cand)
+            fold = lcm_fold_verify_on_masks(a, [p.var_mask for p in cand])
+            assert (fast.ok, unnamed(fast)) == (fold.ok, unnamed(fold)), cand
+            named = [f for f in fast.failures if "escapes" in f]
+            if named:
+                assert named == [f for f in groebner_verify_decomposition(a, cand).failures if "escapes" in f]
+            seen |= {kind for f in fast.failures for kind in ("contain", "escapes", "minimal") if kind in f}
+        return seen
 
     def test_certificate_kinds_checked(self):
         with pytest.raises(RingGraphError):
