@@ -1,10 +1,11 @@
 """Ideals, quotient-ring presentations, ring maps, and their algebra.
 
 Everything here reduces to Groebner computations in the ambient
-polynomial ring: intersections by eliminating an auxiliary variable,
-colons through intersections with principal ideals, kernels and
-contractions through graph ideals under elimination orders, dimension
-through the minimal transversals of the leading-term supports.
+polynomial ring.  Intersections, saturations (a fresh variable inverts
+each generator), kernels and contractions eliminate variables that one
+helper adjoins in front; colons go through intersections with principal
+ideals, and dimension through the minimal transversals of the
+leading-term supports.
 Monomial data takes certified combinatorial shortcuts with identical
 contracts; the test suite pins those against the general routes.
 A variable prime is built with its reduced basis and its dimension.
@@ -164,17 +165,28 @@ def ideal_intersection(a: Ideal, *others: Ideal) -> Ideal:
     return functools.reduce(_intersect_two, others, a)
 
 
+def _adjoined(ring: PolyRing, count: int = 1):
+    """The ring with ``count`` fresh variables in front, and the
+    embedding of ``ring`` into it."""
+    ext = ring.extended(fresh_names(ring, "~t", count), front=True)
+    shift = tuple(range(count, ext.nvars))
+    return ext, lambda f: embed(f, ext, shift)
+
+
+def _restricted(ext: PolyRing, gens, ring: PolyRing) -> Ideal:
+    """(gens) ∩ ring, for ``ext`` made by :func:`_adjoined` from ring:
+    eliminate the adjoined variables and strip them."""
+    k = ext.nvars - ring.nvars
+    elim = eliminate(Ideal(ext, gens), k)
+    return Ideal(ring, tuple(strip_first(p, k, ring) for p in elim.gens))
+
+
 def _intersect_two(a: Ideal, b: Ideal) -> Ideal:
-    ring = a.ring
-    (tname,) = fresh_names(ring, "~t", 1)
-    ext = ring.extended((tname,), front=True)
-    shift = tuple(i + 1 for i in range(ring.nvars))
+    ext, lift = _adjoined(a.ring)
     t = ext.var(0)
-    gens = [t * embed(f, ext, shift) for f in a.gens]
     one_minus_t = ext.one() - t
-    gens += [one_minus_t * embed(g, ext, shift) for g in b.gens]
-    elim = eliminate(Ideal(ext, gens), 1)
-    return Ideal(ring, tuple(strip_first(p, 1, ring) for p in elim.gens))
+    gens = [t * lift(f) for f in a.gens] + [one_minus_t * lift(g) for g in b.gens]
+    return _restricted(ext, gens, a.ring)
 
 
 def ideal_colon(a: Ideal, b: Ideal) -> Ideal:
@@ -199,13 +211,18 @@ def ideal_colon(a: Ideal, b: Ideal) -> Ideal:
 
 
 def saturation(a: Ideal, b: Ideal) -> Ideal:
-    """(a : b^infinity): iterate colons until the chain stabilizes."""
-    current = a
-    while True:
-        nxt = ideal_colon(current, b)
-        if nxt.groebner().key() == current.groebner().key():
-            return current
-        current = nxt
+    """(a : b^infinity), the intersection over the nonzero generators g
+    of b of (a : g^infinity) = (a + (1 - t*g)) ∩ K[x], one elimination
+    each.  For b = (0) this is the unit ideal."""
+    if a.ring != b.ring:
+        raise StructuralError("saturation of ideals in different rings")
+    ring = a.ring
+    nonzero = [g for g in b.gens if not g.is_zero()]
+    if not nonzero:
+        return Ideal(ring, (ring.one(),))
+    ext, lift = _adjoined(ring)
+    t, lifted = ext.var(0), [lift(f) for f in a.gens]
+    return ideal_intersection(*(_restricted(ext, lifted + [ext.one() - t * lift(g)], ring) for g in nonzero))
 
 
 def eliminate(a: Ideal, k: int) -> Ideal:
@@ -220,17 +237,14 @@ def eliminate(a: Ideal, k: int) -> Ideal:
 
 
 def radical_membership(f: Polynomial, a: Ideal) -> bool:
-    """f in Rad(a), by the trick of inverting f with a fresh variable."""
+    """f in Rad(a): a + (1 - t*f), with f inverted by a fresh variable t
+    in front, has the unit grevlex basis."""
     if f.ring != a.ring:
         raise StructuralError("element outside the ambient ring")
     if f.is_zero():
         return True
-    ring = a.ring
-    (tname,) = fresh_names(ring, "~t", 1)
-    ext = ring.extended((tname,), front=False)
-    keep = tuple(range(ring.nvars))
-    gens = [embed(g, ext, keep) for g in a.gens]
-    gens.append(ext.one() - ext.var(ring.nvars) * embed(f, ext, keep))
+    ext, lift = _adjoined(a.ring)
+    gens = [lift(g) for g in a.gens] + [ext.one() - ext.var(0) * lift(f)]
     return buchberger(gens, GREVLEX, ring=ext).is_unit()
 
 
@@ -465,16 +479,9 @@ def contract(q: Ideal, phi: RingMap) -> Ideal:
     """phi^{-1}(q) in the source ring, for q in the target ambient."""
     if q.ring != phi.target_ambient:
         raise StructuralError("contracting an ideal outside the target ambient")
-    tgt = phi.target_ambient
-    src = phi.source
-    comb = tgt.extended(fresh_names(tgt, "~s", src.nvars), front=False)
-    tgt_map = tuple(range(tgt.nvars))
-    gens = []
-    for i, img in enumerate(phi.images):
-        gens.append(comb.var(tgt.nvars + i) - embed(img, comb, tgt_map))
-    for g in phi.target_defining:
-        gens.append(embed(g, comb, tgt_map))
-    for g in q.gens:
-        gens.append(embed(g, comb, tgt_map))
-    elim = eliminate(Ideal(comb, tuple(gens)), tgt.nvars)
-    return Ideal(src, tuple(strip_first(p, tgt.nvars, src) for p in elim.gens))
+    tgt, src = phi.target_ambient, phi.source
+    comb, lift = _adjoined(src, tgt.nvars)  # the target's variables in front
+    into = tuple(range(tgt.nvars))
+    gens = [lift(x) - embed(img, comb, into) for x, img in zip(src.gens(), phi.images)]
+    gens += [embed(g, comb, into) for g in phi.target_defining + q.gens]
+    return _restricted(comb, gens, src)

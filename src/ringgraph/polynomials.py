@@ -329,11 +329,7 @@ class Polynomial:
         field = self.ring.field
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = field.add(out.get(m, field.zero), c)
-            if s == field.zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
+            out[m] = field.add(out.get(m, field.zero), c)
         return Polynomial(self.ring, out)
 
     def __radd__(self, other):
@@ -356,11 +352,7 @@ class Polynomial:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
-                s = field.add(out.get(m, field.zero), field.mul(ca, cb))
-                if s == field.zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                out[m] = field.add(out.get(m, field.zero), field.mul(ca, cb))
         return Polynomial(self.ring, out)
 
     def __rmul__(self, other):

@@ -3,14 +3,17 @@
 Everything here is deliberately written against plain Python data
 (integer indices, sets, edge lists) rather than the package's own
 abstractions, so that agreement between an oracle and the production
-code is evidence and not circularity.  Three exceptions are kept as
+code is evidence and not circularity.  Four exceptions are kept as
 references for faster lanes of the package:
 :func:`groebner_verify_decomposition`, the decomposition check through
 Groebner bases, and :func:`lcm_fold_verify_on_masks`, the same check by
 an lcm fold on support masks, both for the lattice lane of
-``verify_decomposition``; and :func:`field_normal_form_with_quotients`,
+``verify_decomposition``; :func:`field_normal_form_with_quotients`,
 division with field arithmetic term by term, for the fraction-free dict
-core of ``groebner``.
+core of ``groebner``; and :func:`colon_chain_saturation`, the chain of
+colons, for the one elimination per generator of ``saturation``.
+:func:`random_arrangement` builds its inputs with the package, as a
+generator whose answer is known by construction.
 """
 
 from __future__ import annotations
@@ -19,9 +22,19 @@ from itertools import combinations
 
 from ringgraph.errors import StructuralError
 from ringgraph.groebner import GroebnerBasis
-from ringgraph.ideals import ideal_intersection, radical_membership
+from ringgraph.fields import QQ
+from ringgraph.ideals import Ideal, ideal_colon, ideal_intersection, radical_membership
 from ringgraph.minprimes import DecompositionReport
-from ringgraph.polynomials import MonomialOrder, Polynomial, mask_bits, mono_div, mono_divides, mono_mask, mono_mul
+from ringgraph.polynomials import (
+    MonomialOrder,
+    PolyRing,
+    Polynomial,
+    mask_bits,
+    mono_div,
+    mono_divides,
+    mono_mask,
+    mono_mul,
+)
 
 
 def brute_minimal_covers(n: int, supports: list) -> set:
@@ -293,3 +306,37 @@ def support_cover_radical_member(mono: tuple, generators: list) -> bool:
     is, some generator's support lies inside the monomial's."""
     support = {i for i, e in enumerate(mono) if e}
     return any({i for i, e in enumerate(g) if e} <= support for g in generators)
+
+
+def colon_chain_saturation(a, b):
+    """(a : b^infinity) as the limit of the chain a ⊆ (a : b) ⊆
+    ((a : b) : b) ⊆ ..., computed until two consecutive reduced bases
+    agree."""
+    current = a
+    while True:
+        nxt = ideal_colon(current, b)
+        if nxt.groebner().key() == current.groebner().key():
+            return current
+        current = nxt
+
+
+def random_arrangement(rng) -> tuple:
+    """A seeded union of 2 or 3 linear subspaces of Q^n, n from 4 to 6,
+    each of codimension 1 to 3: the ideal of each is spanned by nonzero
+    random linear forms with coefficients in -2..2, and the union's by
+    their intersection.  Returns (the intersection, the subspace
+    ideals); the minimal primes of the union are the inclusion-minimal
+    distinct subspace ideals."""
+    n = rng.randint(4, 6)
+    ring = PolyRing(QQ, tuple(f"x{i}" for i in range(1, n + 1)))
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    subspaces = []
+    for _ in range(rng.randint(2, 3)):
+        forms = []
+        for _ in range(rng.randint(1, 3)):
+            coeffs = [0] * n
+            while not any(coeffs):
+                coeffs = [rng.randint(-2, 2) for _ in range(n)]
+            forms.append(ring.poly({units[i]: QQ.from_int(c) for i, c in enumerate(coeffs) if c}))
+        subspaces.append(Ideal(ring, forms))
+    return ideal_intersection(*subspaces), subspaces

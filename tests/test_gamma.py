@@ -174,7 +174,7 @@ class TestSavedGroebnerWork:
         assert report.labels == (("x", "z"), ("x - z", "y - z"))
         assert [gens for gens, _ in calls].count((x * y - z ** 2, x - z)) == 1
         assert [key for _, key in calls].count(j_plus_a) == 2
-        assert len(calls) == 13
+        assert len(calls) == 11
 
 
 class TestSharedHeightEvidence:

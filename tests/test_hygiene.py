@@ -3,7 +3,8 @@ imports a name it never uses, and no module-level private function goes
 unreferenced, and no module-level constant goes unread.  These catch
 what a deletion leaves behind, as does the one check that imports: every
 function the benchmark traces still exists.  Every source of randomness
-is seeded, and the standard-library modules loaded at import are pinned."""
+is seeded, the standard-library modules loaded at import are pinned, and
+one function adjoins variables to a ring."""
 
 import ast
 import importlib.util
@@ -105,6 +106,21 @@ def test_no_unread_constants():
                 if isinstance(target, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", target.id) and target.id not in read:
                     unread.append(f"{name}:{node.lineno}: {target.id}")
     assert unread == []
+
+
+def test_one_place_adjoins_variables():
+    """Only one function, in ``ideals.py``, calls ``fresh_names`` or
+    ``PolyRing.extended``: every elimination in the package adjoins its
+    variables the same way."""
+    callers = set()
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call):
+                    called = getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
+                    if called in ("fresh_names", "extended"):
+                        callers.add((name, getattr(node, "name", node.lineno)))
+    assert callers == {("ideals.py", "_adjoined")}
 
 
 def _is_int_expression(node) -> bool:

@@ -47,7 +47,7 @@ from ringgraph.ideals import Flag, provenance
 from ringgraph.polynomials import embed, strip_first
 
 from conftest import random_monomial_ideal, random_nonzero_polynomial
-from oracles import lcm_fold_intersection, support_cover_radical_member
+from oracles import colon_chain_saturation, lcm_fold_intersection, support_cover_radical_member
 
 R3 = PolyRing(QQ, ("x", "y", "z"))
 X, Y, Z = R3.gens()
@@ -241,6 +241,39 @@ class TestIdealOperations:
             a = random_monomial_ideal(rng, R3)
             b = random_monomial_ideal(rng, R3)
             assert saturation(a, b).contains_ideal(ideal_colon(a, b))
+
+    def test_saturation_matches_colon_chain(self):
+        # one elimination per generator against the chain of colons, over
+        # Q, F_7 and F_32003: a principal b, a b of two generators, and b
+        # holding a zero generator, a unit, or a generator of a
+        rng = random.Random(427)
+        for field in (QQ, PrimeField(7), PrimeField(32003)):
+            for n in (2, 3, 4):
+                ring = PolyRing(field, ("x", "y", "z", "w")[:n])
+                for _ in range(3):
+                    g, h, f = (random_nonzero_polynomial(rng, ring, max_terms=2, max_degree=2) for _ in range(3))
+                    a = Ideal(ring, (g * f, g ** 2 * h + f * h))
+                    for b in ((g,), (g, h), (g, ring.zero()), (h, ring.one()), (a.gens[0],)):
+                        b = Ideal(ring, b)
+                        assert saturation(a, b).canonical_key() == colon_chain_saturation(a, b).canonical_key()
+                for b in (Ideal(ring, ()), Ideal(ring, (ring.zero(),))):
+                    assert saturation(a, b).is_unit() and colon_chain_saturation(a, b).is_unit()
+
+    def test_principal_saturation_is_one_elimination(self, monkeypatch):
+        # (a + (1 - t*y)) ∩ K[x, y, z]: one basis under an elimination
+        # order, and no colon
+        orders, colons = [], []
+        original = ideals_module.buchberger
+
+        def counted(gens, order=GREVLEX, ring=None):
+            orders.append(order.kind)
+            return original(gens, order, ring=ring)
+
+        monkeypatch.setattr(ideals_module, "buchberger", counted)
+        monkeypatch.setattr(ideals_module, "ideal_colon", lambda *args: colons.append(args))
+        sat = saturation(I(X * Y ** 2, Y * Z ** 2 - X * Y * Z), I(Y))
+        assert orders == ["elim"] and colons == []
+        assert sat.equals(I(X, Z ** 2))
 
     def test_eliminate_known(self):
         # eliminate t from (t - x^2): nothing survives

@@ -22,6 +22,7 @@ from ringgraph import (
     RingGraphError,
     RingMap,
     StructuralError,
+    UndecidedComponentError,
     face_ring,
     image_domain_presentation,
     is_equidimensional,
@@ -36,7 +37,7 @@ from ringgraph import minprimes as minprimes_module
 from ringgraph.complexes import facet_min_primes, random_pure_complex
 from ringgraph.polynomials import minimal_transversals, mono_mask
 
-from oracles import brute_minimal_covers, groebner_verify_decomposition, lcm_fold_verify_on_masks
+from oracles import brute_minimal_covers, groebner_verify_decomposition, lcm_fold_verify_on_masks, random_arrangement
 
 R3 = PolyRing(QQ, ("x", "y", "z"))
 X, Y, Z = R3.gens()
@@ -181,6 +182,27 @@ class TestSplitRoute:
             assert prime_key_set(split_minimal_primes(a)) == prime_key_set(
                 monomial_minimal_primes(a)
             )
+
+    def test_arrangements_decided_exactly_or_refused(self):
+        # a union of linear subspaces: every decided ring has the minimal
+        # distinct subspaces as its primes, and every other one refuses
+        rng = random.Random(446)
+        decided = 0
+        for _ in range(40):
+            a, subspaces = random_arrangement(rng)
+            distinct = []
+            for s in subspaces:
+                if not any(s.equals(d) for d in distinct):
+                    distinct.append(s)
+            expected = [s for s in distinct if not any(d is not s and s.contains_ideal(d) for d in distinct)]
+            try:
+                got = split_minimal_primes(a).ideals()
+            except UndecidedComponentError:
+                continue
+            decided += 1
+            assert len(got) == len(expected)
+            assert all(any(p.equals(q) for q in got) for p in expected)
+        assert decided > 0
 
     def test_undecidable_leaf_refused(self):
         # x^3 + y^3 + z^3 + xyz-ish leaves escape the certified reach

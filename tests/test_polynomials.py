@@ -74,6 +74,15 @@ class TestArithmetic:
             expected = expected * f
         assert f ** n == expected
 
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+    def test_cancelled_terms_leave_no_zero_coefficient(self, field):
+        ring = PolyRing(field, ("x", "y"))
+        x, y = ring.gens()
+        total = (x * y + 3 * x) + (-x * y - 3 * x)
+        assert total == ring.zero() and total.terms == {}
+        product = (x + y) * (x - y)  # the x*y terms cancel
+        assert product == x ** 2 - y ** 2 and set(product.terms) == {(2, 0), (0, 2)}
+
     def test_int_coercion(self):
         assert (X + 1) - 1 == X
         assert 2 * X == X + X
