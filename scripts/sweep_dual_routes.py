@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Cross-check the two connectivity routes over pure monomial quotients.
+"""Cross-check the minimal-prime graph of face rings over pure complexes.
 
 For every pure simplicial complex in the configured range, the
 minimal-prime graph's connectivity (graph search over height-one
 edges) is compared against the disconnecting-partition test, which reads
-the closure of one prime under the pair heights below two.
-The two routes must agree everywhere; any disagreement is printed
-with the complex that produced it.
+the closure of one prime under the pair heights below two.  Both routes
+read the same pair heights, so that check catches a graph-search bug,
+never a wrong height.  The graph's edges are therefore also compared
+with the facet adjacency of the complex (facets sharing a codimension-one
+face), which is read off the facets alone and never off a prime.
+Any disagreement is printed with the complex that produced it.
+
+Run as ``python scripts/sweep_dual_routes.py --max-vertices 5``.
 """
 
 import argparse
@@ -14,8 +19,19 @@ import random
 import time
 from itertools import combinations
 
-from ringgraph import complex_from_lists, face_ring
+from ringgraph import build_gamma, complex_from_lists, face_ring, facet_adjacency_graph
 from ringgraph.gamma import routes_agree
+
+
+def disagreement(n: int, facets) -> str | None:
+    """What the face ring of the complex gets wrong, or None."""
+    cplx = complex_from_lists(n, facets)
+    ring = face_ring(cplx)
+    if not routes_agree(ring):
+        return "the graph route and the partition route disagree"
+    if build_gamma(ring).edges != facet_adjacency_graph(cplx).edges:
+        return "the graph's edges are not the facet adjacency"
+    return None
 
 
 def main() -> int:
@@ -49,9 +65,10 @@ def main() -> int:
             for count in range(1, top + 1):
                 for facets in combinations(pool, count):
                     checked += 1
-                    if not routes_agree(face_ring(complex_from_lists(n, facets))):
+                    why = disagreement(n, facets)
+                    if why:
                         disagreements += 1
-                        print(f"DISAGREEMENT n={n} facets={list(facets)}")
+                        print(f"DISAGREEMENT n={n} facets={list(facets)}: {why}")
 
     rng = random.Random(args.seed)
     n = args.max_vertices
@@ -60,9 +77,10 @@ def main() -> int:
         pool = list(combinations(range(1, n + 1), size))
         facets = rng.sample(pool, rng.randint(1, len(pool)))
         checked += 1
-        if not routes_agree(face_ring(complex_from_lists(n, facets))):
+        why = disagreement(n, facets)
+        if why:
             disagreements += 1
-            print(f"DISAGREEMENT n={n} facets={facets}")
+            print(f"DISAGREEMENT n={n} facets={facets}: {why}")
 
     elapsed = time.perf_counter() - started
     print(f"checked={checked} disagreements={disagreements} elapsed={elapsed:.1f}s")

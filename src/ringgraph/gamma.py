@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import PreconditionError, StructuralError
 from .ideals import (
@@ -38,23 +39,26 @@ class PrimeGraph:
     """A finite graph with canonical, hashable vertex labels.
 
     ``payloads`` optionally carries the prime ideals behind the labels,
-    ``evidence`` the pairwise data (heights or primary statuses) that
-    produced the edges, and ``provenance`` the label of every verdict
-    read off the graph.
+    ``dims`` the pair dimensions that produced the edges (None for a
+    graph built from edges alone), and ``provenance`` the label of every
+    verdict read off the graph.
     """
 
     labels: tuple
     edges: frozenset  # of (i, j) pairs with i < j
     payloads: tuple | None = None
-    evidence: tuple | None = None  # sorted ((i, j), value) pairs
+    dims: tuple | None = None  # dim ring/(p + q), -1 for the unit ideal, in combinations(range(n), 2) order
+    ring_dim: int | None = None  # a pair reads as its height against it; None: as its m-primary status
     provenance: str = "computed"
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def evidence_dict(self) -> dict:
-        return dict(self.evidence) if self.evidence else {}
+    def pair_value(self, i: int, j: int):
+        """The height or status of the pair {i, j}, read off its d."""
+        i, j = min(i, j), max(i, j)
+        return _pair_value(self.ring_dim, self.dims[i * (2 * self.n - i - 3) // 2 + j - 1])
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,18 +171,19 @@ def prime_label(p: Ideal) -> tuple:
     return tuple(p.min_gen_strings()) or ("0",)
 
 
-def _pair_graph(ring: PresentedRing, mps, relation, is_edge, prov: str) -> PrimeGraph:
-    """The graph on the primes of ``mps`` in canonical-key order: each
-    pair's evidence is ``relation`` of d = dim ring/(the pair's sum), read
-    once per distinct d, and the pair is an edge where that evidence
-    equals ``is_edge``."""
+def _pair_value(ring_dim: int | None, d: int):
+    return _status(d) if ring_dim is None else _height(ring_dim, d)
+
+
+def _pair_graph(ring: PresentedRing, mps, ring_dim: int | None, is_edge, prov: str) -> PrimeGraph:
+    """The graph on the primes of ``mps`` in canonical-key order, with an
+    edge where a pair's value, read once per distinct d, is ``is_edge``.
+    The only place pairwise heights and statuses are computed."""
     primes = sorted(mps.ideals(), key=lambda p: p.canonical_key())
-    dims = _pair_dimensions(ring, primes)
-    values = {d: relation(d) for d in set(dims)}
-    pairs = [(i, j) for i in range(len(primes)) for j in range(i + 1, len(primes))]
-    evidence = tuple(zip(pairs, map(values.__getitem__, dims)))
-    edges = frozenset(pair for pair, value in evidence if value == is_edge)
-    return PrimeGraph(tuple(prime_label(p) for p in primes), edges, tuple(primes), evidence, prov)
+    dims = tuple(_pair_dimensions(ring, primes))
+    edge_dims = {d for d in set(dims) if _pair_value(ring_dim, d) == is_edge}
+    edges = frozenset(pair for pair, d in zip(combinations(range(len(primes)), 2), dims) if d in edge_dims)
+    return PrimeGraph(tuple(prime_label(p) for p in primes), edges, tuple(primes), dims, ring_dim, prov)
 
 
 def _pair_dimensions(ring: PresentedRing, primes: list) -> list:
@@ -197,17 +202,16 @@ def _pair_dimensions(ring: PresentedRing, primes: list) -> list:
 def build_gamma(ring: PresentedRing) -> PrimeGraph:
     """The minimal-prime graph: edge exactly at height-one pair sums.
 
-    The only place pairwise heights are computed.  The graph is built
-    once per presented ring and kept on it: attached minimal primes are
-    verified against the defining ideal, so they cannot go stale.  The
-    graph is ``asserted`` when the primes or the equidimensionality flag
-    its heights rest on were asserted.
+    The graph is built once per presented ring and kept on it: attached
+    minimal primes are verified against the defining ideal, so they
+    cannot go stale.  The graph is ``asserted`` when the primes or the
+    equidimensionality flag its heights rest on were asserted.
     """
     mps = ensure_min_primes(ring)
     flag = require_equidimensional(ring, "the minimal-prime graph")
     if ring.gamma is None:
         dim = ring.dim() if len(mps.primes) > 1 else None  # one prime has no pair to read it
-        ring.gamma = _pair_graph(ring, mps, lambda d: _height(dim, d), 1, provenance(mps, flag))
+        ring.gamma = _pair_graph(ring, mps, dim, 1, provenance(mps, flag))
     return ring.gamma
 
 
@@ -243,14 +247,13 @@ def is_connected(graph: PrimeGraph) -> ConnectivityReport:
 
 def _split_witness(graph: PrimeGraph, side_a, side_b, key: str) -> dict:
     """The labels of both sides and, under ``key``, every cross pair's
-    evidence, when the graph carries evidence."""
+    height or status, when the graph carries pair dimensions."""
     witness = {
         "side_a": [_label_to_json(graph.labels[i]) for i in side_a],
         "side_b": [_label_to_json(graph.labels[j]) for j in side_b],
     }
-    ev = graph.evidence_dict()
-    if ev:
-        witness[key] = [[i, j, _height_json(ev[(min(i, j), max(i, j))])] for i in side_a for j in side_b]
+    if graph.dims is not None:
+        witness[key] = [[i, j, _height_json(graph.pair_value(i, j))] for i in side_a for j in side_b]
     return witness
 
 
@@ -275,9 +278,10 @@ def disconnection_exists(ring: PresentedRing) -> ConnectivityReport:
     partition's counter value, one plus the mask of side a's primes
     1..k-1 (bit i - 1 for prime i), or 2^(k-1) - 1, the number of
     bipartitions, when there is none; it is kept so that reports stay
-    byte-identical.  Reads the heights from :func:`build_gamma` but never its edges, so
-    this route stays independent of :func:`is_connected`; its
-    provenance is the graph's, since it reads the same claims.
+    byte-identical.  Reads the pair dimensions of :func:`build_gamma`,
+    not its edges: a cross-check with :func:`is_connected` catches a
+    graph-search fault, never a wrong height.  Its provenance is the
+    graph's, since it reads the same claims.
     """
     graph = build_gamma(ring)
     k, labels, prov = graph.n, graph.labels, graph.provenance
@@ -285,8 +289,8 @@ def disconnection_exists(ring: PresentedRing) -> ConnectivityReport:
         return ConnectivityReport("connected", True, (tuple(range(k)),), labels, provenance=prov)
 
     near = [[] for _ in range(k)]  # near[i]: the primes whose sum with prime i has height below two
-    for (i, j), h in graph.evidence:
-        if h < 2:
+    for (i, j), d in zip(combinations(range(k), 2), graph.dims):
+        if _height(graph.ring_dim, d) < 2:
             near[i].append(j)
             near[j].append(i)
     seen, side_a = [True] + [False] * (k - 1), [0]
@@ -337,7 +341,7 @@ def punctured_spectrum_connected(ring: PresentedRing, a: Ideal) -> ConnectivityR
     if status == "m-primary":
         return ConnectivityReport("empty", None, (), (), witness={"reason": "m-primary"})
     mps = minimal_primes(total)
-    graph = _pair_graph(ring, mps, _status, "not-m-primary", provenance(mps))
+    graph = _pair_graph(ring, mps, None, "not-m-primary", provenance(mps))
     return is_connected(graph)
 
 

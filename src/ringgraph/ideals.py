@@ -108,10 +108,6 @@ class Ideal:
     def is_zero_ideal(self) -> bool:
         return not self.groebner().generators
 
-    def is_monomial(self) -> bool:
-        """True when the reduced basis consists of single terms."""
-        return all(g.is_monomial() for g in self.groebner().generators)
-
     def canonical_gens(self) -> tuple:
         return self.groebner().generators
 
@@ -155,12 +151,12 @@ def ideal_intersection(a: Ideal, *others: Ideal) -> Ideal:
     """a ∩ b ∩ ..., folded from the left, each step by eliminating an
     auxiliary variable t from t*a + (1-t)*b.
 
-    Purely monomial inputs short-circuit to pairwise lcms; the shortcut
-    agrees with the elimination route (tested).
+    Inputs given by monomials short-circuit to pairwise lcms; the
+    shortcut agrees with the elimination route (tested).
     """
     if any(b.ring != a.ring for b in others):
         raise StructuralError("intersection of ideals in different rings")
-    if others and a.is_monomial() and all(b.is_monomial() for b in others):
+    if others and all(g.is_monomial() for x in (a, *others) for g in x.gens):
         return _monomial_intersection(a, *others)
     return functools.reduce(_intersect_two, others, a)
 

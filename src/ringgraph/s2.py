@@ -187,8 +187,8 @@ def s2_local_decision(ring: PresentedRing) -> ConnectivityReport:
     via_graph = is_connected(graph)
     via_partition = disconnection_exists(core)
     if via_graph.connected != via_partition.connected:
-        # An invariant breach, not a refusable precondition: the two
-        # independently computed routes can only disagree on a bug.
+        # An invariant breach, not a refusable precondition: both routes
+        # read the same pair heights, so only a graph-search bug splits them.
         raise RuntimeError(
             "internal disagreement between the graph route and the partition route"
         )

@@ -22,6 +22,7 @@ from ringgraph import (
     RingGraphError,
     build_gamma,
     complex_from_lists,
+    dimension,
     disconnection_exists,
     ensure_min_primes,
     face_ring,
@@ -83,8 +84,8 @@ class TestBuildGamma:
         g = build_gamma(planes_ring())
         assert g.n == 2
         assert not g.edges
-        heights = g.evidence_dict()
-        assert heights[(0, 1)] == 2  # the pair sum is the whole irrelevant ideal
+        assert g.dims == (0,)  # the pair sum is the whole irrelevant ideal
+        assert g.pair_value(0, 1) == 2
 
     def test_nodal_curve_connected(self):
         g = build_gamma(nodal_ring())
@@ -109,6 +110,19 @@ class TestBuildGamma:
         g = build_gamma(pres)
         assert g.n == 1
         assert not g.edges
+
+    def test_pair_dimensions_are_facet_intersections(self):
+        """The face ring modulo the sum of the primes of facets F and G is
+        the polynomial ring on F ∩ G: every pair dimension, in the order
+        of the facet-adjacency graph, is |F ∩ G|, read off the facets."""
+        rng = random.Random(2611)
+        cases = [random_pure_complex(rng, n, size, rng.randint(2, comb(n, size))) for n, size in [(5, 2), (6, 3), (7, 4)] * 5]
+        cases.append(random_pure_complex(random.Random(1), 10, 4, 60))  # the sr-wide shape
+        for cplx in cases:
+            facets = facet_adjacency_graph(cplx).labels
+            expected = tuple(len(set(f) & set(g)) for f, g in combinations(facets, 2))
+            assert build_gamma(face_ring(cplx)).dims == expected
+        assert len(expected) == 60 * 59 // 2
 
     def test_refuses_mixed_dimension(self):
         ring = PolyRing(QQ, ("x", "y", "z"))
@@ -217,17 +231,25 @@ class TestSharedHeightEvidence:
             assert partition.components == via_graph.components == is_connected(facet_adjacency_graph(cplx)).components
 
 
-def general_pair_graph(ring, mps, relation, is_edge, prov) -> PrimeGraph:
-    """The pair graph by the general route alone: ``relation`` of each
-    pair's sum rebuilt as a plain ideal, which carries no mask."""
+def pair_values(graph) -> list:
+    """The graph's height or status of every pair, in sorted pair order."""
+    return [graph.pair_value(i, j) for i, j in combinations(range(graph.n), 2)]
+
+
+def general_pair_graph(ring, mps, ring_dim, relation, is_edge, prov) -> PrimeGraph:
+    """The pair graph by the general route alone: each pair's sum rebuilt
+    as a plain ideal, which carries no mask, gives its dimension through
+    the defining ideal, and its edge through ``relation``, which the
+    graph's reading of that dimension must match."""
     primes = sorted(mps.ideals(), key=lambda p: p.canonical_key())
-    evidence = tuple(
-        ((i, j), relation(Ideal(ring.ambient, ideal_sum(primes[i], primes[j]).gens)))
-        for i in range(len(primes))
-        for j in range(i + 1, len(primes))
-    )
-    edges = frozenset(pair for pair, value in evidence if value == is_edge)
-    return PrimeGraph(tuple(prime_label(p) for p in primes), edges, tuple(primes), evidence, prov)
+    pairs = list(combinations(range(len(primes)), 2))
+    sums = [Ideal(ring.ambient, ideal_sum(primes[i], primes[j]).gens) for i, j in pairs]
+    dims = tuple(dimension(ideal_sum(ring.defining, b)) for b in sums)
+    values = [relation(b) for b in sums]
+    edges = frozenset(pair for pair, value in zip(pairs, values) if value == is_edge)
+    graph = PrimeGraph(tuple(prime_label(p) for p in primes), edges, tuple(primes), dims, ring_dim, prov)
+    assert pair_values(graph) == values
+    return graph
 
 
 def general_punctured(ring, a) -> ConnectivityReport:
@@ -238,7 +260,7 @@ def general_punctured(ring, a) -> ConnectivityReport:
     if status == "m-primary":
         return ConnectivityReport("empty", None, (), (), witness={"reason": "m-primary"})
     mps = minimal_primes(total)
-    graph = general_pair_graph(ring, mps, lambda b: m_primary_status(b, ring), "not-m-primary", provenance(mps))
+    graph = general_pair_graph(ring, mps, None, lambda b: m_primary_status(b, ring), "not-m-primary", provenance(mps))
     return is_connected(graph)
 
 
@@ -264,7 +286,8 @@ class TestPairEvidenceRoutes:
             return None
         mps, graph = ensure_min_primes(ring), build_gamma(ring)
         relation = lambda b: height_in_quotient(ring, b)
-        assert graph == general_pair_graph(ring, mps, relation, 1, provenance(mps, ring.equidimensional))
+        ring_dim = ring.dim() if graph.n > 1 else None  # one prime has no pair to read it against
+        assert graph == general_pair_graph(ring, mps, ring_dim, relation, 1, provenance(mps, ring.equidimensional))
         return graph
 
     def monomial_ideals(self, rng, ring, count):
@@ -288,10 +311,10 @@ class TestPairEvidenceRoutes:
         for cplx in cases:
             ring = face_ring(cplx)
             graph = self.check(ring, self.monomial_ideals(rng, ring, 2))
-            heights |= {h for _, h in graph.evidence} if graph else set()
+            heights |= set(pair_values(graph)) if graph else set()
         assert {1, 2, 3} <= heights
         wide = face_ring(random_pure_complex(random.Random(60), 10, 4, 60))  # the sr-wide shape
-        assert len(self.check(wide, [Ideal(wide.ambient, ())]).evidence) == 60 * 59 // 2
+        assert len(self.check(wide, [Ideal(wide.ambient, ())]).dims) == 60 * 59 // 2
         assert general_calls == []
 
     def test_monomial_rings(self, general_calls):
@@ -313,7 +336,7 @@ class TestPairEvidenceRoutes:
         ring = PresentedRing(R4, Ideal(R4, (X * Y * Z,)))
         ring.attach_min_primes(MinimalPrimeSet(ring.defining, tuple((p, cert) for p in primes), "computed-monomial"))
         graph = self.check(ring, [])
-        assert len(general_calls) == 3 and [h for _, h in graph.evidence] == [1, 1, 1]
+        assert len(general_calls) == 3 and pair_values(graph) == [1, 1, 1]
 
 
 class TestConnectivityRoutes:
@@ -375,10 +398,20 @@ class TestConnectivityRoutes:
         assert rep.witness["partition_count_searched"] == 2 ** 3 - 1
 
 
+def dims_to_heights(ring_dim, dims) -> list:
+    return [float("inf") if d == -1 else ring_dim - d for d in dims]
+
+
+def heights_to_dims(ring_dim, heights) -> tuple:
+    return tuple(-1 if h == float("inf") else ring_dim - h for h in heights)
+
+
 def list_route_report(ring) -> ConnectivityReport:
     """disconnection_exists's report rebuilt from the list-scan oracle."""
     graph = build_gamma(ring)
-    k, labels, heights, prov = graph.n, graph.labels, graph.evidence_dict(), graph.provenance
+    k, labels, prov = graph.n, graph.labels, graph.provenance
+    # each pair's height read off the flat list in order, not by its index
+    heights = dict(zip(combinations(range(k), 2), dims_to_heights(graph.ring_dim, graph.dims)))
     if k <= 1:
         return ConnectivityReport("connected", True, (tuple(range(k)),), labels, provenance=prov)
     side_a, side_b, count = first_disconnecting_partition(k, heights)
@@ -429,13 +462,11 @@ class TestBipartitionSearch:
             ring = face_ring(random_pure_complex(rng, n, size, rng.randint(2, min(11, comb(n, size)))))
             graph = build_gamma(ring)
             k, low = graph.n, rng.random() * 0.6
-            evidence = tuple(
-                ((i, j), 1 if rng.random() < low else rng.choice([2, 3, float("inf")]))
-                for i in range(k)
-                for j in range(i + 1, k)
-            )
-            edges = frozenset(pair for pair, h in evidence if h == 1)
-            ring.gamma = dataclasses.replace(graph, edges=edges, evidence=evidence)
+            pairs = list(combinations(range(k), 2))
+            heights = [1 if rng.random() < low else rng.choice([2, 3, float("inf")]) for _ in pairs]
+            edges = frozenset(pair for pair, h in zip(pairs, heights) if h == 1)
+            dims = heights_to_dims(graph.ring_dim, heights)
+            ring.gamma = dataclasses.replace(graph, edges=edges, dims=dims)
             report = disconnection_exists(ring)
             assert report == list_route_report(ring)
             found.append(report.witness["partition_count_searched"])
@@ -453,13 +484,14 @@ class TestBipartitionSearch:
             assert graph.n == k
             for _ in range(30):
                 low = rng.random() * 0.5
-                evidence = tuple(((i, j), 1 if rng.random() < low else 2) for i in range(k) for j in range(i + 1, k))
+                pairs = list(combinations(range(k), 2))
+                heights = [1 if rng.random() < low else 2 for _ in pairs]
                 near = [0] * k
-                for (i, j), h in evidence:
+                for (i, j), h in zip(pairs, heights):
                     if h < 2:
                         near[i] |= 1 << j
                         near[j] |= 1 << i
-                ring.gamma = dataclasses.replace(graph, evidence=evidence)
+                ring.gamma = dataclasses.replace(graph, dims=heights_to_dims(graph.ring_dim, heights))
                 report = disconnection_exists(ring)
                 side, searched = superset_closure_scan(k, near)
                 outcomes.add((k > 1, side is None))

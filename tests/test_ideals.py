@@ -180,7 +180,7 @@ class TestIdealOperations:
             fast = ideal_intersection(a, b)
             # force the general route by disguising a as non-monomial input
             slow = ideal_intersection(
-                Ideal(R3, a.gens + (a.gens[0] + a.gens[0],)), b
+                Ideal(R3, a.gens + (a.gens[0] * (X + 1),)), b
             )
             assert fast.equals(slow)
 
@@ -215,6 +215,22 @@ class TestIdealOperations:
             got = [next(iter(g.terms)) for g in ideal_intersection(*ideals).gens]
             lists = [[next(iter(g.terms)) for g in b.groebner().generators] for b in ideals]
             assert got == lcm_fold_intersection(lists)
+
+    def test_non_monomial_intersection_computes_only_eliminations(self, monkeypatch):
+        # the lane is chosen from the generators: no grevlex basis of an
+        # input, which the elimination route never reads
+        orders = []
+        original = ideals_module.buchberger
+
+        def counted(gens, order=GREVLEX, ring=None):
+            orders.append(order.kind)
+            return original(gens, order, ring=ring)
+
+        monkeypatch.setattr(ideals_module, "buchberger", counted)
+        f, g, h = X - Y, Y - Z, X + Z  # pairwise coprime: the intersection is their product
+        meet = ideal_intersection(I(f), I(g), I(h))
+        assert orders == ["elim", "elim"]
+        assert meet.equals(I(f * g * h))
 
     def test_colon_known(self):
         assert ideal_colon(I(X * Y), I(X)).equals(I(Y))
@@ -501,7 +517,7 @@ class TestPresentedRing:
         ring = face_ring(random_pure_complex(random.Random(60), 10, 4, 60))
         ring.dim()
         del calls[:]
-        assert len(build_gamma(ring).evidence) == 60 * 59 // 2
+        assert len(build_gamma(ring).dims) == 60 * 59 // 2
         assert calls == []
 
     def test_variable_cap_refuses_on_the_mask_lane(self):
