@@ -5,15 +5,16 @@ A complex is stored by its facets (pairwise incomparable, vertices
 numbered from 1), each a bitmask in which vertex v is bit v - 1, as is
 its variable in the face ring.  The defining ideal is generated by the
 minimal non-faces, which by Alexander duality are the minimal
-transversals of the facet complements (one bitmask routine in
+transversals of the facet complements (MMCS on member bitsets in
 :mod:`ringgraph.polynomials`, shared with the monomial prime strategy
-and with every dimension), and is built knowing its dimension, the
-largest facet size, so a face ring makes no dimension search.  Its
-minimal primes are the variable primes of the facet complements, and
-for pure complexes the minimal-prime graph has an edge exactly when two
-facets share a codimension-one face.  The harness samples pure
-complexes with a connected graph, adjoins few enough monomial elements,
-and checks the punctured spectrum modulo them stays connected.
+and with every dimension); sorted as ints they are its reduced grevlex
+basis, and it is built knowing its dimension, the largest facet size,
+so a face ring makes no dimension search.  Its minimal primes are the
+variable primes of the facet complements, and for pure complexes the
+minimal-prime graph has an edge exactly when two facets share a
+codimension-one face.  The harness samples pure complexes with a
+connected graph, adjoins few enough monomial elements, and checks the
+punctured spectrum modulo them stays connected.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .gamma import (
 )
 from .ideals import Ideal, PresentedRing
 from .minprimes import MinimalPrimeSet, PrimeCertificate, is_equidimensional
-from .polynomials import GREVLEX, PolyRing, mask_bits, minimal_transversals
+from .polynomials import PolyRing, mask_bits, minimal_transversals
 
 COMPLEX_VERTEX_CAP = 16
 
@@ -69,14 +70,6 @@ class SimplicialComplex:
                 raise StructuralError("facet vertex out of range")
         if any(i != j and not f & ~g for i, f in enumerate(self.facets) for j, g in enumerate(self.facets)):
             raise StructuralError("facets must be pairwise incomparable")
-
-    def is_face(self, s) -> bool:
-        """Whether the vertex set ``s`` lies in some facet."""
-        try:
-            mask = _vertex_mask(self.n_vertices, s)
-        except StructuralError:
-            return False  # a vertex outside the complex
-        return any(not mask & ~f for f in self.facets)
 
     def canonical_facets(self) -> tuple:
         """The facets as sorted vertex tuples, in sorted order."""
@@ -118,8 +111,9 @@ def sr_ideal(cplx: SimplicialComplex, field: Field = QQ) -> Ideal:
     dimension -1."""
     ring = face_ring_ambient(cplx.n_vertices, field)
     covers = minimal_transversals(_complement(cplx, f) for f in cplx.facets)
-    monos = sorted((tuple(m >> i & 1 for i in range(ring.nvars)) for m in covers), key=GREVLEX.key(), reverse=True)
-    ideal = Ideal(ring, map(ring.monomial, monos), grevlex_basis=True)  # sorted as buchberger sorts a monomial basis
+    covers.sort(key=lambda m: (-m.bit_count(), m))  # descending grevlex on squarefree monomials, buchberger's order
+    monos = (tuple([m >> i & 1 for i in range(ring.nvars)]) for m in covers)
+    ideal = Ideal(ring, map(ring.monomial, monos), grevlex_basis=True)
     ideal._dim = max((f.bit_count() for f in cplx.facets), default=-1)
     return ideal
 
@@ -130,8 +124,9 @@ def _complement(cplx: SimplicialComplex, facet: int) -> int:
 
 def _prime_order(cplx: SimplicialComplex) -> list:
     """The facets in the canonical-key order of their complements'
-    variable primes: by the complement's set bits, negated."""
-    return sorted(cplx.facets, key=lambda f: [-i for i in mask_bits(_complement(cplx, f))])
+    variable primes: by the complement's set bits, negated, which is
+    its binary string read from the lowest bit."""
+    return sorted(cplx.facets, key=lambda f: bin(_complement(cplx, f))[:1:-1])
 
 
 def facet_min_primes(cplx: SimplicialComplex, field: Field = QQ) -> MinimalPrimeSet:

@@ -50,9 +50,6 @@ class Field:
 
     name: str
 
-    def is_zero(self, a) -> bool:
-        return a == self.zero
-
     def to_str(self, a) -> str:
         return str(a)
 

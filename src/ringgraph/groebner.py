@@ -122,9 +122,6 @@ class GroebnerBasis:
     def __reduce__(self):
         return GroebnerBasis, (self.ring, self.order, self.generators)
 
-    def leading_monomials(self) -> tuple:
-        return tuple(g.leading_monomial(self.order) for g in self.generators)
-
     def is_unit(self) -> bool:
         """True when the basis presents the unit ideal."""
         return len(self.generators) == 1 and self.generators[0].is_constant() and not self.generators[0].is_zero()

@@ -105,9 +105,6 @@ class Ideal:
     def is_unit(self) -> bool:
         return self.groebner().is_unit()
 
-    def is_zero_ideal(self) -> bool:
-        return not self.groebner().generators
-
     def canonical_gens(self) -> tuple:
         return self.groebner().generators
 

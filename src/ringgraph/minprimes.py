@@ -3,8 +3,8 @@ largest small-dimensional ideal of a reduced presentation.
 
 Two computing strategies are provided.  A monomial ideal's minimal
 primes are the variable sets of the minimal transversals of its
-generator supports, enumerated on bitmasks by
-:func:`ringgraph.polynomials.minimal_transversals` (face rings read
+generator supports, enumerated by MMCS on vertex and member bitmasks
+in :func:`ringgraph.polynomials.minimal_transversals` (face rings read
 their minimal non-faces, and :func:`ringgraph.ideals.dimension` every
 dimension, from it too).  The split strategy factors generators within
 the certified reach of :mod:`ringgraph.factor` and branches: for g1*g2
@@ -17,6 +17,7 @@ with the leaf attached.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 from .errors import PreconditionError, StructuralError, UndecidedComponentError
@@ -159,6 +160,15 @@ def verify_decomposition(a: Ideal, primes) -> DecompositionReport:
     return DecompositionReport(not failures, failures)
 
 
+@functools.lru_cache(maxsize=17)  # n runs over 0..DIMENSION_VARIABLE_CAP
+def _lows(n: int) -> tuple:
+    """lows[v]: the sets of n variables without variable v, by doubling."""
+    lows = ()
+    for v in range(n):
+        lows = tuple(low | low << (1 << v) for low in lows) + ((1 << (1 << v)) - 1,)
+    return lows
+
+
 def _verify_on_masks(a: Ideal, prime_masks: list) -> DecompositionReport:
     """:func:`verify_decomposition` for a monomial ideal and the variable
     sets of its primes, on the lattice of the 2^n variable sets: a family
@@ -168,9 +178,7 @@ def _verify_on_masks(a: Ideal, prime_masks: list) -> DecompositionReport:
     meets it, and in Rad(a) when it holds a generator's; the primes'
     intersection is generated by the minimal sets meeting every prime."""
     n = a.ring.nvars
-    full, lows = (1 << n) - 1, []  # full: every variable; lows[v]: the sets without variable v
-    for v in range(n):  # by doubling
-        lows = [low | low << (1 << v) for low in lows] + [(1 << (1 << v)) - 1]
+    full, lows = (1 << n) - 1, _lows(n)  # full: every variable
     up = sum(1 << s for s in {mono_mask(m) for g in a.gens for m in g.terms})
     tops = sum(1 << (full ^ p) for p in set(prime_masks))  # the primes' complements
     below = 0

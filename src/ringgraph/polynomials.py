@@ -43,14 +43,6 @@ def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(map(max, a, b))
 
 
-def mono_deg(a: Mono) -> int:
-    return sum(a)
-
-
-def mono_support(a: Mono) -> tuple:
-    return tuple(i for i, e in enumerate(a) if e)
-
-
 @functools.lru_cache(maxsize=4096)
 def mono_mask(a: Mono) -> int:
     """The support of a as a bitmask; a | b makes it a submask of b's."""
@@ -69,27 +61,45 @@ def minimal_transversals(masks) -> list:
     MMCS (Murakami & Uno, 2014): branch on the candidates of an
     uncovered member with fewest of them, and keep a branch only while
     every chosen vertex is still the sole cover of some member, so each
-    minimal transversal is reached exactly once.  The empty family has
-    the single transversal 0; a family holding 0 has none.
+    minimal transversal is reached exactly once.  Member sets are ints,
+    bit i for member i, so choosing vertex v is ``& ~hit[v]`` on each.
+    The empty family has the single transversal 0; a family holding 0
+    has none.
     """
+    members = list(set(masks))
+    hit = {}  # vertex bit -> the members it meets
+    for i, e in enumerate(members):
+        while e:
+            v = e & -e
+            hit[v] = hit.get(v, 0) | 1 << i
+            e ^= v
+    found = []
 
-    def mmcs(chosen, cand, uncov, crit):  # crit[u]: members u alone covers
+    def mmcs(chosen, cand, uncov, crit):  # crit: per chosen vertex, the members it alone covers
         if not uncov:
-            yield chosen
+            found.append(chosen)
             return
-        branch = cand & min(uncov, key=lambda e: (e & cand).bit_count())
+        branch, u = cand, uncov
+        while u:
+            e = members[(u & -u).bit_length() - 1] & cand
+            u &= u - 1
+            if e.bit_count() < branch.bit_count():
+                branch = e
         cand &= ~branch
         while branch:
             v = branch & -branch
             branch ^= v
-            kept = {u: [e for e in es if not e & v] for u, es in crit.items()}
-            if all(kept.values()):
-                kept[v] = [e for e in uncov if e & v]
-                yield from mmcs(chosen | v, cand, [e for e in uncov if not e & v], kept)
+            h = hit[v]
+            kept = [c & ~h for c in crit]
+            if all(kept):
+                kept.append(uncov & h)
+                mmcs(chosen | v, cand, uncov & ~h, kept)
             cand |= v
 
-    found = mmcs(0, -1, list(set(masks)), {})  # -1: every vertex is a candidate
-    return sorted(found, key=lambda m: (m.bit_count(), mask_bits(m)))
+    mmcs(0, sum(hit), (1 << len(members)) - 1, [])  # every vertex is a candidate
+    # within one popcount the mask holding the lowest bit of a ^ b comes first: its bits read low-first are larger
+    found.sort(key=lambda m: (-m.bit_count(), bin(m)[:1:-1]), reverse=True)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +268,10 @@ class Polynomial:
 
     def __init__(self, ring: PolyRing, terms: dict):
         clean = {}
-        zero = ring.field.zero
         for mono, coeff in terms.items():
             if len(mono) != ring.nvars:
                 raise StructuralError("exponent tuple has wrong length")
-            if coeff != zero:
+            if coeff:  # exact: a Fraction or an int is false only when zero
                 clean[mono] = coeff
         self.ring = ring
         self.terms = clean
@@ -274,7 +283,7 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(mono_deg(m) == 0 for m in self.terms)
+        return not any(map(any, self.terms))
 
     def is_monomial(self) -> bool:
         """A single term (any nonzero coefficient counts)."""
@@ -284,7 +293,7 @@ class Polynomial:
         """Maximum term degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(mono_deg(m) for m in self.terms)
+        return max(map(sum, self.terms))
 
     def degree_in(self, i: int) -> int:
         if not self.terms:
@@ -293,10 +302,7 @@ class Polynomial:
 
     def variables(self) -> tuple:
         """Indices of variables that actually occur."""
-        seen = set()
-        for m in self.terms:
-            seen.update(mono_support(m))
-        return tuple(sorted(seen))
+        return tuple(i for i in range(self.ring.nvars) if any(m[i] for m in self.terms))
 
     # leading data ----------------------------------------------------------
 

@@ -3,15 +3,17 @@
 Everything here is deliberately written against plain Python data
 (integer indices, sets, edge lists) rather than the package's own
 abstractions, so that agreement between an oracle and the production
-code is evidence and not circularity.  Four exceptions are kept as
+code is evidence and not circularity.  Five exceptions are kept as
 references for faster lanes of the package:
 :func:`groebner_verify_decomposition`, the decomposition check through
 Groebner bases, and :func:`lcm_fold_verify_on_masks`, the same check by
 an lcm fold on support masks, both for the lattice lane of
 ``verify_decomposition``; :func:`field_normal_form_with_quotients`,
 division with field arithmetic term by term, for the fraction-free dict
-core of ``groebner``; and :func:`colon_chain_saturation`, the chain of
-colons, for the one elimination per generator of ``saturation``.
+core of ``groebner``; :func:`colon_chain_saturation`, the chain of
+colons, for the one elimination per generator of ``saturation``; and
+:func:`list_mmcs_minimal_transversals`, MMCS on lists of member masks,
+for the member-bitset MMCS of ``minimal_transversals``.
 :func:`random_arrangement` builds its inputs with the package, as a
 generator whose answer is known by construction.
 """
@@ -56,6 +58,31 @@ def brute_minimal_covers(n: int, supports: list) -> set:
     return {frozenset(c) for c in covers}
 
 
+def list_mmcs_minimal_transversals(masks) -> list:
+    """The inclusion-minimal masks meeting every mask of the family,
+    sorted by (popcount, set bits), by MMCS (Murakami & Uno, 2014) with
+    the uncovered members and each chosen vertex's critical members held
+    as lists of member masks, copied on every branch."""
+
+    def mmcs(chosen, cand, uncov, crit):  # crit[u]: members u alone covers
+        if not uncov:
+            yield chosen
+            return
+        branch = cand & min(uncov, key=lambda e: (e & cand).bit_count())
+        cand &= ~branch
+        while branch:
+            v = branch & -branch
+            branch ^= v
+            kept = {u: [e for e in es if not e & v] for u, es in crit.items()}
+            if all(kept.values()):
+                kept[v] = [e for e in uncov if e & v]
+                yield from mmcs(chosen | v, cand, [e for e in uncov if not e & v], kept)
+            cand |= v
+
+    found = mmcs(0, -1, list(set(masks)), {})  # -1: every vertex is a candidate
+    return sorted(found, key=lambda m: (m.bit_count(), mask_bits(m)))
+
+
 def bfs_components(n: int, edges) -> list:
     """Connected components of a graph on range(n), by breadth-first
     search over an adjacency list."""
@@ -98,6 +125,17 @@ def relabeled_edges(labels, edges) -> frozenset:
 
 def canonical_graph(labels, edges) -> tuple:
     return tuple(sorted(labels)), relabeled_edges(labels, edges)
+
+
+def is_face(cplx, vertices) -> bool:
+    """Whether the vertex set (any iterable, read once) lies in some
+    facet of the complex, read off its facet masks, in which vertex v is
+    bit v - 1.  A vertex outside 1..n lies in no face."""
+    s = set(vertices)
+    if any(v < 1 or v > cplx.n_vertices for v in s):
+        return False
+    mask = sum(1 << (v - 1) for v in s)
+    return any(not mask & ~f for f in cplx.facets)
 
 
 def minimal_nonface_supports(n: int, facets: list) -> set:

@@ -58,7 +58,7 @@ def test_criterion_1_worked_example_end_to_end():
     )
     phi = session.ring_map("phi")
     j = session.ideal("J")
-    if j.is_zero_ideal():
+    if not j.canonical_gens():
         failures.append("kernel came back zero")
     for g in j.gens:
         if not phi.apply(g).is_zero():

@@ -35,7 +35,7 @@ class TestRationalField:
         assert QQ.add(a, b) == QQ.add(b, a)
         assert QQ.mul(a, b) == QQ.mul(b, a)
         assert QQ.add(a, QQ.neg(a)) == QQ.zero
-        if not QQ.is_zero(b):
+        if b:
             assert QQ.mul(QQ.div(a, b), b) == a
 
     def test_conversions(self):
@@ -67,7 +67,7 @@ class TestPrimeField:
             for b in elements:
                 assert f.add(a, b) == f.add(b, a)
                 assert f.mul(a, b) == f.mul(b, a)
-                if not f.is_zero(b):
+                if b:
                     assert f.mul(f.div(a, b), b) == a
                 for c in elements:
                     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))

@@ -37,7 +37,13 @@ from ringgraph import minprimes as minprimes_module
 from ringgraph.complexes import facet_min_primes, random_pure_complex
 from ringgraph.polynomials import minimal_transversals, mono_mask
 
-from oracles import brute_minimal_covers, groebner_verify_decomposition, lcm_fold_verify_on_masks, random_arrangement
+from oracles import (
+    brute_minimal_covers,
+    groebner_verify_decomposition,
+    lcm_fold_verify_on_masks,
+    list_mmcs_minimal_transversals,
+    random_arrangement,
+)
 
 R3 = PolyRing(QQ, ("x", "y", "z"))
 X, Y, Z = R3.gens()
@@ -139,6 +145,27 @@ class TestMinimalTransversals:
             assert got == sorted(got, key=lambda m: (bin(m).count("1"), bits_of(m)))
             expected = brute_minimal_covers(n, [set(bits_of(m)) for m in family])
             assert {frozenset(bits_of(m)) for m in got} == expected
+
+    def test_member_bitsets_match_list_mmcs(self):
+        """The member-bitset MMCS returns the list MMCS's transversals in
+        the same order, also on families of 65-130 members, whose member
+        sets span more than one machine word: random sets, and the
+        complements of k-sets that a face ring's facets give (a vertex
+        whose only critical members lie past the first word shows there)."""
+        rng = random.Random(445)
+        for trial in range(300):
+            n = rng.randint(1, 12)
+            count = rng.randint(65, 130) if trial % 3 == 0 else rng.randint(0, 12)
+            family = [
+                mask_of(rng.sample(range(n), rng.randint(0 if rng.random() < 0.02 else 1, rng.randint(1, n))))
+                for _ in range(count)
+            ]
+            assert minimal_transversals(family) == list_mmcs_minimal_transversals(family), family
+        for _ in range(60):
+            n = rng.randint(8, 12)
+            k = rng.randint(2, n - 2)
+            family = [(1 << n) - 1 ^ mask_of(rng.sample(range(n), k)) for _ in range(rng.randint(65, 130))]
+            assert minimal_transversals(family) == list_mmcs_minimal_transversals(family), family
 
     def test_prime_order_is_size_then_indices(self):
         rng = random.Random(444)

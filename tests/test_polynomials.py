@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,13 @@ class TestArithmetic:
         assert total == ring.zero() and total.terms == {}
         product = (x + y) * (x - y)  # the x*y terms cancel
         assert product == x ** 2 - y ** 2 and set(product.terms) == {(2, 0), (0, 2)}
+
+    def test_zero_coefficients_are_dropped(self):
+        one = (1, 0, 0)
+        assert R3.poly({one: Fraction(0), (0, 1, 0): 0}).terms == {}
+        assert R3.poly({one: 5}).terms == {one: 5}  # a nonzero int is kept as given
+        ring = PolyRing(PrimeField(7), ("x",))
+        assert ring.poly({(1,): 0, (0,): 3}).terms == {(0,): 3}
 
     def test_int_coercion(self):
         assert (X + 1) - 1 == X
