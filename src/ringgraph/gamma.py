@@ -20,11 +20,10 @@ from .ideals import (
     Ideal,
     PresentedRing,
     _height,
-    _quotient_dimension,
     _status,
+    dimension,
     ideal_intersection,
     ideal_sum,
-    m_primary_status,
     provenance,
 )
 from .minprimes import (
@@ -175,43 +174,51 @@ def _pair_value(ring_dim: int | None, d: int):
     return _status(d) if ring_dim is None else _height(ring_dim, d)
 
 
-def _pair_graph(ring: PresentedRing, mps, ring_dim: int | None, is_edge, prov: str) -> PrimeGraph:
-    """The graph on the primes of ``mps`` in canonical-key order, with an
-    edge where a pair's value, read once per distinct d, is ``is_edge``.
-    The only place pairwise heights and statuses are computed."""
-    primes = sorted(mps.ideals(), key=lambda p: p.canonical_key())
-    dims = tuple(_pair_dimensions(ring, primes))
+def _pair_graph(primes, ring_dim: int | None, is_edge, prov: str) -> PrimeGraph:
+    """The graph on ``primes`` in canonical-key order, with an edge where
+    a pair's value, read once per distinct d, is ``is_edge``.  The only
+    place pairwise heights and statuses are computed."""
+    primes = sorted(primes, key=lambda p: p.canonical_key())
+    dims = tuple(_pair_dimensions(primes))
     edge_dims = {d for d in set(dims) if _pair_value(ring_dim, d) == is_edge}
     edges = frozenset(pair for pair, d in zip(combinations(range(len(primes)), 2), dims) if d in edge_dims)
     return PrimeGraph(tuple(prime_label(p) for p in primes), edges, tuple(primes), dims, ring_dim, prov)
 
 
-def _pair_dimensions(ring: PresentedRing, primes: list) -> list:
+def _pair_dimensions(primes: list) -> list:
     """dim ring/(p + q), -1 for the unit ideal there, for every pair of
-    ``primes`` in sorted pair order.  When every prime is a variable prime,
-    each contains the defining ideal (attached primes are verified to; the
-    primes over it plus a contain it by construction), so ring/(p + q) is
-    the polynomial ring in the variables outside both: one popcount."""
+    ``primes`` in sorted pair order.  Every prime contains the ring's
+    defining ideal (attached primes are verified to; the primes over it
+    plus a contain it by construction), so that is the dimension of p + q
+    alone, and for two variable primes that of the polynomial ring in the
+    variables outside both: one popcount."""
     masks = [p.var_mask for p in primes]
-    if None not in masks:
-        n = ring.ambient.nvars
+    if primes and None not in masks:
+        n = primes[0].ring.nvars
         return [n - (p | q).bit_count() for i, p in enumerate(masks) for q in masks[i + 1:]]
-    return [_quotient_dimension(ring, ideal_sum(p, q)) for i, p in enumerate(primes) for q in primes[i + 1:]]
+    return [dimension(ideal_sum(p, q)) for i, p in enumerate(primes) for q in primes[i + 1:]]
 
 
 def build_gamma(ring: PresentedRing) -> PrimeGraph:
     """The minimal-prime graph: edge exactly at height-one pair sums.
 
-    The graph is built once per presented ring and kept on it: attached
-    minimal primes are verified against the defining ideal, so they
-    cannot go stale.  The graph is ``asserted`` when the primes or the
-    equidimensionality flag its heights rest on were asserted.
+    Refuses a ring that is not equidimensional, so the graph of the top
+    primes kept on the ring is then this graph.  It is ``asserted`` when
+    the primes or the equidimensionality flag its heights rest on were.
     """
-    mps = ensure_min_primes(ring)
-    flag = require_equidimensional(ring, "the minimal-prime graph")
+    return _top_prime_graph(ring, require_equidimensional(ring, "the minimal-prime graph"))
+
+
+def _top_prime_graph(ring: PresentedRing, flag=None) -> PrimeGraph:
+    """The graph of the ring's top-dimensional primes, built once and kept
+    in ``ring.gamma`` (attached primes are verified, so never stale).  An
+    equidimensionality ``flag`` that holds, even asserted, makes every
+    minimal prime top and taints the graph."""
     if ring.gamma is None:
-        dim = ring.dim() if len(mps.primes) > 1 else None  # one prime has no pair to read it
-        ring.gamma = _pair_graph(ring, mps, dim, 1, provenance(mps, flag))
+        mps = ensure_min_primes(ring)
+        primes = mps.ideals() if flag else top_dimensional_primes(ring)
+        dim = ring.dim() if len(primes) > 1 else None  # one prime has no pair to read it
+        ring.gamma = _pair_graph(primes, dim, 1, provenance(mps, flag))
     return ring.gamma
 
 
@@ -262,7 +269,12 @@ def _split_witness(graph: PrimeGraph, side_a, side_b, key: str) -> dict:
 
 
 def disconnection_exists(ring: PresentedRing) -> ConnectivityReport:
-    """Decide whether some bipartition of the minimal primes has every
+    """The bipartition route, :func:`_partition`, on :func:`build_gamma`."""
+    return _partition(build_gamma(ring))
+
+
+def _partition(graph: PrimeGraph) -> ConnectivityReport:
+    """Decide whether some bipartition of the graph's primes has every
     cross sum of height at least two.
 
     Two primes are near when their sum has height below two.  Every
@@ -278,12 +290,11 @@ def disconnection_exists(ring: PresentedRing) -> ConnectivityReport:
     partition's counter value, one plus the mask of side a's primes
     1..k-1 (bit i - 1 for prime i), or 2^(k-1) - 1, the number of
     bipartitions, when there is none; it is kept so that reports stay
-    byte-identical.  Reads the pair dimensions of :func:`build_gamma`,
-    not its edges: a cross-check with :func:`is_connected` catches a
-    graph-search fault, never a wrong height.  Its provenance is the
-    graph's, since it reads the same claims.
+    byte-identical.  Reads the graph's pair dimensions, not its edges:
+    a cross-check with :func:`is_connected` catches a graph-search
+    fault, never a wrong height.  Its provenance is the graph's, since
+    it reads the same claims.
     """
-    graph = build_gamma(ring)
     k, labels, prov = graph.n, graph.labels, graph.provenance
     if k <= 1:
         return ConnectivityReport("connected", True, (tuple(range(k)),), labels, provenance=prov)
@@ -335,13 +346,13 @@ def punctured_spectrum_connected(ring: PresentedRing, a: Ideal) -> ConnectivityR
     leaves nothing after puncturing: status ``empty``.
     """
     total = ideal_sum(ring.defining, a)
-    status = m_primary_status(a, ring, total)
+    status = _status(dimension(total))
     if status == "unit-ideal":
         raise PreconditionError("the ideal is the unit ideal in the quotient; nothing to puncture")
     if status == "m-primary":
         return ConnectivityReport("empty", None, (), (), witness={"reason": "m-primary"})
     mps = minimal_primes(total)
-    graph = _pair_graph(ring, mps, None, "not-m-primary", provenance(mps))
+    graph = _pair_graph(mps.ideals(), None, "not-m-primary", provenance(mps))
     return is_connected(graph)
 
 
@@ -357,8 +368,7 @@ def hl_nonvanishing(ring: PresentedRing, a: Ideal) -> bool:
     for g in a.gens:
         if zero_mono in g.terms:
             raise PreconditionError("the supporting ideal must sit inside the irrelevant maximal ideal")
-    tops = top_dimensional_primes(ring)
-    return any(m_primary_status(ideal_sum(p, a), ring) == "m-primary" for p, _ in tops)
+    return any(dimension(ideal_sum(p, a)) == 0 for p in top_dimensional_primes(ring))
 
 
 # ---------------------------------------------------------------------------

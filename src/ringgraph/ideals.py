@@ -307,12 +307,12 @@ class PresentedRing:
     flag, and an attached minimal-prime set.  Flags record whether they
     were certified by computation or asserted by the caller, and the
     provenance taints every downstream report.  ``gamma`` holds the
-    minimal-prime graph once :func:`ringgraph.gamma.build_gamma` has
-    built it, and ``core`` the equidimensional core once
-    :func:`ringgraph.s2.s2_local_decision` has built it.
+    graph of the top-dimensional minimal primes once
+    :mod:`ringgraph.gamma` has built it: the minimal-prime graph when
+    the ring is equidimensional.
     """
 
-    __slots__ = ("ambient", "defining", "_reduced", "_equidim", "_min_primes", "gamma", "core")
+    __slots__ = ("ambient", "defining", "_reduced", "_equidim", "_min_primes", "gamma")
 
     def __init__(self, ambient: PolyRing, defining: Ideal):
         if defining.ring != ambient:
@@ -325,13 +325,12 @@ class PresentedRing:
         self._equidim = None
         self._min_primes = None
         self.gamma = None
-        self.core = None
         gens = defining.groebner().generators
         if all(g.is_monomial() for g in gens):
             self.certify_reduced(all(e <= 1 for g in gens for e in next(iter(g.terms))))
 
     def dim(self) -> int:
-        return dimension(self.defining) if self.defining._dim is None else self.defining._dim  # once known, no call
+        return dimension(self.defining)
 
     @property
     def reduced(self) -> Flag | None:
@@ -375,12 +374,12 @@ def polynomial_quotient(ambient: PolyRing) -> PresentedRing:
     return PresentedRing(ambient, Ideal(ambient, ()))
 
 
-def _quotient_dimension(ring: PresentedRing, a: Ideal, total: Ideal | None = None) -> int:
-    """dim ring/a, -1 for the unit ideal there: dim of ``total``, the
-    defining ideal plus a, which the caller may pass when already built."""
+def _quotient_dimension(ring: PresentedRing, a: Ideal) -> int:
+    """dim ring/a, -1 for the unit ideal there: dim of the defining
+    ideal plus a."""
     if a.ring != ring.ambient:
         raise StructuralError("ideal lives outside the ring's ambient")
-    return dimension(total or ideal_sum(ring.defining, a))
+    return dimension(ideal_sum(ring.defining, a))
 
 
 def _status(d: int) -> str:
@@ -394,10 +393,9 @@ def _height(dim: int, d: int) -> int | float:
     return HEIGHT_INFINITY if d == -1 else dim - d
 
 
-def m_primary_status(a: Ideal, ring: PresentedRing, total: Ideal | None = None) -> str:
-    """One of 'm-primary', 'not-m-primary', 'unit-ideal' for a in ring;
-    ``total`` is the sum of the defining ideal and a, when already built."""
-    return _status(_quotient_dimension(ring, a, total))
+def m_primary_status(a: Ideal, ring: PresentedRing) -> str:
+    """One of 'm-primary', 'not-m-primary', 'unit-ideal' for a in ring."""
+    return _status(_quotient_dimension(ring, a))
 
 
 def height_in_quotient(ring: PresentedRing, a: Ideal) -> int | float:

@@ -396,7 +396,7 @@ def certify_reduced_from_decomposition(ring: PresentedRing) -> bool:
 def top_dimensional_primes(ring: PresentedRing) -> tuple:
     mps = ensure_min_primes(ring)
     d = ring.dim()
-    return tuple((p, c) for p, c in mps.primes if dimension(p) == d)
+    return tuple(p for p in mps.ideals() if dimension(p) == d)
 
 
 def j_ideal(ring: PresentedRing) -> Ideal:
@@ -419,8 +419,7 @@ def j_ideal(ring: PresentedRing) -> Ideal:
     tops = top_dimensional_primes(ring)
     if not tops:
         raise StructuralError("no top-dimensional primes; broken decomposition")
-    inter = ideal_intersection(*(p for p, _ in tops))
-    return Ideal(ring.ambient, inter.canonical_gens())
+    return Ideal(ring.ambient, ideal_intersection(*tops).canonical_gens())
 
 
 def image_domain_presentation(phi: RingMap) -> PresentedRing:

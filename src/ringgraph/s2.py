@@ -11,7 +11,8 @@ height at least two.  Whether the S2-ification is local is decided
 through the minimal-prime graph and the disconnecting-partition test
 — two routes that must agree — and the remaining equivalent
 module-theoretic conditions are reported with provenance
-``by-equivalence`` rather than computed.
+``by-equivalence`` rather than computed.  Both routes read the graph of
+the top-dimensional primes: that of the equidimensional core.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionError, StructuralError, ZerodivisorError
-from .gamma import ConnectivityReport, build_gamma, disconnection_exists, is_connected
+from .gamma import ConnectivityReport, _partition, _top_prime_graph, is_connected
 from .groebner import normal_form
 from .ideals import (
     HEIGHT_INFINITY,
@@ -31,12 +32,9 @@ from .ideals import (
     provenance,
 )
 from .minprimes import (
-    MinimalPrimeSet,
     certify_reduced_from_decomposition,
     is_equidimensional,
-    j_ideal,
     require_equidimensional,
-    top_dimensional_primes,
 )
 from .polynomials import GREVLEX, Polynomial
 
@@ -144,25 +142,6 @@ def conductor(f: Fraction) -> ConductorResult:
     return ConductorResult(d, h, h >= 2, provenance(flag))
 
 
-def _equidimensional_core(ring: PresentedRing) -> PresentedRing:
-    """The ring itself when equidimensional, else the quotient by the
-    intersection of its top-dimensional primes (killing the ideal of
-    small-dimensional components), with everything re-attached.  The
-    core is built once per ring and kept on it, as its graph is."""
-    if is_equidimensional(ring):
-        return ring
-    if ring.core is None:
-        j = j_ideal(ring)
-        core = PresentedRing(ring.ambient, j)
-        core.attach_min_primes(
-            MinimalPrimeSet(j, top_dimensional_primes(ring), ring.min_primes.provenance)
-        )
-        core.certify_reduced(True)
-        core.certify_equidimensional(True)
-        ring.core = core
-    return ring.core
-
-
 def s2_local_decision(ring: PresentedRing) -> ConnectivityReport:
     """Decide whether the S2-ification of the reduced, equidimensional
     core is local.
@@ -171,8 +150,10 @@ def s2_local_decision(ring: PresentedRing) -> ConnectivityReport:
     graph's edges and the disconnecting-partition test on its pair
     heights — cross-checks them, and reports the three equivalent
     module-theoretic conditions with provenance ``by-equivalence``.
+    Both read the graph of the ring's top-dimensional primes, which is
+    the minimal-prime graph when the ring is equidimensional.
     Every label turns ``asserted`` when the reducedness flag or the
-    core's primes or equidimensionality flag were asserted.
+    ring's minimal primes were asserted.
     """
     flag = ring.reduced
     if flag is None:
@@ -182,10 +163,10 @@ def s2_local_decision(ring: PresentedRing) -> ConnectivityReport:
         raise PreconditionError(
             "the locality decision needs a reduced presentation"
         )
-    core = _equidimensional_core(ring)
-    graph = build_gamma(core)
+    is_equidimensional(ring)  # refuses an equidimensionality assertion the primes contradict
+    graph = _top_prime_graph(ring)
     via_graph = is_connected(graph)
-    via_partition = disconnection_exists(core)
+    via_partition = _partition(graph)
     if via_graph.connected != via_partition.connected:
         # An invariant breach, not a refusable precondition: both routes
         # read the same pair heights, so only a graph-search bug splits them.
@@ -193,7 +174,7 @@ def s2_local_decision(ring: PresentedRing) -> ConnectivityReport:
             "internal disagreement between the graph route and the partition route"
         )
     verdict = via_graph.connected
-    claims = (flag, core.min_primes, core.equidimensional)
+    claims = (flag, ring.min_primes)
     conditions = tuple(
         (
             name,

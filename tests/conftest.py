@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ringgraph import Ideal
+from ringgraph import QQ, Ideal, PolyRing, PresentedRing, ensure_min_primes, ideal_intersection
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -81,6 +81,19 @@ def random_nonzero_polynomial(rng, ring, **kw):
         p = random_polynomial(rng, ring, **kw)
         if not p.is_zero():
             return p
+
+
+def planes_and_line_ring():
+    """Q[x,y,z,w] modulo the intersection of the planes (x, y) and
+    (x - z, y - w), which meet at the origin, and the line (x - y, z, w),
+    with its minimal primes attached: reduced, not equidimensional, and
+    one of its top primes has no variable mask."""
+    ring = PolyRing(QQ, ("x", "y", "z", "w"))
+    x, y, z, w = ring.gens()
+    planes_and_line = (Ideal(ring, (x, y)), Ideal(ring, (z - x, w - y)), Ideal(ring, (x - y, z, w)))
+    pres = PresentedRing(ring, ideal_intersection(*planes_and_line))
+    ensure_min_primes(pres)
+    return pres
 
 
 def random_monomial_ideal(rng, ring, max_gens=3, max_exp=2):

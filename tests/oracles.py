@@ -232,6 +232,19 @@ def lcm_fold_intersection(generator_lists: list) -> list:
     return sorted(folded, key=lambda m: (sum(m), m))
 
 
+def top_facet_components(facets: list) -> list:
+    """The components of the facet adjacency graph on the largest facets,
+    each as a set of facets (sorted vertex tuples).  The top-dimensional
+    primes of a face ring are those of its largest facets, of size d, and
+    two of them sum to height one exactly when their facets share d - 1
+    vertices, so this is the locality verdict of a face ring, pure or not.
+    """
+    d = max(len(f) for f in facets)
+    top = sorted(tuple(sorted(f)) for f in facets if len(f) == d)
+    edges = [(i, j) for i, j in combinations(range(len(top)), 2) if len(set(top[i]) & set(top[j])) == d - 1]
+    return [{top[i] for i in comp} for comp in bfs_components(len(top), edges)]
+
+
 def first_disconnecting_partition(k: int, heights: dict) -> tuple:
     """The first bipartition of range(k), with 0 on side a, whose cross
     pairs all have height at least two, searched in the order of the

@@ -21,6 +21,7 @@ from ringgraph import (
     PrimeGraph,
     RingGraphError,
     build_gamma,
+    certify_reduced_from_decomposition,
     complex_from_lists,
     dimension,
     disconnection_exists,
@@ -41,6 +42,7 @@ from ringgraph import (
     polynomial_quotient,
     punctured_spectrum_connected,
     s2_local_decision,
+    top_dimensional_primes,
 )
 from ringgraph import gamma as gamma_module
 from ringgraph import groebner as groebner_module
@@ -48,7 +50,7 @@ from ringgraph.complexes import random_pure_complex
 from ringgraph.gamma import prime_label
 from ringgraph.ideals import provenance
 
-from conftest import random_monomial_ideal, random_nonzero_polynomial
+from conftest import planes_and_line_ring, random_monomial_ideal, random_nonzero_polynomial
 from oracles import (
     bfs_components,
     bfs_connected,
@@ -138,9 +140,9 @@ def count_pair_evidence(monkeypatch) -> list:
     calls = []
     original = gamma_module._pair_dimensions
 
-    def counted(ring, primes):
+    def counted(primes):
         calls.extend(combinations(primes, 2))
-        return original(ring, primes)
+        return original(primes)
 
     monkeypatch.setattr(gamma_module, "_pair_dimensions", counted)
     return calls
@@ -189,6 +191,31 @@ class TestSavedGroebnerWork:
         assert [gens for gens, _ in calls].count((x * y - z ** 2, x - z)) == 1
         assert [key for _, key in calls].count(j_plus_a) == 2
         assert len(calls) == 11
+        # the pair of primes over J + a, which contain J, is summed without it
+        assert sum(x * y - z ** 2 in gens for gens, _ in calls) == 1
+
+    def test_hl_adds_no_defining_ideal(self, monkeypatch):
+        # Q[x,y,z,w]/(x^2 - y^2) at (z, w): each top prime, which contains
+        # the defining ideal, meets (z, w) in one basis that does not carry it
+        pres = PresentedRing(R4, Ideal(R4, (X ** 2 - Y ** 2,)))
+        assert len(top_dimensional_primes(pres)) == 2  # decomposed and measured before counting
+        calls = count_buchberger_calls(monkeypatch)
+        assert hl_nonvanishing(pres, Ideal(R4, (Z, W))) is False
+        assert len(calls) == 2
+        assert [gens for gens, _ in calls if X ** 2 - Y ** 2 in gens] == []
+
+    def test_top_prime_graph_of_a_ring_not_equidimensional(self, monkeypatch):
+        # two planes and a line, decomposed, reduced and found not
+        # equidimensional before counting: the locality decision reads the
+        # one pair of planes, whose sum is the one basis computed, and
+        # builds no quotient by the small-dimension ideal
+        ring = planes_and_line_ring()
+        assert certify_reduced_from_decomposition(ring) and not is_equidimensional(ring)
+        calls = count_buchberger_calls(monkeypatch)
+        report = s2_local_decision(ring)
+        assert report.connected is False and report.witness["cross_heights"] == [[0, 1, 2]]
+        assert len(calls) == 1
+        assert s2_local_decision(ring) == report and len(calls) == 1
 
 
 class TestSharedHeightEvidence:
@@ -202,15 +229,16 @@ class TestSharedHeightEvidence:
         assert build_gamma(ring) is graph
 
     def test_core_built_once_per_ring(self, monkeypatch):
-        # (xyz, xyw) = (x) ∩ (y) ∩ (z, w): the core drops the line z = w = 0
-        # and keeps the two hyperplanes, whose one pair gets one height.
+        # (xyz, xyw) = (x) ∩ (y) ∩ (z, w): the decision drops the line
+        # z = w = 0 and reads the two hyperplanes, whose one pair gets one
+        # height, on a graph kept on the ring.
         x, y, z, w = X, Y, Z, W
         ring = PresentedRing(R4, Ideal(R4, (x * y * z, x * y * w)))
         calls = count_pair_evidence(monkeypatch)
         reports = [s2_local_decision(ring) for _ in range(3)]
         assert [r.connected for r in reports] == [True] * 3
         assert len(calls) == 1
-        assert ring.core.gamma is build_gamma(ring.core)
+        assert sorted(ring.gamma.labels) == [("x",), ("y",)]  # the two hyperplanes' graph, kept
 
     def test_more_than_twenty_primes_get_one_verdict_from_every_route(self, monkeypatch):
         """21 triangles on seven vertices, and eleven on each of two
@@ -271,10 +299,20 @@ class TestPairEvidenceRoutes:
 
     @pytest.fixture
     def general_calls(self, monkeypatch) -> list:
-        """The graph module's calls of the general route, counted."""
-        calls = []
-        original = gamma_module._quotient_dimension
-        monkeypatch.setattr(gamma_module, "_quotient_dimension", lambda *args: calls.append(args) or original(*args))
+        """The graph module's ``dimension`` calls made while it computes
+        pair dimensions, counted: one per pair sent down the general route."""
+        calls, inside = [], []
+        pair_dimensions, dimension_of = gamma_module._pair_dimensions, gamma_module.dimension
+
+        def counted_pairs(primes):
+            inside.append(primes)
+            try:
+                return pair_dimensions(primes)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(gamma_module, "_pair_dimensions", counted_pairs)
+        monkeypatch.setattr(gamma_module, "dimension", lambda a: (inside and calls.append(a)) or dimension_of(a))
         return calls
 
     def check(self, ring, ideals):

@@ -3,8 +3,8 @@ imports a name it never uses, and no module-level private function goes
 unreferenced, and no module-level constant goes unread.  These catch
 what a deletion leaves behind, as does the one check that imports: every
 function the benchmark traces still exists.  Every source of randomness
-is seeded, the standard-library modules loaded at import are pinned, and
-one function adjoins variables to a ring."""
+is seeded, the standard-library modules loaded at import are pinned,
+one function adjoins variables to a ring, and four present one."""
 
 import ast
 import importlib.util
@@ -121,6 +121,26 @@ def test_one_place_adjoins_variables():
                     if called in ("fresh_names", "extended"):
                         callers.add((name, getattr(node, "name", node.lineno)))
     assert callers == {("ideals.py", "_adjoined")}
+
+
+def test_no_verdict_builds_a_hidden_ring():
+    """``PresentedRing`` is called only where a ring is presented: the
+    polynomial ring, a kernel's quotient, a face ring and a session's
+    ring.  No verdict builds a second ring to read the first one."""
+    callers = set()
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call):
+                    called = getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
+                    if called == "PresentedRing":
+                        callers.add((name, getattr(node, "name", node.lineno)))
+    assert callers == {
+        ("ideals.py", "polynomial_quotient"),
+        ("minprimes.py", "kernel_domain_presentation"),
+        ("complexes.py", "face_ring"),
+        ("session.py", "_parse_ring"),
+    }
 
 
 def _is_int_expression(node) -> bool:

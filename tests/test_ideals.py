@@ -41,6 +41,7 @@ from ringgraph import (
     saturation,
     sr_ideal,
 )
+from ringgraph import gamma as gamma_module
 from ringgraph import ideals as ideals_module
 from ringgraph.complexes import face_ring_ambient, random_pure_complex
 from ringgraph.ideals import Flag, provenance
@@ -473,10 +474,11 @@ class TestPresentedRing:
 
     def test_height_matches_dimension_difference(self, monkeypatch):
         """Heights and m-primary statuses both read d = dim of the
-        quotient, through one ``dimension`` call per ideal, sums of
-        variable primes included.  Only a graph's pairs of variable
-        primes skip it: ``build_gamma`` of a face ring whose dimension is
-        known makes no ``dimension`` call."""
+        quotient, through one ``dimension`` search per ideal, sums of
+        variable primes included; a stored dimension is read without
+        one.  Only a graph's pairs of variable primes skip it:
+        ``build_gamma`` of a face ring whose dimension is known makes no
+        ``dimension`` search."""
         rng = random.Random(77)
         ring4 = PolyRing(QQ, ("x1", "x2", "x3", "x4"))
         x1, x2, x3, x4 = ring4.gens()
@@ -506,7 +508,9 @@ class TestPresentedRing:
         assert HEIGHT_INFINITY in {h for h, _ in expected}
         assert {s for _, s in expected} == {"unit-ideal", "m-primary", "not-m-primary"}
         calls = []
-        monkeypatch.setattr(ideals_module, "dimension", lambda a: calls.append(a) or dimension(a))
+        searched = lambda a: (a._dim is None and calls.append(a)) or dimension(a)
+        monkeypatch.setattr(ideals_module, "dimension", searched)
+        monkeypatch.setattr(gamma_module, "dimension", searched)  # the graph's general lane
         for (pres, a), (height, status) in zip(cases, expected):
             del calls[:]
             assert height_in_quotient(pres, a) == height, a

@@ -475,7 +475,7 @@ class TestEquidimensionality:
         pres = PresentedRing(R3, I(X * Y, X * Z))
         assert not is_equidimensional(pres)
         tops = top_dimensional_primes(pres)
-        assert {p.canonical_key() for p, _ in tops} == {I(X).canonical_key()}
+        assert {p.canonical_key() for p in tops} == {I(X).canonical_key()}
         j = j_ideal(pres)
         assert j.equals(I(X))
         assert not pres.defining.contains_ideal(j)

@@ -1,25 +1,42 @@
 """Fractions in the total quotient ring, conductor ideals, membership
 in the S2-ification, and the locality decision."""
 
+import random
+
 import pytest
 
 from ringgraph import (
     HEIGHT_INFINITY,
     QQ,
+    ConnectivityReport,
     Fraction,
     Ideal,
+    MinimalPrimeSet,
     PolyRing,
     PresentedRing,
     PreconditionError,
+    PrimeCertificate,
     RingGraphError,
     ZerodivisorError,
     build_gamma,
+    certify_reduced_from_decomposition,
+    complex_from_lists,
     conductor,
+    disconnection_exists,
+    face_ring,
     ideal_intersection,
     ideal_product,
+    is_connected,
+    is_equidimensional,
+    j_ideal,
     s2_local_decision,
+    top_dimensional_primes,
 )
+from ringgraph.ideals import provenance
 from ringgraph.s2 import COMPUTED_CONDITIONS, EQUIVALENT_CONDITIONS
+
+from conftest import planes_and_line_ring
+from oracles import top_facet_components
 
 R2 = PolyRing(QQ, ("x", "y"))
 X, Y = R2.gens()
@@ -248,3 +265,105 @@ class TestLocalityDecision:
         assert rep.connected is True
         assert rep.provenance == "asserted"
         assert {label for _, _, label in rep.conditions} == {"asserted"}
+
+
+def core_route_decision(ring) -> ConnectivityReport:
+    """The locality decision of a reduced ring that is not
+    equidimensional, through its equidimensional core: the quotient by
+    ``j_ideal``, with the ring's top primes attached to it (and verified)
+    and its flags certified, decided by both routes on that ring."""
+    if ring.reduced is None:
+        certify_reduced_from_decomposition(ring)
+    assert not is_equidimensional(ring)
+    j, tops = j_ideal(ring), top_dimensional_primes(ring)
+    core = PresentedRing(ring.ambient, j)
+    kept = tuple((p, c) for p, c in ring.min_primes.primes if any(p is t for t in tops))
+    core.attach_min_primes(MinimalPrimeSet(j, kept, ring.min_primes.provenance))
+    core.certify_reduced(True)
+    core.certify_equidimensional(True)
+    via_graph, via_partition = is_connected(build_gamma(core)), disconnection_exists(core)
+    assert via_graph.connected == via_partition.connected
+    claims = (ring.reduced, core.min_primes, core.equidimensional)
+    clean = lambda name: "computed" if name in COMPUTED_CONDITIONS else "by-equivalence"
+    conditions = tuple((c, via_graph.connected, provenance(*claims, clean=clean(c))) for c in EQUIVALENT_CONDITIONS)
+    return ConnectivityReport(
+        via_graph.status, via_graph.connected, via_graph.components, via_graph.labels,
+        via_partition.witness, conditions, provenance(*claims),
+    )
+
+
+def random_non_pure_complex(rng, n: int):
+    """A seeded complex on n vertices with one to five facets of a top
+    size d and one to three smaller ones, none inside another."""
+    d = rng.randint(2, n - 1)
+    faces = {frozenset(rng.sample(range(1, n + 1), d)) for _ in range(rng.randint(1, 5))}
+    faces |= {frozenset(rng.sample(range(1, n + 1), rng.randint(1, d - 1))) for _ in range(rng.randint(1, 3))}
+    return [sorted(f) for f in faces if not any(f < g for g in faces)]
+
+
+class TestTopPrimeGraph:
+    """A reduced ring that is not equidimensional is decided on the graph
+    of its top-dimensional primes, which no other verdict reads."""
+
+    def test_face_rings_match_top_facet_adjacency(self):
+        rng = random.Random(2828)
+        verdicts, top_counts = set(), set()
+        for _ in range(80):
+            n = rng.randint(4, 7)
+            facets = random_non_pure_complex(rng, n)
+            if len({len(f) for f in facets}) == 1:
+                continue
+            ring = face_ring(complex_from_lists(n, facets))
+            report = s2_local_decision(ring)
+            expected = top_facet_components(facets)
+            facet_of = [tuple(v for v in range(1, n + 1) if f"x{v}" not in label) for label in report.labels]
+            assert report.status == ("connected" if len(expected) == 1 else "disconnected"), facets
+            assert report.connected is (len(expected) == 1)
+            components = [{facet_of[i] for i in c} for c in report.components]
+            assert sorted(map(sorted, components)) == sorted(map(sorted, expected))
+            with pytest.raises(PreconditionError):
+                build_gamma(ring)  # the top primes' graph kept on the ring is never returned
+            verdicts.add(report.connected)
+            top_counts.add(len(facet_of))
+        assert verdicts == {True, False}
+        assert {1, 2, 3} <= top_counts
+
+    @pytest.mark.parametrize("asserted", [False, True])
+    @pytest.mark.parametrize("build", ["xyz_xyw", "planes_and_line"])
+    def test_report_equals_the_core_route(self, build, asserted):
+        """Every field of the report, witness, conditions and provenance
+        included, is the one the route through the core gives."""
+        def ring():
+            if build == "planes_and_line":
+                primes = planes_and_line_ring().min_primes.ideals()
+            else:
+                primes = (Ideal(R4, (X4,)), Ideal(R4, (Y4,)), Ideal(R4, (Z4, W4)))  # (xyz, xyw)
+            pres = PresentedRing(primes[0].ring, ideal_intersection(*primes))
+            kind, prov = ("asserted", "asserted") if asserted else ("linear-prime", "computed-split")
+            certified = tuple((p, PrimeCertificate(kind)) for p in primes)
+            pres.attach_min_primes(MinimalPrimeSet(pres.defining, certified, prov))
+            return pres
+        report = s2_local_decision(ring())
+        assert report == core_route_decision(ring())
+        assert report.provenance == ("asserted" if asserted else "computed")
+        assert report.connected is (build == "xyz_xyw")
+
+    def test_an_asserted_lower_prime_taints_the_report(self):
+        """Which primes are top rests on the whole decomposition, so an
+        asserted certificate on the line of (xyz, xyw), below the two
+        hyperplanes, makes every label ``asserted``; the core's set, which
+        kept the hyperplanes' certificates only, read ``computed``."""
+        def ring():
+            certified = (
+                (Ideal(R4, (X4,)), PrimeCertificate("linear-prime")),
+                (Ideal(R4, (Y4,)), PrimeCertificate("linear-prime")),
+                (Ideal(R4, (Z4, W4)), PrimeCertificate("asserted")),
+            )
+            pres = PresentedRing(R4, ideal_intersection(*(p for p, _ in certified)))
+            pres.attach_min_primes(MinimalPrimeSet(pres.defining, certified, "computed-split"))
+            return pres
+        report = s2_local_decision(ring())
+        assert report.connected is True
+        assert report.provenance == "asserted"
+        assert {prov for _, _, prov in report.conditions} == {"asserted"}
+        assert core_route_decision(ring()).provenance == "computed"
