@@ -33,16 +33,8 @@ from math import isqrt, lcm
 
 from .errors import StructuralError
 from .fields import QQ, PrimeField, _is_probable_prime
-from .groebner import buchberger, normal_form, normal_form_with_quotients
+from .groebner import buchberger, exact_divide, normal_form
 from .polynomials import GREVLEX, PolyRing, Polynomial, mono_div, mono_divides
-
-
-def exact_divide(f: Polynomial, g: Polynomial):
-    """f / g when g divides f exactly, else None."""
-    if g.is_zero():
-        return None
-    r, q = normal_form_with_quotients(f, [g], GREVLEX)
-    return q[0] if r.is_zero() else None
 
 
 def _sqrt_scalar(field, c):

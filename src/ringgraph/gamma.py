@@ -110,8 +110,8 @@ def _label_from_json(doc):
 
 def _label_text(label) -> str:
     if isinstance(label, tuple):
-        if all(isinstance(x, str) for x in label):
-            return "(" + ", ".join(label) + ")"
+        if not any(isinstance(x, tuple) for x in label):
+            return "(" + ", ".join(map(str, label)) + ")"
         return " x ".join(_label_text(x) for x in label)
     return str(label)
 
@@ -174,12 +174,14 @@ def _pair_value(ring_dim: int | None, d: int):
     return _status(d) if ring_dim is None else _height(ring_dim, d)
 
 
-def _pair_graph(primes, ring_dim: int | None, is_edge, prov: str) -> PrimeGraph:
+def _pair_graph(primes, ring_dim: int | None, prov: str) -> PrimeGraph:
     """The graph on ``primes`` in canonical-key order, with an edge where
-    a pair's value, read once per distinct d, is ``is_edge``.  The only
+    a pair's value, read once per distinct d, is height 1 against a set
+    ``ring_dim`` or, when it is None, status ``not-m-primary``.  The only
     place pairwise heights and statuses are computed."""
     primes = sorted(primes, key=lambda p: p.canonical_key())
     dims = tuple(_pair_dimensions(primes))
+    is_edge = "not-m-primary" if ring_dim is None else 1
     edge_dims = {d for d in set(dims) if _pair_value(ring_dim, d) == is_edge}
     edges = frozenset(pair for pair, d in zip(combinations(range(len(primes)), 2), dims) if d in edge_dims)
     return PrimeGraph(tuple(prime_label(p) for p in primes), edges, tuple(primes), dims, ring_dim, prov)
@@ -218,7 +220,7 @@ def _top_prime_graph(ring: PresentedRing, flag=None) -> PrimeGraph:
         mps = ensure_min_primes(ring)
         primes = mps.ideals() if flag else top_dimensional_primes(ring)
         dim = ring.dim() if len(primes) > 1 else None  # one prime has no pair to read it
-        ring.gamma = _pair_graph(primes, dim, 1, provenance(mps, flag))
+        ring.gamma = _pair_graph(primes, dim, provenance(mps, flag))
     return ring.gamma
 
 
@@ -352,7 +354,7 @@ def punctured_spectrum_connected(ring: PresentedRing, a: Ideal) -> ConnectivityR
     if status == "m-primary":
         return ConnectivityReport("empty", None, (), (), witness={"reason": "m-primary"})
     mps = minimal_primes(total)
-    graph = _pair_graph(mps.ideals(), None, "not-m-primary", provenance(mps))
+    graph = _pair_graph(mps.ideals(), None, provenance(mps))
     return is_connected(graph)
 
 

@@ -229,6 +229,14 @@ def normal_form_with_quotients(f: Polynomial, basis, order: MonomialOrder | None
     return _divide(f, basis, order, True)
 
 
+def exact_divide(f: Polynomial, g: Polynomial):
+    """f / g when g divides f exactly, else None."""
+    if g.is_zero():
+        return None
+    r, q = normal_form_with_quotients(f, [g], GREVLEX)
+    return q[0] if r.is_zero() else None
+
+
 def _divide(f: Polynomial, basis, order, with_quotients: bool):
     stored = None
     if isinstance(basis, GroebnerBasis):

@@ -3,9 +3,9 @@
 Everything here reduces to Groebner computations in the ambient
 polynomial ring.  Intersections, saturations (a fresh variable inverts
 each generator), kernels and contractions eliminate variables that one
-helper adjoins in front; colons go through intersections with principal
-ideals, and dimension through the minimal transversals of the
-leading-term supports.
+helper adjoins in front; colons divide the intersections with principal
+ideals through ``exact_divide``, and dimension goes through the minimal
+transversals of the leading-term supports.
 Monomial data takes certified combinatorial shortcuts with identical
 contracts; the test suite pins those against the general routes.
 A variable prime is built with its reduced basis and its dimension.
@@ -22,7 +22,7 @@ from .groebner import (
     GroebnerBasis,
     _minimal_monomial_set,
     buchberger,
-    normal_form_with_quotients,
+    exact_divide,
 )
 from .polynomials import (
     GREVLEX,
@@ -161,7 +161,7 @@ def ideal_intersection(a: Ideal, *others: Ideal) -> Ideal:
 def _adjoined(ring: PolyRing, count: int = 1):
     """The ring with ``count`` fresh variables in front, and the
     embedding of ``ring`` into it."""
-    ext = ring.extended(fresh_names(ring, "~t", count), front=True)
+    ext = ring.extended(fresh_names(ring, "~t", count))
     shift = tuple(range(count, ext.nvars))
     return ext, lambda f: embed(f, ext, shift)
 
@@ -192,13 +192,9 @@ def ideal_colon(a: Ideal, b: Ideal) -> Ideal:
         return Ideal(ring, (ring.one(),))
     parts = []
     for g in nonzero:
-        cap = ideal_intersection(a, Ideal(ring, (g,)))
-        quots = []
-        for h in cap.groebner().generators:
-            r, q = normal_form_with_quotients(h, [g], GREVLEX)
-            if not r.is_zero():
-                raise StructuralError("intersection element not divisible by colon generator")
-            quots.append(q[0])
+        quots = [exact_divide(h, g) for h in ideal_intersection(a, Ideal(ring, (g,))).groebner().generators]
+        if None in quots:
+            raise StructuralError("intersection element not divisible by colon generator")
         parts.append(Ideal(ring, tuple(quots)))
     return ideal_intersection(*parts)
 

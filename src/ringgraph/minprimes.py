@@ -305,24 +305,10 @@ def _prune_to_minimal(pairs) -> list:
     return keep
 
 
-def minimal_primes(a: Ideal, strategy: str = "auto", asserted=None) -> MinimalPrimeSet:
-    """Minimal primes of a by the requested strategy.
-
-    ``asserted`` takes a list of (Ideal, PrimeCertificate) pairs or bare
-    Ideals; the set is verified before being accepted.
-    """
-    if strategy == "asserted" or asserted is not None:
-        if asserted is None:
-            raise PreconditionError("asserted strategy needs the claimed primes")
-        pairs = []
-        for entry in asserted:
-            if isinstance(entry, tuple):
-                pairs.append(entry)
-            else:
-                pairs.append((entry, PrimeCertificate("asserted")))
-        mps = MinimalPrimeSet(a, tuple(pairs), "asserted")
-        mps.verify()
-        return mps
+def minimal_primes(a: Ideal, strategy: str = "auto") -> MinimalPrimeSet:
+    """Minimal primes of a by the ``monomial`` or ``split`` strategy, or
+    ``auto``: monomial when a's reduced basis is.  An asserted set is a
+    :class:`MinimalPrimeSet` with provenance ``asserted`` that verifies."""
     if strategy == "monomial":
         return monomial_minimal_primes(a)
     if strategy == "split":

@@ -137,13 +137,6 @@ class MonomialOrder:
 
         return elim_key
 
-    def compare(self, a: Mono, b: Mono) -> int:
-        """-1, 0 or 1 as a <, =, > b in this order."""
-        if len(a) != len(b):
-            raise StructuralError("monomials live in different rings")
-        ka, kb = self.key()(a), self.key()(b)
-        return (ka > kb) - (ka < kb)
-
     def label(self) -> str:
         return f"elim({self.block})" if self.kind == "elim" else self.kind
 
@@ -241,11 +234,9 @@ class PolyRing:
             return self.field.from_fraction(c)
         return c
 
-    def extended(self, extra_names: Iterable[str], front: bool = True) -> "PolyRing":
-        """Ring with extra variables prepended (or appended)."""
-        extra = tuple(extra_names)
-        names = extra + self.names if front else self.names + extra
-        return PolyRing(self.field, names)
+    def extended(self, extra_names: Iterable[str]) -> "PolyRing":
+        """Ring with extra variables prepended."""
+        return PolyRing(self.field, tuple(extra_names) + self.names)
 
 
 def fresh_names(ring: PolyRing, base: str, count: int) -> tuple:
@@ -382,12 +373,6 @@ class Polynomial:
         if c == field.zero:
             return self.ring.zero()
         return Polynomial(self.ring, {m: field.mul(c, co) for m, co in self.terms.items()})
-
-    def monic(self, order: MonomialOrder) -> "Polynomial":
-        if self.is_zero():
-            return self
-        _, lc = self.leading_term(order)
-        return self.scale(self.ring.field.div(self.ring.field.one, lc))
 
     # evaluation and substitution -------------------------------------------
 

@@ -33,7 +33,7 @@ from .ideals import (
     polynomial_quotient,
     ring_map_kernel,
 )
-from .minprimes import kernel_domain_presentation, minimal_primes
+from .minprimes import MinimalPrimeSet, PrimeCertificate, kernel_domain_presentation
 from .polynomials import Polynomial
 from .s2 import Fraction
 
@@ -534,7 +534,8 @@ def _parse_assert(stream: _TokenStream, session: SessionFile) -> str:
         stream.expect("]")
         stream.expect(";")
         try:
-            mps = minimal_primes(a, asserted=[p for _, p in named])
+            mps = MinimalPrimeSet(a, tuple((p, PrimeCertificate("asserted")) for _, p in named), "asserted")
+            mps.verify()
         except RingGraphError as e:
             raise SessionSyntaxError(
                 f"asserted minimal primes rejected: {e}", itok.line, itok.column

@@ -9,7 +9,16 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ringgraph import QQ, Ideal, PolyRing, PresentedRing, ensure_min_primes, ideal_intersection
+from ringgraph import (
+    QQ,
+    Ideal,
+    MinimalPrimeSet,
+    PolyRing,
+    PresentedRing,
+    PrimeCertificate,
+    ensure_min_primes,
+    ideal_intersection,
+)
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -105,3 +114,11 @@ def random_monomial_ideal(rng, ring, max_gens=3, max_exp=2):
             mono = (1,) + (0,) * (ring.nvars - 1)
         gens.append(ring.monomial(mono))
     return Ideal(ring, tuple(gens))
+
+
+def asserted_primes(a, primes):
+    """The asserted minimal-prime set of a, verified as a session's
+    ``assert minprimes`` builds it."""
+    mps = MinimalPrimeSet(a, tuple((p, PrimeCertificate("asserted")) for p in primes), "asserted")
+    mps.verify()
+    return mps

@@ -65,6 +65,16 @@ class TestFactorOnce:
         assert g * h == X ** 2 - Y ** 2
         assert g.total_degree() == 1 and h.total_degree() == 1
 
+    def test_degree_five_without_a_root_is_refused(self):
+        quintic = X ** 5 - 2
+        assert factor_once(quintic) == ("unknown", None)
+        assert not certify_irreducible(quintic)
+        f7 = PolyRing(PrimeField(7), ("x", "y"))
+        x7 = f7.var(0)
+        verdict, pair = factor_once(x7 ** 5 - 2)  # 4^5 = 1024 = 2 mod 7
+        assert verdict == "factored"
+        assert pair[0] * pair[1] == x7 ** 5 - 2
+
     def test_univariate_roots(self):
         one_var = PolyRing(QQ, ("t",))
         T = one_var.var(0)

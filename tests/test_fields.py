@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ringgraph import QQ, PrimeField, RingGraphError, field_by_name
+from ringgraph.fields import _is_probable_prime
 
 rationals = st.fractions(
     min_value=-50, max_value=50, max_denominator=20
@@ -52,12 +53,24 @@ class TestPrimeField:
                 PrimeField(bad)
 
     def test_miller_rabin_rounds_decide_past_trial_division(self):
-        for p in (32003, 2 ** 61 - 1, 2 ** 63 - 25):
+        # 41 and 65537 are 1 mod 4: a round reaches n - 1 only by squaring
+        for p in (41, 65537, 32003, 2 ** 61 - 1, 2 ** 63 - 25):
             assert PrimeField(p).p == p
-        # 41 * 43, and a strong pseudoprime to the bases 2, 3, 5 and 7
-        for bad in (1763, 3215031751):
+        # 41 * 43, and strong pseudoprimes to the first bases, each
+        # rejected by a later one
+        for bad in (1763, 2047, 1373653, 25326001, 3215031751, 2152302898747,
+                    3474749660383, 341550071728321, 3825123056546413051):
             with pytest.raises(RingGraphError, match="not prime"):
                 PrimeField(bad)
+
+    def test_miller_rabin_agrees_with_a_sieve(self):
+        limit = 10 ** 5
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for i in range(2, int(limit ** 0.5) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+        assert [n for n in range(limit) if _is_probable_prime(n)] == [n for n in range(limit) if sieve[n]]
 
     def test_axioms_exhaustive_f7(self):
         f = PrimeField(7)

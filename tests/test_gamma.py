@@ -50,7 +50,7 @@ from ringgraph.complexes import random_pure_complex
 from ringgraph.gamma import prime_label
 from ringgraph.ideals import provenance
 
-from conftest import planes_and_line_ring, random_monomial_ideal, random_nonzero_polynomial
+from conftest import asserted_primes, planes_and_line_ring, random_monomial_ideal, random_nonzero_polynomial
 from oracles import (
     bfs_components,
     bfs_connected,
@@ -652,6 +652,15 @@ class TestGraphSerialization:
         assert back.labels == g.labels
         assert back.edges == g.edges
 
+    def test_dot_labels(self):
+        cplx = complex_from_lists(4, [[1, 2, 3], [2, 3, 4]])
+        facets = facet_adjacency_graph(cplx)
+        assert 'v0 [label="(1, 2, 3)"];' in facets.to_dot()
+        assert 'v1 [label="(1, 2, 3) x (2, 3, 4)"];' in gamma_product(facets, facets).to_dot()
+        primes = build_gamma(face_ring(cplx))
+        assert 'v0 [label="(x4)"];' in primes.to_dot()
+        assert 'v1 [label="(x4) x (x1)"];' in gamma_product(primes, primes).to_dot()
+
     def test_report_document_unwrapped(self):
         g = build_gamma(nodal_ring())
         report_like = {"command": "gamma", "verdicts": {"graph": g.to_json_dict()}}
@@ -670,10 +679,7 @@ class TestGraphSerialization:
 class TestProvenanceTaint:
     def test_asserted_primes_taint_reports(self):
         pres = planes_ring()
-        asserted = minimal_primes(
-            pres.defining,
-            asserted=[Ideal(R4, (X, Y)), Ideal(R4, (Z, W))],
-        )
+        asserted = asserted_primes(pres.defining, [Ideal(R4, (X, Y)), Ideal(R4, (Z, W))])
         pres.attach_min_primes(asserted)
         rep = disconnection_exists(pres)
         assert rep.provenance == "asserted"

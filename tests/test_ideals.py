@@ -294,7 +294,7 @@ class TestIdealOperations:
 
     def test_eliminate_known(self):
         # eliminate t from (t - x^2): nothing survives
-        ext = R3.extended(("t",), front=True)
+        ext = R3.extended(("t",))
         T = ext.var(0)
         XT, YT = ext.var(1), ext.var(2)
         a = Ideal(ext, (T - XT ** 2, T - YT))

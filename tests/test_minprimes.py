@@ -37,6 +37,7 @@ from ringgraph import minprimes as minprimes_module
 from ringgraph.complexes import facet_min_primes, random_pure_complex
 from ringgraph.polynomials import minimal_transversals, mono_mask
 
+from conftest import asserted_primes
 from oracles import (
     brute_minimal_covers,
     groebner_verify_decomposition,
@@ -237,6 +238,11 @@ class TestSplitRoute:
         with pytest.raises(RingGraphError):
             split_minimal_primes(hard).verify()
 
+    def test_degree_five_leaf_refused_with_the_leaf(self):
+        with pytest.raises(UndecidedComponentError) as caught:
+            minimal_primes(I(X ** 5 - 2, Y))
+        assert caught.value.leaf.equals(I(X ** 5 - 2, Y))
+
 
 class TestVerification:
     def test_wrong_primes_rejected(self):
@@ -250,8 +256,8 @@ class TestVerification:
 
     def test_asserted_set_must_verify(self):
         with pytest.raises(RingGraphError):
-            minimal_primes(I(X * Y), asserted=[I(X)]).verify()
-        good = minimal_primes(I(X * Y), asserted=[I(X), I(Y)])
+            asserted_primes(I(X * Y), [I(X)])
+        good = asserted_primes(I(X * Y), [I(X), I(Y)])
         assert good.provenance == "asserted"
         assert good.is_asserted()
 
@@ -279,7 +285,7 @@ class TestVerification:
             "prime #2 contains prime #1; not minimal",
         ]
         with pytest.raises(RingGraphError):
-            minimal_primes(I(X, Y), asserted=[I(X + Y)]).verify()
+            asserted_primes(I(X, Y), [I(X + Y)])
 
     def test_face_ring_makes_no_containment_call(self, monkeypatch):
         calls = []
@@ -526,6 +532,12 @@ class TestPublicSignatures:
                 if "strategy" in params:
                     takers.add(name)
         assert takers == {"minimal_primes"}
+
+    def test_minimal_primes_only_computes(self):
+        assert list(inspect.signature(minimal_primes).parameters) == ["a", "strategy"]
+
+    def test_extended_adjoins_in_front_only(self):
+        assert list(inspect.signature(PolyRing.extended).parameters) == ["self", "extra_names"]
 
     def test_harness_parameters(self):
         params = inspect.signature(ringgraph.faltings_harness).parameters
