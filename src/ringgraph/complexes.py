@@ -35,7 +35,7 @@ from .gamma import (
     punctured_spectrum_connected,
 )
 from .ideals import Ideal, PresentedRing
-from .minprimes import MinimalPrimeSet, PrimeCertificate, is_equidimensional
+from .minprimes import MinimalPrimeSet, PrimeCertificate, certify_flag
 from .polynomials import PolyRing, mask_bits, minimal_transversals
 
 COMPLEX_VERTEX_CAP = 16
@@ -146,7 +146,7 @@ def face_ring(cplx: SimplicialComplex, field: Field = QQ) -> PresentedRing:
     pres = PresentedRing(mps.for_ideal.ring, mps.for_ideal)
     pres.attach_min_primes(mps)
     if is_pure(cplx):
-        is_equidimensional(pres)
+        certify_flag(pres, "equidimensional")
     return pres
 
 

@@ -29,7 +29,7 @@ from .ideals import (
 from .minprimes import (
     ensure_min_primes,
     minimal_primes,
-    require_equidimensional,
+    require_flag,
     top_dimensional_primes,
 )
 
@@ -208,7 +208,7 @@ def build_gamma(ring: PresentedRing) -> PrimeGraph:
     primes kept on the ring is then this graph.  It is ``asserted`` when
     the primes or the equidimensionality flag its heights rest on were.
     """
-    return _top_prime_graph(ring, require_equidimensional(ring, "the minimal-prime graph"))
+    return _top_prime_graph(ring, require_flag(ring, "equidimensional", "the minimal-prime graph"))
 
 
 def _top_prime_graph(ring: PresentedRing, flag=None) -> PrimeGraph:

@@ -280,35 +280,20 @@ def provenance(*claims, clean: str = "computed") -> str:
     return "asserted" if any(c is not None and c.is_asserted() for c in claims) else clean
 
 
-def _claim(held: Flag | None, new: Flag, what: str) -> Flag:
-    """The one rule for setting a ring's flag.  A claim that contradicts
-    the held flag refuses, whichever of the two was asserted; a
-    certified claim replaces an agreeing assertion; an assertion never
-    replaces a certified flag."""
-    if held is None:
-        return new
-    if held.value != new.value:
-        raise PreconditionError(
-            f"assertion contradicts a certified {what} flag"
-            if held.provenance != new.provenance
-            else f"contradictory {held.provenance} {what} flags"
-        )
-    return held if new.is_asserted() else new
-
-
 class PresentedRing:
     """A quotient of a polynomial ring by a proper defining ideal.
 
-    Carries optional certification state: reducedness, equidimensional
-    flag, and an attached minimal-prime set.  Flags record whether they
-    were certified by computation or asserted by the caller, and the
+    Carries optional certification state: the ``reduced`` and
+    ``equidimensional`` flags, written only through :meth:`claim`, and
+    an attached minimal-prime set.  Flags record whether they were
+    certified by computation or asserted by the caller, and the
     provenance taints every downstream report.  ``gamma`` holds the
     graph of the top-dimensional minimal primes once
     :mod:`ringgraph.gamma` has built it: the minimal-prime graph when
     the ring is equidimensional.
     """
 
-    __slots__ = ("ambient", "defining", "_reduced", "_equidim", "_min_primes", "gamma")
+    __slots__ = ("ambient", "defining", "_flags", "_min_primes", "gamma")
 
     def __init__(self, ambient: PolyRing, defining: Ideal):
         if defining.ring != ambient:
@@ -317,40 +302,45 @@ class PresentedRing:
             raise StructuralError("defining ideal is the unit ideal; not a ring presentation")
         self.ambient = ambient
         self.defining = defining
-        self._reduced = None
-        self._equidim = None
+        self._flags = {}
         self._min_primes = None
         self.gamma = None
         gens = defining.groebner().generators
         if all(g.is_monomial() for g in gens):
-            self.certify_reduced(all(e <= 1 for g in gens for e in next(iter(g.terms))))
+            self.claim("reduced", all(e <= 1 for g in gens for e in next(iter(g.terms))))
 
     def dim(self) -> int:
         return dimension(self.defining)
 
     @property
     def reduced(self) -> Flag | None:
-        return self._reduced
+        return self._flags.get("reduced")
 
     @property
     def equidimensional(self) -> Flag | None:
-        return self._equidim
+        return self._flags.get("equidimensional")
 
     @property
     def min_primes(self):
         return self._min_primes
 
-    def assert_reduced(self, value: bool = True):
-        self._reduced = _claim(self._reduced, Flag(value, "asserted"), "reducedness")
-
-    def certify_reduced(self, value: bool):
-        self._reduced = _claim(self._reduced, Flag(value, "certified"), "reducedness")
-
-    def assert_equidimensional(self, value: bool = True):
-        self._equidim = _claim(self._equidim, Flag(value, "asserted"), "equidimensionality")
-
-    def certify_equidimensional(self, value: bool):
-        self._equidim = _claim(self._equidim, Flag(value, "certified"), "equidimensionality")
+    def claim(self, what: str, value: bool, provenance: str = "certified"):
+        """The one writer of the ``reduced`` and ``equidimensional`` flags.
+        A claim that contradicts the held flag refuses, whichever of the
+        two was asserted; a certified claim replaces an agreeing
+        assertion; an assertion never replaces a certified flag."""
+        noun = {"reduced": "reducedness", "equidimensional": "equidimensionality"}.get(what)
+        if noun is None or provenance not in ("certified", "asserted"):
+            raise StructuralError(f"unknown claim {what!r} with provenance {provenance!r}")
+        held = self._flags.get(what)
+        if held is not None and held.value != value:
+            raise PreconditionError(
+                f"assertion contradicts a certified {noun} flag"
+                if held.provenance != provenance
+                else f"contradictory {provenance} {noun} flags"
+            )
+        if held is None or provenance == "certified":
+            self._flags[what] = Flag(value, provenance)
 
     def attach_min_primes(self, prime_set):
         """Attach a minimal-prime set; verified against the defining ideal."""

@@ -336,47 +336,37 @@ def ensure_min_primes(ring: PresentedRing) -> MinimalPrimeSet:
 
 
 # ---------------------------------------------------------------------------
-# equidimensionality and the small-dimension ideal
+# the ring flags and the small-dimension ideal
 
 
-def is_equidimensional(ring: PresentedRing) -> bool:
-    """All minimal primes cut out components of the full dimension.
-
-    A certified flag is returned as it stands; otherwise the verdict is
-    computed and certified, which refuses if it contradicts an
-    asserted flag."""
-    flag = ring.equidimensional
+def certify_flag(ring: PresentedRing, what: str) -> bool:
+    """The ring's ``reduced`` or ``equidimensional`` flag.  A certified
+    flag is returned as it stands; otherwise it is computed from the
+    minimal primes and claimed certified, which refuses if it
+    contradicts an asserted flag.  The defining ideal is radical when
+    the primes intersect to it, and equidimensional when every prime
+    is top-dimensional."""
+    flag = getattr(ring, what)
     if flag is not None and not flag.is_asserted():
         return flag.value
-    value = len(top_dimensional_primes(ring)) == len(ensure_min_primes(ring).primes)
-    ring.certify_equidimensional(value)
+    if what == "reduced":
+        value = ideal_intersection(*ensure_min_primes(ring).ideals()).equals(ring.defining)
+    else:
+        value = len(top_dimensional_primes(ring)) == len(ensure_min_primes(ring).primes)
+    ring.claim(what, value)
     return value
 
 
-def require_equidimensional(ring: PresentedRing, needed_by: str) -> Flag:
-    """The equidimensionality flag a verdict rests on, computed when
-    unset; refuses when the presentation is not equidimensional."""
-    if ring.equidimensional is None:
-        is_equidimensional(ring)
-    flag = ring.equidimensional
+def require_flag(ring: PresentedRing, what: str, needed_by: str) -> Flag:
+    """The ``reduced`` or ``equidimensional`` flag a verdict rests on,
+    certified when unset; refuses when it is false."""
+    if getattr(ring, what) is None:
+        certify_flag(ring, what)
+    flag = getattr(ring, what)
     if not flag.value:
-        raise PreconditionError(
-            f"{needed_by} needs an equidimensional presentation; "
-            "kill the small-dimension ideal first"
-        )
+        article, hint = ("a", "") if what == "reduced" else ("an", "; kill the small-dimension ideal first")
+        raise PreconditionError(f"{needed_by} needs {article} {what} presentation{hint}")
     return flag
-
-
-def certify_reduced_from_decomposition(ring: PresentedRing) -> bool:
-    """Decide reducedness by computation: the defining ideal is radical
-    exactly when it equals the intersection of its minimal primes.
-    Certifies the flag either way and returns the verdict."""
-    flag = ring.reduced
-    if flag is not None and not flag.is_asserted():
-        return flag.value
-    value = ideal_intersection(*ensure_min_primes(ring).ideals()).equals(ring.defining)
-    ring.certify_reduced(value)
-    return value
 
 
 def top_dimensional_primes(ring: PresentedRing) -> tuple:
@@ -391,17 +381,10 @@ def j_ideal(ring: PresentedRing) -> Ideal:
     minimal primes, returned as its lift to the ambient ring.
 
     Its image is zero exactly when the presentation is equidimensional.
-    Non-reduced presentations are refused.
+    Reducedness is certified when unset; a non-reduced presentation is
+    refused.
     """
-    flag = ring.reduced
-    if flag is None:
-        raise PreconditionError(
-            "reducedness unknown: certify or assert it before the small-dimension ideal"
-        )
-    if not flag.value:
-        raise PreconditionError(
-            "the small-dimension ideal is only supported for reduced presentations"
-        )
+    require_flag(ring, "reduced", "the small-dimension ideal")
     tops = top_dimensional_primes(ring)
     if not tops:
         raise StructuralError("no top-dimensional primes; broken decomposition")
@@ -434,6 +417,6 @@ def kernel_domain_presentation(phi: RingMap, kernel: Ideal) -> PresentedRing:
     pres = PresentedRing(phi.source, kernel)
     cert = PrimeCertificate("kernel-of-map-into-domain", witness=phi)
     pres.attach_min_primes(MinimalPrimeSet(kernel, ((kernel, cert),), "computed-kernel"))
-    pres.certify_reduced(True)
-    is_equidimensional(pres)
+    pres.claim("reduced", True)
+    certify_flag(pres, "equidimensional")
     return pres

@@ -12,14 +12,14 @@ through the minimal-prime graph and the disconnecting-partition test
 — two routes that must agree — and the remaining equivalent
 module-theoretic conditions are reported with provenance
 ``by-equivalence`` rather than computed.  Both routes read the graph of
-the top-dimensional primes: that of the equidimensional core.
+the ring's own top-dimensional primes; no quotient ring is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError, StructuralError, ZerodivisorError
+from .errors import StructuralError, ZerodivisorError
 from .gamma import ConnectivityReport, _partition, _top_prime_graph, is_connected
 from .groebner import normal_form
 from .ideals import (
@@ -31,11 +31,7 @@ from .ideals import (
     ideal_sum,
     provenance,
 )
-from .minprimes import (
-    certify_reduced_from_decomposition,
-    is_equidimensional,
-    require_equidimensional,
-)
+from .minprimes import certify_flag, require_flag
 from .polynomials import GREVLEX, Polynomial
 
 EQUIVALENT_CONDITIONS = (
@@ -135,7 +131,7 @@ def conductor(f: Fraction) -> ConductorResult:
     the quotient, so the presentation must be equidimensional."""
     ring = f.ring
     amb = ring.ambient
-    flag = require_equidimensional(ring, "the conductor height")
+    flag = require_flag(ring, "equidimensional", "the conductor height")
     jv = ideal_sum(ring.defining, Ideal(amb, (f.denominator,)))
     d = ideal_colon(jv, Ideal(amb, (f.numerator,)))
     h = height_in_quotient(ring, d)
@@ -143,8 +139,8 @@ def conductor(f: Fraction) -> ConductorResult:
 
 
 def s2_local_decision(ring: PresentedRing) -> ConnectivityReport:
-    """Decide whether the S2-ification of the reduced, equidimensional
-    core is local.
+    """Decide whether the S2-ification of a reduced ring is local;
+    reducedness is certified when unset and refused when false.
 
     Runs two computed routes — connectivity of the minimal-prime
     graph's edges and the disconnecting-partition test on its pair
@@ -155,15 +151,8 @@ def s2_local_decision(ring: PresentedRing) -> ConnectivityReport:
     Every label turns ``asserted`` when the reducedness flag or the
     ring's minimal primes were asserted.
     """
-    flag = ring.reduced
-    if flag is None:
-        certify_reduced_from_decomposition(ring)
-        flag = ring.reduced
-    if not flag.value:
-        raise PreconditionError(
-            "the locality decision needs a reduced presentation"
-        )
-    is_equidimensional(ring)  # refuses an equidimensionality assertion the primes contradict
+    flag = require_flag(ring, "reduced", "the locality decision")
+    certify_flag(ring, "equidimensional")  # refuses an equidimensionality assertion the primes contradict
     graph = _top_prime_graph(ring)
     via_graph = is_connected(graph)
     via_partition = _partition(graph)

@@ -548,10 +548,7 @@ def _parse_assert(stream: _TokenStream, session: SessionFile) -> str:
         stream.expect(";")
         pres = session.presented(rtok.text)
         try:
-            if what.text == "equidim":
-                pres.assert_equidimensional(True)
-            else:
-                pres.assert_reduced(True)
+            pres.claim("equidimensional" if what.text == "equidim" else "reduced", True, "asserted")
         except RingGraphError as e:
             raise SessionSyntaxError(str(e), rtok.line, rtok.column) from e
         return f"assert {what.text} {rtok.text};"

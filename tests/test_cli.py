@@ -143,6 +143,21 @@ class TestExitCodes:
         code, _, err = run(capsys, verb, "--session", str(session), "R", "Y")
         assert code == 2, err
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: the local verbs still read an inhomogeneous ideal of a graded ring globally",
+    )
+    def test_inhomogeneous_ideal_of_a_graded_ring_is_refused(self, tmp_path, capsys):
+        """Q[x, y, z, w]/(xy) is graded, but a = (z^2 - z) is not: at
+        m = (x, y, z, w) the factor z - 1 is a unit, so a is locally (z),
+        and the punctured spectrum modulo (z) is connected.  Read globally,
+        V(a) falls into two pieces, z = 0 and z = 1, and ``punctured``
+        answers 'disconnected', so it must refuse instead."""
+        session = tmp_path / "graded.rg"
+        session.write_text("field Q;\nring A = [x, y, z, w];\nideal K = (x*y);\nring R = A / K;\nideal T = (z^2 - z);\n")
+        code, _, err = run(capsys, "punctured", "--session", str(session), "R", "T")
+        assert code == 2, err
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):

@@ -16,6 +16,7 @@ from ringgraph import (
     QQ,
     ConnectivityReport,
     Ideal,
+    PreconditionError,
     PrimeField,
     RingGraphError,
     SimplicialComplex,
@@ -308,6 +309,18 @@ class TestHarness:
         a = faltings_harness(trials=6, seed=1)
         b = faltings_harness(trials=6, seed=2)
         assert a.to_json() != b.to_json()
+
+    def test_refused_draw_falls_back_to_one_facet(self, monkeypatch):
+        """When the sampler refuses, a trial runs on the single facet
+        {1, ..., size}, whose face ring is a polynomial ring, and passes."""
+
+        def refuse(*args):
+            raise PreconditionError("no connected pure complex found")
+
+        monkeypatch.setattr(complexes_module, "_connected_sample", refuse)
+        report = faltings_harness(trials=6, seed=5)
+        assert report.ok and report.passed == 6
+        assert [r.facets for r in report.records] == [[list(range(1, r.facet_size + 1))] for r in report.records]
 
     def test_one_face_ring_per_draw(self, monkeypatch):
         """A trial reuses the face ring its sampler built and accepted: one

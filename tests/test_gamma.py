@@ -21,7 +21,7 @@ from ringgraph import (
     PrimeGraph,
     RingGraphError,
     build_gamma,
-    certify_reduced_from_decomposition,
+    certify_flag,
     complex_from_lists,
     dimension,
     disconnection_exists,
@@ -35,7 +35,6 @@ from ringgraph import (
     ideal_intersection,
     ideal_sum,
     is_connected,
-    is_equidimensional,
     m_primary_status,
     minimal_primes,
     parse_session,
@@ -210,7 +209,7 @@ class TestSavedGroebnerWork:
         # one pair of planes, whose sum is the one basis computed, and
         # builds no quotient by the small-dimension ideal
         ring = planes_and_line_ring()
-        assert certify_reduced_from_decomposition(ring) and not is_equidimensional(ring)
+        assert certify_flag(ring, "reduced") and not certify_flag(ring, "equidimensional")
         calls = count_buchberger_calls(monkeypatch)
         report = s2_local_decision(ring)
         assert report.connected is False and report.witness["cross_heights"] == [[0, 1, 2]]
@@ -320,7 +319,7 @@ class TestPairEvidenceRoutes:
         ``ideals`` and, when it is equidimensional, on its graph."""
         for a in ideals:
             assert punctured_spectrum_connected(ring, a) == general_punctured(ring, a), a
-        if not is_equidimensional(ring):
+        if not certify_flag(ring, "equidimensional"):
             return None
         mps, graph = ensure_min_primes(ring), build_gamma(ring)
         relation = lambda b: height_in_quotient(ring, b)
@@ -688,7 +687,7 @@ class TestProvenanceTaint:
         ring = PolyRing(QQ, ("x", "y", "z"))
         x, y, z = ring.gens()
         pres = PresentedRing(ring, Ideal(ring, (x * y, x * z)))
-        pres.assert_equidimensional(True)
+        pres.claim("equidimensional", True, "asserted")
         graph = build_gamma(pres)
         assert graph.provenance == "asserted"
         assert is_connected(graph).provenance == "asserted"

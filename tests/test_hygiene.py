@@ -4,7 +4,8 @@ unreferenced, and no module-level constant goes unread.  These catch
 what a deletion leaves behind, as does the one check that imports: every
 function the benchmark traces still exists.  Every source of randomness
 is seeded, the standard-library modules loaded at import are pinned,
-one function adjoins variables to a ring, and four present one."""
+one function adjoins variables to a ring, four present one, and four
+write a ring's flags."""
 
 import ast
 import importlib.util
@@ -140,6 +141,26 @@ def test_no_verdict_builds_a_hidden_ring():
         ("minprimes.py", "kernel_domain_presentation"),
         ("complexes.py", "face_ring"),
         ("session.py", "_parse_ring"),
+    }
+
+
+def test_one_writer_per_ring_flag():
+    """``PresentedRing.claim`` is called only where a flag is first known:
+    the monomial reducedness of a new ring, the certified computation, a
+    kernel's domain presentation and a session's assertion."""
+    callers = set()
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            owner, scopes = (node.name + ".", node.body) if isinstance(node, ast.ClassDef) else ("", [node])
+            for scope in scopes:
+                for sub in ast.walk(scope):
+                    if isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "claim":
+                        callers.add((name, owner + getattr(scope, "name", str(scope.lineno))))
+    assert callers == {
+        ("ideals.py", "PresentedRing.__init__"),
+        ("minprimes.py", "certify_flag"),
+        ("minprimes.py", "kernel_domain_presentation"),
+        ("session.py", "_parse_assert"),
     }
 
 

@@ -20,8 +20,10 @@ from ringgraph import (
     PreconditionError,
     RingGraphError,
     RingMap,
+    StructuralError,
     buchberger,
     build_gamma,
+    certify_flag,
     contract,
     dimension,
     eliminate,
@@ -33,7 +35,6 @@ from ringgraph import (
     ideal_intersection,
     ideal_product,
     ideal_sum,
-    is_equidimensional,
     m_primary_status,
     polynomial_quotient,
     radical_membership,
@@ -125,7 +126,7 @@ class TestVariablePrimes:
                 assert prime._dim == dimension(plain) == n - mask.bit_count(), (n, mask)
 
     def test_equidimensionality_makes_no_search_for_a_variable_prime(self, monkeypatch):
-        """is_equidimensional on a face ring makes no dimension search:
+        """certify_flag(pres, "equidimensional") on a face ring makes no dimension search:
         the SR ideal is built with its dimension, and each prime with its own."""
         cplx = random_pure_complex(random.Random(60), 10, 4, 60)
         pres = PresentedRing(face_ring_ambient(10), sr_ideal(cplx))
@@ -133,7 +134,7 @@ class TestVariablePrimes:
         searches = []
         original = ideals_module.minimal_transversals
         monkeypatch.setattr(ideals_module, "minimal_transversals", lambda m: searches.append(m) or original(m))
-        assert is_equidimensional(pres)
+        assert certify_flag(pres, "equidimensional")
         assert not searches and pres.defining._dim == 4
 
     def test_one_ideal_per_ring_and_mask(self):
@@ -420,26 +421,33 @@ class TestPresentedRing:
     def test_assert_cannot_contradict_certified(self):
         sq = PresentedRing(R3, I(X ** 2))
         with pytest.raises(RingGraphError):
-            sq.assert_reduced(True)
+            sq.claim("reduced", True, "asserted")
 
     def test_certified_claim_replaces_agreeing_assertion(self):
         pres = PresentedRing(R3, I(X ** 2 - Y))
-        pres.assert_equidimensional(True)
-        pres.certify_equidimensional(True)
+        pres.claim("equidimensional", True, "asserted")
+        pres.claim("equidimensional", True)
         assert pres.equidimensional == (True, "certified")
-        pres.assert_equidimensional(True)
+        pres.claim("equidimensional", True, "asserted")
         assert pres.equidimensional == (True, "certified")
 
     def test_certified_claim_cannot_contradict_assertion(self):
         pres = PresentedRing(R3, I(X ** 2 - Y))
-        pres.assert_reduced(True)
-        pres.assert_equidimensional(True)
+        pres.claim("reduced", True, "asserted")
+        pres.claim("equidimensional", True, "asserted")
         with pytest.raises(PreconditionError):
-            pres.certify_reduced(False)
+            pres.claim("reduced", False)
         with pytest.raises(PreconditionError):
-            pres.certify_equidimensional(False)
+            pres.claim("equidimensional", False)
         assert pres.reduced == (True, "asserted")
         assert pres.equidimensional == (True, "asserted")
+
+    def test_claim_names_a_flag_and_a_provenance(self):
+        pres = PresentedRing(R3, I(X ** 2 - Y))
+        for what, prov in (("equidim", "asserted"), ("reduced", "computed")):
+            with pytest.raises(StructuralError, match="unknown claim"):
+                pres.claim(what, True, prov)
+        assert pres.reduced is None and pres.equidimensional is None
 
     def test_provenance_taint_rule(self):
         certified, asserted = Flag(True, "certified"), Flag(True, "asserted")
@@ -465,7 +473,7 @@ class TestPresentedRing:
 
     def test_height_known_values(self):
         pres = PresentedRing(R3, I(X * Y))
-        pres.certify_equidimensional(True)
+        pres.claim("equidimensional", True)
         assert height_in_quotient(pres, I(X)) == 0  # contained in a minimal prime
         assert height_in_quotient(pres, I(X, Y)) == 1
         assert height_in_quotient(pres, I(X, Y, Z)) == 2
@@ -501,7 +509,7 @@ class TestPresentedRing:
         cases.append((curve, Ideal.of_variables(ring4, 0b1101)))
         expected = []
         for pres, a in cases:
-            pres.assert_equidimensional()  # the flag only gates the dimension difference
+            pres.claim("equidimensional", True, "asserted")  # the flag only gates the dimension difference
             top, d = pres.dim(), dimension(ideal_sum(pres.defining, a))
             status = {-1: "unit-ideal", 0: "m-primary"}.get(d, "not-m-primary")
             expected.append((HEIGHT_INFINITY if d == -1 else top - d, status))
@@ -528,7 +536,7 @@ class TestPresentedRing:
         ring17 = PolyRing(QQ, tuple(f"x{i}" for i in range(17)))
         xs = ring17.gens()
         pres = PresentedRing(ring17, Ideal(ring17, (xs[0] * xs[1],)))
-        pres.assert_equidimensional()
+        pres.claim("equidimensional", True, "asserted")
         for decide in (
             lambda a: m_primary_status(a, pres),
             lambda a: height_in_quotient(pres, a),

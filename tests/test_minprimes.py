@@ -15,7 +15,9 @@ import ringgraph
 from ringgraph import (
     QQ,
     Ideal,
+    MinimalPrimeSet,
     PolyRing,
+    PreconditionError,
     PresentedRing,
     PrimeCertificate,
     PrimeField,
@@ -23,9 +25,9 @@ from ringgraph import (
     RingMap,
     StructuralError,
     UndecidedComponentError,
+    certify_flag,
     face_ring,
     image_domain_presentation,
-    is_equidimensional,
     j_ideal,
     minimal_primes,
     monomial_minimal_primes,
@@ -242,6 +244,15 @@ class TestSplitRoute:
         with pytest.raises(UndecidedComponentError) as caught:
             minimal_primes(I(X ** 5 - 2, Y))
         assert caught.value.leaf.equals(I(X ** 5 - 2, Y))
+
+    def test_exhausted_budget_refuses_with_a_leaf(self, monkeypatch):
+        """The split budget refuses rather than runs on: with one step,
+        (xy) is split once and the next branch is refused."""
+        monkeypatch.setattr(minprimes_module, "_SPLIT_BUDGET", 1)
+        with pytest.raises(UndecidedComponentError, match="budget exhausted") as caught:
+            split_minimal_primes(I(X * Y))
+        assert isinstance(caught.value.leaf, Ideal)
+        assert caught.value.leaf.contains_ideal(I(X * Y))
 
 
 class TestVerification:
@@ -469,17 +480,27 @@ class TestVerification:
         assert not cert.check(I(X + Y ** 2))
         assert not cert.check(I(X ** 2))
 
+    def test_failing_certificates_refuse(self):
+        """A decomposition that verifies is refused when a certificate does
+        not discharge: x^2 + 1 is prime but not linear, and a kernel
+        certificate needs its map.  The unit ideal is no linear prime."""
+        for a, kind in ((I(X ** 2 + 1), "linear-prime"), (I(X), "kernel-of-map-into-domain")):
+            mps = MinimalPrimeSet(a, ((a, PrimeCertificate(kind)),), "computed-split")
+            with pytest.raises(PreconditionError, match=f"certificate '{kind}' failed"):
+                mps.verify()
+        assert not PrimeCertificate("linear-prime").check(I(R3.one()))
+
 
 class TestEquidimensionality:
     def test_pure_codimension(self):
         pres = PresentedRing(R3, I(X * Y))
-        assert is_equidimensional(pres)
+        assert certify_flag(pres, "equidimensional")
         assert pres.equidimensional.value is True
         assert pres.equidimensional.provenance == "certified"
 
     def test_mixed_dimensions(self):
         pres = PresentedRing(R3, I(X * Y, X * Z))
-        assert not is_equidimensional(pres)
+        assert not certify_flag(pres, "equidimensional")
         tops = top_dimensional_primes(pres)
         assert {p.canonical_key() for p in tops} == {I(X).canonical_key()}
         j = j_ideal(pres)
@@ -491,9 +512,21 @@ class TestEquidimensionality:
         j = j_ideal(pres)
         assert pres.defining.contains_ideal(j)
 
+    def test_j_ideal_certifies_unset_reducedness(self):
+        """An unset reducedness flag is computed, not refused: the cusp is
+        reduced, and ((x + y)^2) is refused once it is found not to be."""
+        cusp = PresentedRing(R3, I(X ** 3 - Y ** 2))
+        assert cusp.reduced is None
+        assert cusp.defining.contains_ideal(j_ideal(cusp))
+        assert cusp.reduced == (True, "certified")
+        square = PresentedRing(R3, I((X + Y) ** 2))
+        with pytest.raises(PreconditionError, match="needs a reduced presentation"):
+            j_ideal(square)
+        assert square.reduced == (False, "certified")
+
     def test_certify_equidimensional_sets_flag(self):
         pres = PresentedRing(R3, I(X * Y))
-        assert is_equidimensional(pres)
+        assert certify_flag(pres, "equidimensional")
         assert pres.equidimensional == (True, "certified")
 
 

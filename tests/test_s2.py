@@ -19,7 +19,7 @@ from ringgraph import (
     RingGraphError,
     ZerodivisorError,
     build_gamma,
-    certify_reduced_from_decomposition,
+    certify_flag,
     complex_from_lists,
     conductor,
     disconnection_exists,
@@ -27,7 +27,6 @@ from ringgraph import (
     ideal_intersection,
     ideal_product,
     is_connected,
-    is_equidimensional,
     j_ideal,
     s2_local_decision,
     top_dimensional_primes,
@@ -150,7 +149,7 @@ class TestConductor:
         ring = nodal_ring()
         assert conductor(Fraction(ring, X ** 2, X)).provenance == "computed"
         asserted = PresentedRing(R2, Ideal(R2, (X ** 2 - Y ** 2,)))
-        asserted.assert_equidimensional(True)
+        asserted.claim("equidimensional", True, "asserted")
         res = conductor(Fraction(asserted, X ** 2, X))
         assert res.provenance == "asserted"
 
@@ -250,7 +249,7 @@ class TestLocalityDecision:
         ring = PolyRing(QQ, ("x", "y", "z"))
         x, y, z = ring.gens()
         pres = PresentedRing(ring, Ideal(ring, (x * y, x * z)))
-        pres.assert_equidimensional(True)
+        pres.claim("equidimensional", True, "asserted")
         graph = build_gamma(pres)
         with pytest.raises(PreconditionError):
             s2_local_decision(pres)
@@ -260,7 +259,7 @@ class TestLocalityDecision:
 
     def test_asserted_reducedness_taints(self):
         pres = PresentedRing(R2, Ideal(R2, (X ** 3 - Y ** 2,)))
-        pres.assert_reduced(True)
+        pres.claim("reduced", True, "asserted")
         rep = s2_local_decision(pres)
         assert rep.connected is True
         assert rep.provenance == "asserted"
@@ -273,14 +272,14 @@ def core_route_decision(ring) -> ConnectivityReport:
     ``j_ideal``, with the ring's top primes attached to it (and verified)
     and its flags certified, decided by both routes on that ring."""
     if ring.reduced is None:
-        certify_reduced_from_decomposition(ring)
-    assert not is_equidimensional(ring)
+        certify_flag(ring, "reduced")
+    assert not certify_flag(ring, "equidimensional")
     j, tops = j_ideal(ring), top_dimensional_primes(ring)
     core = PresentedRing(ring.ambient, j)
     kept = tuple((p, c) for p, c in ring.min_primes.primes if any(p is t for t in tops))
     core.attach_min_primes(MinimalPrimeSet(j, kept, ring.min_primes.provenance))
-    core.certify_reduced(True)
-    core.certify_equidimensional(True)
+    core.claim("reduced", True)
+    core.claim("equidimensional", True)
     via_graph, via_partition = is_connected(build_gamma(core)), disconnection_exists(core)
     assert via_graph.connected == via_partition.connected
     claims = (ring.reduced, core.min_primes, core.equidimensional)
