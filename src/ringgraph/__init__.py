@@ -8,174 +8,63 @@ modulo an ideal, nonvanishing of top local cohomology, membership of
 fractions in the S2-ification via conductor heights, and a randomized
 harness checking punctured connectedness over face rings of simplicial
 complexes.  Everything is exact, deterministic, and certificate-backed.
+
+``import ringgraph`` loads no submodule.  Each public name loads the
+submodule that defines it on first use (PEP 562), so a caller that
+needs only ``PolyRing`` and ``buchberger`` never compiles the graph or
+session code.  ``python -m ringgraph`` still loads every module, since
+``ringgraph.cli`` imports them all at its top.
 """
 
-from .errors import (
-    PreconditionError,
-    RingGraphError,
-    SessionSyntaxError,
-    StructuralError,
-    UndecidedComponentError,
-    ZerodivisorError,
-)
-from .fields import QQ, Field, PrimeField, RationalField, field_by_name
-from .polynomials import (
-    GREVLEX,
-    LEX,
-    MonomialOrder,
-    Polynomial,
-    PolyRing,
-    elimination_order,
-)
-from .groebner import GroebnerBasis, buchberger, exact_divide, normal_form, s_polynomial
-from .ideals import (
-    HEIGHT_INFINITY,
-    Flag,
-    Ideal,
-    PresentedRing,
-    RingMap,
-    contract,
-    dimension,
-    eliminate,
-    height_in_quotient,
-    ideal_colon,
-    ideal_intersection,
-    ideal_product,
-    ideal_sum,
-    m_primary_status,
-    polynomial_quotient,
-    radical_membership,
-    ring_map_kernel,
-    saturation,
-)
-from .factor import certify_irreducible, factor_once
-from .minprimes import (
-    MinimalPrimeSet,
-    PrimeCertificate,
-    certify_flag,
-    ensure_min_primes,
-    image_domain_presentation,
-    j_ideal,
-    minimal_primes,
-    monomial_minimal_primes,
-    require_flag,
-    split_minimal_primes,
-    top_dimensional_primes,
-    verify_decomposition,
-)
-from .gamma import (
-    ConnectivityReport,
-    PrimeGraph,
-    build_gamma,
-    disconnection_exists,
-    gamma_product,
-    graph_from_text,
-    hl_nonvanishing,
-    is_connected,
-    punctured_spectrum_connected,
-)
-from .complexes import (
-    HarnessReport,
-    SimplicialComplex,
-    complex_from_lists,
-    face_ring,
-    facet_adjacency_graph,
-    facet_min_primes,
-    faltings_harness,
-    is_pure,
-    join,
-    random_pure_connected_complex,
-    sr_ideal,
-)
-from .s2 import ConductorResult, Fraction, conductor, s2_local_decision
-from .session import SessionFile, parse_fraction, parse_polynomial, parse_session, print_session
-from .reports import ReportDocument
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QQ",
-    "GREVLEX",
-    "LEX",
-    "HEIGHT_INFINITY",
-    "ConductorResult",
-    "ConnectivityReport",
-    "Field",
-    "Flag",
-    "Fraction",
-    "GroebnerBasis",
-    "HarnessReport",
-    "Ideal",
-    "MinimalPrimeSet",
-    "MonomialOrder",
-    "Polynomial",
-    "PolyRing",
-    "PreconditionError",
-    "PresentedRing",
-    "PrimeCertificate",
-    "PrimeField",
-    "PrimeGraph",
-    "RationalField",
-    "ReportDocument",
-    "RingGraphError",
-    "RingMap",
-    "SessionFile",
-    "SessionSyntaxError",
-    "SimplicialComplex",
-    "StructuralError",
-    "UndecidedComponentError",
-    "ZerodivisorError",
-    "buchberger",
-    "build_gamma",
-    "certify_irreducible",
-    "certify_flag",
-    "complex_from_lists",
-    "conductor",
-    "contract",
-    "dimension",
-    "disconnection_exists",
-    "eliminate",
-    "elimination_order",
-    "ensure_min_primes",
-    "exact_divide",
-    "face_ring",
-    "facet_adjacency_graph",
-    "facet_min_primes",
-    "factor_once",
-    "faltings_harness",
-    "field_by_name",
-    "gamma_product",
-    "graph_from_text",
-    "height_in_quotient",
-    "hl_nonvanishing",
-    "ideal_colon",
-    "ideal_intersection",
-    "ideal_product",
-    "ideal_sum",
-    "image_domain_presentation",
-    "is_connected",
-    "is_pure",
-    "j_ideal",
-    "join",
-    "m_primary_status",
-    "minimal_primes",
-    "monomial_minimal_primes",
-    "normal_form",
-    "parse_fraction",
-    "parse_polynomial",
-    "parse_session",
-    "polynomial_quotient",
-    "print_session",
-    "punctured_spectrum_connected",
-    "radical_membership",
-    "random_pure_connected_complex",
-    "require_flag",
-    "ring_map_kernel",
-    "s2_local_decision",
-    "s_polynomial",
-    "saturation",
-    "split_minimal_primes",
-    "sr_ideal",
-    "top_dimensional_primes",
-    "verify_decomposition",
-]
+# submodule -> the public names it defines.  No name equals a submodule's
+# name, so ``from ringgraph import gamma`` still gives the module.
+_EXPORTS = {
+    "errors": (
+        "PreconditionError RingGraphError SessionSyntaxError StructuralError "
+        "UndecidedComponentError ZerodivisorError"
+    ).split(),
+    "fields": "QQ Field PrimeField RationalField field_by_name".split(),
+    "polynomials": "GREVLEX LEX MonomialOrder Polynomial PolyRing elimination_order".split(),
+    "groebner": "GroebnerBasis buchberger exact_divide normal_form s_polynomial".split(),
+    "ideals": (
+        "HEIGHT_INFINITY Flag Ideal PresentedRing RingMap contract dimension eliminate "
+        "height_in_quotient ideal_colon ideal_intersection ideal_product ideal_sum "
+        "m_primary_status polynomial_quotient radical_membership ring_map_kernel saturation"
+    ).split(),
+    "factor": "certify_irreducible factor_once".split(),
+    "minprimes": (
+        "MinimalPrimeSet PrimeCertificate certify_flag ensure_min_primes "
+        "image_domain_presentation j_ideal minimal_primes monomial_minimal_primes "
+        "require_flag split_minimal_primes top_dimensional_primes verify_decomposition"
+    ).split(),
+    "gamma": (
+        "ConnectivityReport PrimeGraph build_gamma disconnection_exists gamma_product "
+        "graph_from_text hl_nonvanishing is_connected punctured_spectrum_connected"
+    ).split(),
+    "complexes": (
+        "HarnessReport SimplicialComplex complex_from_lists face_ring facet_adjacency_graph "
+        "facet_min_primes faltings_harness is_pure join random_pure_connected_complex sr_ideal"
+    ).split(),
+    "s2": "ConductorResult Fraction conductor s2_local_decision".split(),
+    "session": "SessionFile parse_fraction parse_polynomial parse_session print_session".split(),
+    "reports": ["ReportDocument"],
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+
+def __getattr__(name):
+    for module, names in _EXPORTS.items():
+        if name in names:
+            value = getattr(importlib.import_module("." + module, __name__), name)
+            globals()[name] = value  # later reads skip this hook
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

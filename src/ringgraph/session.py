@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .complexes import complex_from_lists, face_ring
 from .errors import RingGraphError, SessionSyntaxError, StructuralError
@@ -38,8 +39,7 @@ from .polynomials import Polynomial
 from .s2 import Fraction
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name" | "int" | "punct" | "eof"
     text: str
     line: int

@@ -659,6 +659,8 @@ class TestGraphSerialization:
         primes = build_gamma(face_ring(cplx))
         assert 'v0 [label="(x4)"];' in primes.to_dot()
         assert 'v1 [label="(x4) x (x1)"];' in gamma_product(primes, primes).to_dot()
+        scalars = graph_from_text('{"vertices": [7, "p"], "edges": [[0, 1]]}')
+        assert 'v0 [label="7"];' in scalars.to_dot() and 'v1 [label="p"];' in scalars.to_dot()
 
     def test_report_document_unwrapped(self):
         g = build_gamma(nodal_ring())

@@ -47,7 +47,7 @@ def imported_names(tree) -> list:
 # Loading and compiling them is paid by every cold start, so a new one
 # must show up as an edit here.
 IMPORT_TIME_STDLIB = {
-    "__future__", "argparse", "dataclasses", "fractions", "functools", "heapq", "itertools", "json",
+    "__future__", "dataclasses", "fractions", "functools", "heapq", "importlib", "itertools", "json",
     "math", "operator", "pathlib", "random", "re", "sys", "time", "typing",
 }
 
@@ -67,8 +67,6 @@ def test_import_time_stdlib_is_pinned():
 def test_no_unused_imports():
     unused = []
     for name, tree in MODULES.items():
-        if name == "__init__.py":
-            continue  # imports there are the public re-exports
         body = [n for n in tree.body if not isinstance(n, (ast.Import, ast.ImportFrom))]
         used = set().union(*(referenced_names(n) for n in body))
         unused += [f"{name}: {imp}" for imp in imported_names(tree) if imp not in used]
@@ -84,7 +82,8 @@ def test_no_unreferenced_private_functions():
                 refs = {a.name for a in node.names}
             if isinstance(node, ast.FunctionDef):
                 refs.discard(node.name)  # recursion is not a use
-                if node.name.startswith("_"):
+                # a dunder, such as a module's ``__getattr__``, is called by Python
+                if node.name.startswith("_") and not node.name.endswith("__"):
                     defined.append((name, node.name))
             used |= refs
     assert [f"{m}: {f}" for m, f in defined if f not in used] == []

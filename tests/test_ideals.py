@@ -161,6 +161,7 @@ class TestIdealOperations:
             inter = ideal_intersection(a, b)
             assert a.contains_ideal(inter) and b.contains_ideal(inter)
             assert inter.contains_ideal(p)
+        assert ideal_product(I(), I(X)).gens == () and ideal_product(I(X), I()).gens == ()
 
     def test_equals_itself_without_a_basis(self, monkeypatch):
         a = I(X * Y - Z ** 2, X - Z)
@@ -302,6 +303,7 @@ class TestIdealOperations:
         elim = eliminate(a, 1)
         expected = Ideal(ext, (XT ** 2 - YT,))
         assert elim.equals(expected)
+        assert eliminate(a, 0).equals(a)  # an empty block eliminates nothing
 
 
 class TestRadicalMembership:
@@ -546,6 +548,11 @@ class TestPresentedRing:
 
 
 class TestRingMaps:
+    def test_map_from_the_field_keeps_constants(self):
+        phi = RingMap(PolyRing(QQ, ()), R3, ())
+        assert phi.apply(phi.source.const(3)) == R3.const(3)
+        assert phi.apply(phi.source.zero()).is_zero()
+
     def test_kernel_of_monomial_curve(self):
         src = PolyRing(QQ, ("a", "b"))
         tgt = PolyRing(QQ, ("t",))

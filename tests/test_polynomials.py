@@ -94,6 +94,9 @@ class TestArithmetic:
     def test_int_coercion(self):
         assert (X + 1) - 1 == X
         assert 2 * X == X + X
+        assert 1 + X == X + 1 and 1 - X == -(X - 1)
+        assert R3.const(3) == 3 and R3.zero() == 0 and R3.const(Fraction(1, 2)) == Fraction(1, 2)
+        assert X != 0 and X != "x"
 
     def test_evaluate_and_compose(self):
         f = X * Y - Z ** 2
